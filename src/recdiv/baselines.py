@@ -21,10 +21,6 @@ class RankedLists:
     items: list[list[int]] = field(default_factory=list)
     scores: list[list[float]] = field(default_factory=list)
 
-    @property
-    def lists(self) -> list[list[int]]:
-        return self.items
-
 
 def _candidates_by_relevance(graph: RecGraph, u: int) -> list[int]:
     return sorted(graph.user_edges[u], key=lambda e: (-graph.edges[e].relevance, e))

@@ -16,71 +16,70 @@ import time
 from pathlib import Path
 
 from . import data as dio
-from .baselines import RankedLists, mmr, top_k, xquad
-from .errors import InfeasibleError, InstanceTooLargeError, RecdivError
+from .baselines import mmr, top_k, xquad
+from .errors import DataFormatError, InfeasibleError, InstanceTooLargeError, RecdivError
 from .flownet import solve_tdiv_detailed
 from .graph import DivParams, Grouping, RecGraph, Solution, ThresholdTable, eval_objective, new_solution
 from .greedy import greedy_solve
 from . import metrics as m
 
 METHODS = ("top", "mmr", "xquad", "greedy", "flow")
+SOLVERS = ("greedy", "flow")
 
 
 # ---------------------------------------------------------------------------
 # Shared loading helpers
 
-def _load_graph(args) -> RecGraph:
+def _load_inputs(args, thresholds: str):
+    """Candidate graph, user types, item categories and thresholds named by
+    ``args``.  ``thresholds`` is "derive" (load --thresholds, else derive
+    them from --train), "empty" (an empty table) or "optional" (load
+    --thresholds if given, else None).  Only "optional" accepts a missing
+    grouping, and then gives None thresholds."""
     constraint: int | dict[str, int] = args.constraint
-    if getattr(args, "constraint_file", None):
-        constraint = {}
-        with open(args.constraint_file, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    uid, c = line.split("\t")
-                    constraint[uid] = int(c)
+    if args.constraint_file:
+        constraint = dio.load_constraints(args.constraint_file)
     graph, _skipped = dio.load_candidates(args.candidates, constraint, args.top_n)
-    return graph
-
-
-def _load_groupings(args, graph: RecGraph) -> tuple[Grouping | None, Grouping | None]:
-    item_cats = user_types = None
-    if getattr(args, "categories", None):
+    user_types = item_cats = table = None
+    if args.categories:
         item_cats, _ = dio.load_grouping(args.categories, "item", graph.item_ids)
-    if getattr(args, "types", None):
+    if args.types:
         user_types, _ = dio.load_grouping(args.types, "user", graph.user_ids)
-    return user_types, item_cats
-
-
-def _load_or_derive_thresholds(
-    args, graph: RecGraph, user_types: Grouping, item_cats: Grouping
-) -> ThresholdTable:
-    if getattr(args, "thresholds", None):
-        return dio.load_thresholds(
+    if user_types is None or item_cats is None:
+        if thresholds != "optional":
+            raise RecdivError("--categories and --types are required")
+    elif thresholds == "empty":
+        table = ThresholdTable()
+    elif args.thresholds:
+        table = dio.load_thresholds(
             args.thresholds, graph.user_ids, graph.item_ids,
             user_types.group_ids, item_cats.group_ids,
         )
-    if not getattr(args, "train", None):
-        raise RecdivError("either --thresholds or --train is required")
-    train = dio.load_ratings(args.train)
-    user_tab = dio.derive_user_thresholds(
-        train, item_cats, graph.item_ids, graph.user_ids,
-        graph.display_constraints, overlapping=not item_cats.disjoint,
-    )
-    item_tab = dio.derive_item_thresholds(
-        train, user_types, graph.user_ids, graph.item_ids, graph.display_constraints,
-    )
-    return ThresholdTable(user_tab.user_category, item_tab.item_type)
+    elif thresholds == "derive":
+        if not args.train:
+            raise RecdivError("either --thresholds or --train is required")
+        train = dio.load_ratings(args.train)
+        user_tab = dio.derive_user_thresholds(
+            train, item_cats, graph.item_ids, graph.user_ids,
+            graph.display_constraints, overlapping=not item_cats.disjoint,
+        )
+        item_tab = dio.derive_item_thresholds(
+            train, user_types, graph.user_ids, graph.item_ids, graph.display_constraints,
+        )
+        table = ThresholdTable(user_tab.user_category, item_tab.item_type)
+    return graph, user_types, item_cats, table
 
 
-def _ranked_to_solution(graph: RecGraph, ranked: RankedLists,
-                        user_types: Grouping | None,
-                        item_cats: Grouping | None) -> Solution:
-    edge_of = {(e.user, e.item): e.index for e in graph.edges}
+def _solution_of(graph: RecGraph, user_types: Grouping | None,
+                 item_cats: Grouping | None, pairs) -> Solution:
+    """Solution selecting the (user id, item id) ``pairs`` in order."""
+    edge_of = {(graph.user_ids[e.user], graph.item_ids[e.item]): e.index
+               for e in graph.edges}
     sol = new_solution(graph, user_types, item_cats)
-    for u, items in enumerate(ranked.items):
-        for item in items:
-            sol.add_edge(edge_of[(u, item)])
+    for pair in pairs:
+        if pair not in edge_of:
+            raise RecdivError(f"solution edge ({pair[0]},{pair[1]}) not in candidate graph")
+        sol.add_edge(edge_of[pair])
     return sol
 
 
@@ -103,11 +102,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_derive_thresholds(args) -> int:
-    graph = _load_graph(args)
-    user_types, item_cats = _load_groupings(args, graph)
-    if user_types is None or item_cats is None:
-        raise RecdivError("--categories and --types are required")
-    table = _load_or_derive_thresholds(args, graph, user_types, item_cats)
+    graph, user_types, item_cats, table = _load_inputs(args, "derive")
     dio.save_thresholds(
         table, args.output, graph.user_ids, graph.item_ids,
         user_types.group_ids, item_cats.group_ids,
@@ -122,23 +117,23 @@ def _run_method(graph, user_types, item_cats, thresholds, args,
     """Returns (solution, info dict)."""
     params = DivParams(beta, mu)
     t0 = time.perf_counter()
-    if method == "top":
-        sol = _ranked_to_solution(graph, top_k(graph), user_types, item_cats)
-    elif method == "mmr":
-        sol = _ranked_to_solution(graph, mmr(graph, item_cats, lam), user_types, item_cats)
-    elif method == "xquad":
-        intent = m.IntentProfile.from_graph(graph, item_cats)
-        sol = _ranked_to_solution(
-            graph, xquad(graph, item_cats, intent, lam), user_types, item_cats
-        )
-    elif method == "greedy":
+    if method == "greedy":
         sol = greedy_solve(graph, user_types, item_cats, thresholds, params)
     elif method == "flow":
         sol, _net, _res, _rmap = solve_tdiv_detailed(
             graph, user_types, item_cats, thresholds, params, args.cost_scale
         )
     else:
-        raise RecdivError(f"unknown method {method!r}")
+        if method == "top":
+            ranked = top_k(graph)
+        elif method == "mmr":
+            ranked = mmr(graph, item_cats, lam)
+        else:
+            ranked = xquad(graph, item_cats, m.IntentProfile.from_graph(graph, item_cats), lam)
+        sol = _solution_of(graph, user_types, item_cats, (
+            (graph.user_ids[u], graph.item_ids[item])
+            for u, items in enumerate(ranked.items) for item in items
+        ))
     elapsed = time.perf_counter() - t0
     tu = m.tudiv(sol, item_cats, thresholds)
     ti = m.tidiv(sol, user_types, thresholds)
@@ -162,17 +157,13 @@ def _run_method(graph, user_types, item_cats, thresholds, args,
 
 
 def cmd_diversify(args) -> int:
-    graph = _load_graph(args)
-    user_types, item_cats = _load_groupings(args, graph)
-    if user_types is None or item_cats is None:
-        raise RecdivError("--categories and --types are required")
-    if args.method == "flow" and not (user_types.disjoint and item_cats.disjoint):
-        raise RecdivError("the flow method requires disjoint groupings")
     if args.method in ("mmr", "xquad") and args.lam is None:
         raise RecdivError(f"--lambda is required for {args.method}")
-    thresholds = ThresholdTable()
-    if args.method in ("greedy", "flow"):
-        thresholds = _load_or_derive_thresholds(args, graph, user_types, item_cats)
+    graph, user_types, item_cats, thresholds = _load_inputs(
+        args, "derive" if args.method in SOLVERS else "empty"
+    )
+    if args.method == "flow" and not (user_types.disjoint and item_cats.disjoint):
+        raise RecdivError("the flow method requires disjoint groupings")
     sol, info = _run_method(
         graph, user_types, item_cats, thresholds, args,
         args.method, args.beta, args.mu, args.lam or 0.0,
@@ -234,34 +225,13 @@ def _evaluate_solution(graph, user_types, item_cats, thresholds, args,
     return report
 
 
-def _solution_from_file(graph, user_types, item_cats, path) -> Solution:
-    edge_of = {(e.user, e.item): e.index for e in graph.edges}
-    user_index = {uid: u for u, uid in enumerate(graph.user_ids)}
-    item_index = {iid: i for i, iid in enumerate(graph.item_ids)}
-    sol = new_solution(graph, user_types, item_cats)
-    for uid, rows in dio.load_solution_lists(path).items():
-        if uid not in user_index:
-            raise RecdivError(f"solution user {uid!r} not in candidate graph")
-        u = user_index[uid]
-        for iid, _rel in rows:
-            if iid not in item_index or (u, item_index[iid]) not in edge_of:
-                raise RecdivError(
-                    f"solution edge ({uid},{iid}) not in candidate graph"
-                )
-            sol.add_edge(edge_of[(u, item_index[iid])])
-    return sol
-
-
 def cmd_evaluate(args) -> int:
-    graph = _load_graph(args)
-    user_types, item_cats = _load_groupings(args, graph)
-    thresholds = None
-    if args.thresholds and user_types is not None and item_cats is not None:
-        thresholds = dio.load_thresholds(
-            args.thresholds, graph.user_ids, graph.item_ids,
-            user_types.group_ids, item_cats.group_ids,
-        )
-    sol = _solution_from_file(graph, user_types, item_cats, args.solution)
+    graph, user_types, item_cats, thresholds = _load_inputs(args, "optional")
+    sol = _solution_of(graph, user_types, item_cats, (
+        (user, item)
+        for user, rows in dio.load_solution_lists(args.solution).items()
+        for item, _rel in rows
+    ))
     report = _evaluate_solution(graph, user_types, item_cats, thresholds, args, sol)
     prefix = args.output
     with open(f"{prefix}.json", "w", encoding="utf-8") as fh:
@@ -274,18 +244,31 @@ def cmd_evaluate(args) -> int:
 
 
 def _parse_grid(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x != ""]
+    """A non-empty comma-separated list of numbers (an argparse ``type``)."""
+    try:
+        grid = [float(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        grid = []
+    if not grid:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return grid
+
+
+def _positive_int(text: str) -> int:
+    """An integer >= 1 (an argparse ``type``)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _grid_point(payload):
     """Worker for one grid setting; rebuilds inputs from paths so settings
     share no mutable state."""
     args, beta, mu, lam = payload
-    graph = _load_graph(args)
-    user_types, item_cats = _load_groupings(args, graph)
-    thresholds = ThresholdTable()
-    if args.method in ("greedy", "flow"):
-        thresholds = _load_or_derive_thresholds(args, graph, user_types, item_cats)
+    graph, user_types, item_cats, thresholds = _load_inputs(
+        args, "derive" if args.method in SOLVERS else "empty"
+    )
     sol, info = _run_method(
         graph, user_types, item_cats, thresholds, args, args.method, beta, mu, lam
     )
@@ -296,12 +279,10 @@ def _grid_point(payload):
 
 def cmd_gridsearch(args) -> int:
     if args.method in ("mmr", "xquad"):
-        settings = [(args, 0.0, 0.0, lam) for lam in _parse_grid(args.lambda_grid)]
+        settings = [(args, 0.0, 0.0, lam) for lam in args.lambda_grid]
     else:
         settings = [
-            (args, beta, mu, 0.0)
-            for beta in _parse_grid(args.beta_grid)
-            for mu in _parse_grid(args.mu_grid)
+            (args, beta, mu, 0.0) for beta in args.beta_grid for mu in args.mu_grid
         ]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -332,6 +313,8 @@ def cmd_report(args) -> int:
     for path in args.inputs:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise DataFormatError(f"{path}: expected a JSON object")
         payload["source"] = Path(path).name
         rows.append(payload)
     fields = ["source", "cutoff"] + m.REPORT_FIELDS
@@ -352,7 +335,7 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--candidates", required=True, help="candidate TSV (user, item, relevance)")
     p.add_argument("--constraint", type=int, default=10, help="uniform display constraint")
     p.add_argument("--constraint-file", help="per-user TSV (user_id, constraint)")
-    p.add_argument("--top-n", type=int, default=250, help="candidates kept per user")
+    p.add_argument("--top-n", type=_positive_int, default=250, help="candidates kept per user")
     p.add_argument("--categories", help="item category TSV")
     p.add_argument("--types", help="user type TSV")
 
@@ -369,12 +352,13 @@ def _add_method_args(p: argparse.ArgumentParser) -> None:
 
 def _add_eval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--test", help="held-out test ratings")
-    p.add_argument("--cutoff", type=int, default=None, help="rank cutoff k")
+    p.add_argument("--cutoff", type=_positive_int, default=None, help="rank cutoff k")
     p.add_argument("--relevance-cutoff", type=float, default=3.0,
                    help="test rating considered relevant at or above this value")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="recdiv",
         description="Two-sided diversification of recommendation subgraphs",
@@ -418,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     _add_method_args(p)
     _add_eval_args(p)
-    p.add_argument("--beta-grid", default="0,1")
-    p.add_argument("--mu-grid", default="0,1")
-    p.add_argument("--lambda-grid", default="0,0.5,1")
+    p.add_argument("--beta-grid", type=_parse_grid, default="0,1")
+    p.add_argument("--mu-grid", type=_parse_grid, default="0,1")
+    p.add_argument("--lambda-grid", type=_parse_grid, default="0,0.5,1")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_gridsearch)
@@ -429,46 +413,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_report)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if not args.config:
-        return
+def _config_defaults(args: argparse.Namespace) -> dict[str, str]:
+    """The ``--config`` JSON object as defaults for the chosen subcommand.
+    Values become strings so argparse runs each through its argument's own
+    ``type``; keys the subcommand does not define are dropped."""
     with open(args.config, encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise RecdivError("config file must contain a JSON object")
-    defaults = vars(parser.parse_args([args.command] + _required_stub(args)))
-    for key, value in config.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) == defaults.get(attr):
-            setattr(args, attr, value)
-
-
-def _required_stub(args: argparse.Namespace) -> list[str]:
-    """Minimal flag list so defaults can be introspected for the chosen
-    subcommand (required flags re-use the already parsed values)."""
-    stub = []
-    for name in ("ratings", "output_dir", "candidates", "train", "output",
-                 "solution", "method"):
-        if getattr(args, name, None) is not None:
-            stub += ["--" + name.replace("_", "-"), str(getattr(args, name))]
-    if getattr(args, "inputs", None):
-        stub += ["--inputs"] + list(args.inputs)
-    return stub
+    options = vars(args).keys() - {"command", "config", "func"}
+    return {dest: str(value) for key, value in config.items()
+            if (dest := key.replace("-", "_")) in options}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(parser, args)
+        if args.config:
+            subparsers[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (InfeasibleError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (RecdivError, OSError, json.JSONDecodeError) as exc:
+    except (RecdivError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

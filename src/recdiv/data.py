@@ -9,10 +9,12 @@ Formats (UTF-8, LF):
 * Thresholds: TSV ``side<TAB>entity_id<TAB>group_id<TAB>value`` with side
   in {user, item}.
 * Solutions: TSV ``user_id<TAB>item_id<TAB>relevance<TAB>method``.
+* Constraints: TSV ``user_id<TAB>display_constraint`` (a positive integer).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,12 +52,55 @@ class SplitSpec:
             raise DataFormatError(f"min_ratings must be >= 1, got {self.min_ratings}")
 
 
-def _split_line(line: str) -> list[str]:
-    if "::" in line:
-        return line.split("::")
-    if "\t" in line:
-        return line.split("\t")
-    return line.split(",")
+def _split_tab(line: str) -> list[str]:
+    return line.split("\t")
+
+
+def _split_tab_or_comma(line: str) -> list[str]:
+    return line.split("\t") if "\t" in line else line.split(",")
+
+
+def _split_ratings(line: str) -> list[str]:
+    return line.split("::") if "::" in line else _split_tab_or_comma(line)
+
+
+def _read_rows(path, width: int, split=_split_tab, at_least: bool = False,
+               header: bool = False):
+    """Yield ``(lineno, fields)`` for each non-empty line of ``path``.
+
+    A line must split into exactly ``width`` fields (at least ``width`` with
+    ``at_least``).  With ``header``, a first line whose field ``width - 1``
+    is not a number is taken as a column header and skipped."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line:
+                    continue
+                fields = split(line)
+                if len(fields) != width and not (at_least and len(fields) > width):
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected {'>= ' * at_least}{width} fields, "
+                        f"got {len(fields)}"
+                    )
+                if header and lineno == 1:
+                    try:
+                        float(fields[width - 1])
+                    except ValueError:
+                        continue
+                yield lineno, fields
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _parse_number(path, lineno: int, what: str, text: str, kind=float):
+    """``kind(text)``, or a DataFormatError naming ``path:lineno``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise DataFormatError(
+            f"{path}:{lineno}: {what} {text!r} is not a valid {kind.__name__}"
+        ) from None
 
 
 def load_ratings(path: str | Path) -> RatingsDataset:
@@ -63,27 +108,13 @@ def load_ratings(path: str | Path) -> RatingsDataset:
     a leading header row is skipped when the rating column is not numeric."""
     triples: list[tuple[str, str, float]] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = _split_line(line)
-            if len(parts) < 3:
-                raise DataFormatError(f"{path}:{lineno}: expected >= 3 fields")
-            user, item, rating_text = parts[0], parts[1], parts[2]
-            try:
-                rating = float(rating_text)
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise DataFormatError(
-                    f"{path}:{lineno}: rating {rating_text!r} is not a number"
-                ) from None
-            if (user, item) in seen:
-                raise DataFormatError(f"{path}:{lineno}: duplicate pair ({user},{item})")
-            seen.add((user, item))
-            triples.append((user, item, rating))
+    for lineno, fields in _read_rows(path, 3, _split_ratings, at_least=True, header=True):
+        user, item = fields[0], fields[1]
+        rating = _parse_number(path, lineno, "rating", fields[2])
+        if (user, item) in seen:
+            raise DataFormatError(f"{path}:{lineno}: duplicate pair ({user},{item})")
+        seen.add((user, item))
+        triples.append((user, item, rating))
     return RatingsDataset(triples)
 
 
@@ -103,26 +134,18 @@ def load_grouping(
     group_ids: list[str] = []
     membership: list[list[int]] = [[] for _ in entity_ids]
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            eid, group_list = parts
-            if eid not in index_of:
-                skipped += 1
-                continue
-            groups = [g for g in group_list.split("|") if g]
-            for g in groups:
-                if g not in group_index:
-                    group_index[g] = len(group_ids)
-                    group_ids.append(g)
-                gi = group_index[g]
-                if gi not in membership[index_of[eid]]:
-                    membership[index_of[eid]].append(gi)
+    for _lineno, (eid, group_list) in _read_rows(path, 2):
+        if eid not in index_of:
+            skipped += 1
+            continue
+        groups = [g for g in group_list.split("|") if g]
+        for g in groups:
+            if g not in group_index:
+                group_index[g] = len(group_ids)
+                group_ids.append(g)
+            gi = group_index[g]
+            if gi not in membership[index_of[eid]]:
+                membership[index_of[eid]].append(gi)
     return Grouping(side, group_ids, membership), skipped
 
 
@@ -171,29 +194,15 @@ def load_candidates(
     skipped counts users missing from a per-user constraint map."""
     rows: list[tuple[str, str, float]] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t") if "\t" in line else line.split(",")
-            if len(parts) < 3:
-                raise DataFormatError(f"{path}:{lineno}: expected >= 3 fields")
-            user, item = parts[0], parts[1]
-            try:
-                rel = float(parts[2])
-            except ValueError:
-                if lineno == 1:
-                    continue
-                raise DataFormatError(
-                    f"{path}:{lineno}: relevance {parts[2]!r} is not a number"
-                ) from None
-            if rel < 0:
-                raise GraphError(f"{path}:{lineno}: negative relevance {rel}")
-            if (user, item) in seen:
-                raise DataFormatError(f"{path}:{lineno}: duplicate pair ({user},{item})")
-            seen.add((user, item))
-            rows.append((user, item, rel))
+    for lineno, fields in _read_rows(path, 3, _split_tab_or_comma, at_least=True, header=True):
+        user, item = fields[0], fields[1]
+        rel = _parse_number(path, lineno, "relevance", fields[2])
+        if not 0 <= rel < math.inf:
+            raise GraphError(f"{path}:{lineno}: relevance {rel} is negative or not finite")
+        if (user, item) in seen:
+            raise DataFormatError(f"{path}:{lineno}: duplicate pair ({user},{item})")
+        seen.add((user, item))
+        rows.append((user, item, rel))
 
     per_user: dict[str, list[tuple[str, float]]] = {}
     for user, item, rel in rows:
@@ -357,23 +366,14 @@ def load_thresholds(
     igidx = {x: i for i, x in enumerate(item_group_ids)}
     uc: dict[tuple[int, int], int] = {}
     it: dict[tuple[int, int], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataFormatError(f"{path}:{lineno}: expected 4 fields")
-            side, eid, gid, value = parts
-            if side == "user":
-                if eid in uidx and gid in igidx:
-                    uc[(uidx[eid], igidx[gid])] = int(value)
-            elif side == "item":
-                if eid in iidx and gid in ugidx:
-                    it[(iidx[eid], ugidx[gid])] = int(value)
-            else:
-                raise DataFormatError(f"{path}:{lineno}: unknown side {side!r}")
+    sides = {"user": (uidx, igidx, uc), "item": (iidx, ugidx, it)}
+    for lineno, (side, eid, gid, value) in _read_rows(path, 4):
+        if side not in sides:
+            raise DataFormatError(f"{path}:{lineno}: unknown side {side!r}")
+        entities, groups, table = sides[side]
+        threshold = _parse_number(path, lineno, "threshold", value, int)
+        if eid in entities and gid in groups:
+            table[(entities[eid], groups[gid])] = threshold
     return ThresholdTable(uc, it)
 
 
@@ -392,14 +392,14 @@ def save_solution(sol: Solution, path: str | Path, method: str) -> None:
 def load_solution_lists(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     """Solution rows grouped per user id, in file order."""
     out: dict[str, list[tuple[str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataFormatError(f"{path}:{lineno}: expected 4 fields")
-            user, item, rel, _method = parts
-            out.setdefault(user, []).append((item, float(rel)))
+    for lineno, (user, item, rel, _method) in _read_rows(path, 4):
+        out.setdefault(user, []).append((item, _parse_number(path, lineno, "relevance", rel)))
     return out
+
+
+def load_constraints(path: str | Path) -> dict[str, int]:
+    """Per-user display constraints keyed by user id."""
+    return {
+        user: _parse_number(path, lineno, "constraint", value, int)
+        for lineno, (user, value) in _read_rows(path, 2)
+    }

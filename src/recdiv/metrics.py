@@ -106,10 +106,6 @@ def div_edgewise(
     return total
 
 
-def relevance_sum(sol: Solution) -> float:
-    return sol.relevance()
-
-
 # ---------------------------------------------------------------------------
 # Intent-aware list metrics
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 
 import pytest
 
@@ -366,3 +367,192 @@ def test_config_invalid_json_is_data_error(workdir):
         "--output", str(workdir / "c.tsv"),
     ])
     assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs end in exit 2 or 3 with one error line, never a traceback
+
+def _graph_args(workdir):
+    return [
+        "--candidates", str(workdir / "candidates.tsv"),
+        "--categories", str(workdir / "cats.tsv"),
+        "--types", str(workdir / "types.tsv"),
+        "--train", str(workdir / "train.tsv"),
+        "--constraint", "2",
+    ]
+
+
+def _assert_data_error(capsys, code, where):
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert where in err
+
+
+def test_threshold_file_non_integer_value_is_data_error(workdir, capsys):
+    (workdir / "th.tsv").write_text("user\tu1\tA\t1\nuser\tu2\tA\t1.5\n")
+    code = _diversify(workdir, "greedy", "g.tsv", ["--thresholds", str(workdir / "th.tsv")])
+    _assert_data_error(capsys, code, "th.tsv:2")
+
+
+@pytest.mark.parametrize("bad_line", ["u2 1", "u2\tmany"])
+def test_constraint_file_malformed_line_is_data_error(workdir, capsys, bad_line):
+    (workdir / "c.tsv").write_text(f"u1\t2\n{bad_line}\nu3\t1\n")
+    code = _diversify(workdir, "top", "t.tsv", ["--constraint-file", str(workdir / "c.tsv")])
+    _assert_data_error(capsys, code, "c.tsv:2")
+
+
+def test_constraint_file_sets_per_user_constraints(workdir):
+    (workdir / "c.tsv").write_text("u1\t1\nu2\t3\n")
+    assert _diversify(workdir, "top", "t.tsv",
+                      ["--constraint-file", str(workdir / "c.tsv")]) == 0
+    users = [line.split("\t")[0] for line in (workdir / "t.tsv").read_text().splitlines()]
+    assert users == ["u1", "u2", "u2", "u2"]  # u3 has no constraint and is skipped
+
+
+def test_evaluate_solution_non_number_relevance_is_data_error(workdir, capsys):
+    (workdir / "sol.tsv").write_text("u1\tv1\t0.9\ttop\nu1\tv2\thigh\ttop\n")
+    code = _evaluate(workdir, "sol.tsv", "rep")
+    _assert_data_error(capsys, code, "sol.tsv:2")
+
+
+def test_candidates_nan_relevance_is_data_error(workdir, capsys):
+    (workdir / "candidates.tsv").write_text(CANDIDATES + "u3\tv1\tnan\n")
+    code = _diversify(workdir, "top", "t.tsv")
+    _assert_data_error(capsys, code, "candidates.tsv:13")
+
+
+def _diversify_with_config(workdir, config, extra=()):
+    (workdir / "config.json").write_text(json.dumps(config))
+    return main([
+        "--config", str(workdir / "config.json"), "diversify", *_graph_args(workdir),
+        "--method", "greedy", *extra, "--output", str(workdir / "c.tsv"),
+    ])
+
+
+def test_config_string_value_is_converted_by_option_type(workdir):
+    assert _diversify_with_config(workdir, {"beta": "4"}) == 0
+    log = json.loads((workdir / "c.tsv.log.json").read_text())
+    assert log["beta"] == 4.0
+    with pytest.raises(SystemExit) as exc:
+        _diversify_with_config(workdir, {"beta": "four"})
+    assert exc.value.code == 2
+
+
+def test_config_never_beats_explicit_flag_equal_to_default(workdir):
+    assert _diversify_with_config(workdir, {"beta": 4}, ["--beta", "1.0"]) == 0
+    log = json.loads((workdir / "c.tsv.log.json").read_text())
+    assert log["beta"] == 1.0
+
+
+def test_config_ignores_keys_the_subcommand_does_not_define(workdir):
+    config = {"func": "x", "command": "x", "config": "x", "folds": 3, "mu": 0.5}
+    assert _diversify_with_config(workdir, config) == 0
+    log = json.loads((workdir / "c.tsv.log.json").read_text())
+    assert log["mu"] == 0.5
+
+
+@pytest.mark.parametrize("grid", ["", ",", "0,x"])
+def test_gridsearch_rejects_empty_or_non_numeric_grid(workdir, grid):
+    with pytest.raises(SystemExit) as exc:
+        main(["gridsearch", *_graph_args(workdir), "--method", "greedy",
+              "--beta-grid", grid, "--output", str(workdir / "grid.csv")])
+    assert exc.value.code == 2
+
+
+def test_gridsearch_without_groupings_is_data_error(workdir, capsys):
+    code = main(["gridsearch", "--candidates", str(workdir / "candidates.tsv"),
+                 "--method", "top", "--output", str(workdir / "grid.csv")])
+    _assert_data_error(capsys, code, "--categories and --types are required")
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_top_n_and_cutoff_below_one_are_usage_errors(workdir, value):
+    _diversify(workdir, "top", "top.tsv")
+    for run in (lambda: _diversify(workdir, "top", "t.tsv", ["--top-n", value]),
+                lambda: _evaluate(workdir, "top.tsv", "rep", ["--cutoff", value])):
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == 2
+
+
+def _mutate(rng, text):
+    """``text`` with one random defect: a field dropped, added or made
+    non-numeric, a line or the whole file emptied, or invalid UTF-8."""
+    lines = text.splitlines()
+    kind = rng.choice(["drop", "add", "non-number", "empty-line", "empty-file", "bytes"])
+    if kind == "empty-file" or not lines:
+        return b""
+    i = rng.randrange(len(lines))
+    fields = lines[i].split("\t")
+    if kind == "drop":
+        fields.pop(rng.randrange(len(fields)))
+    elif kind == "add":
+        fields.insert(rng.randrange(len(fields) + 1), rng.choice(["x", "7", ""]))
+    elif kind == "non-number":
+        fields[rng.randrange(len(fields))] = rng.choice(["x", "nan", "inf", "-1", "1.5", ""])
+    elif kind == "empty-line":
+        fields = [""]
+    lines[i] = "\t".join(fields)
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if kind == "bytes":
+        at = rng.randrange(len(data) + 1)
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _random_config(rng):
+    key = rng.choice(["beta", "mu", "constraint", "top_n", "top-n", "lam", "cutoff",
+                      "cost_scale", "beta_grid", "thresholds", "func", "command", "zzz"])
+    value = rng.choice(["x", "4", 4, -1, 0, 1.5, None, True, [1], {"a": 1}, "", "nan"])
+    return json.dumps({key: value}).encode("utf-8")
+
+
+def test_fuzz_malformed_inputs_exit_cleanly(workdir, capsys):
+    """Seeded fuzz over every loader and subcommand: each mutated input file
+    ends with exit 0, 2, 3 or 4 and no traceback."""
+    w = workdir
+    (w / "ratings.tsv").write_text(TRAIN + TEST_RATINGS)
+    (w / "constraints.tsv").write_text("u1\t2\nu2\t2\nu3\t2\n")
+    (w / "config.json").write_text('{"beta": 2.0}')
+    graph = _graph_args(w)
+    assert main(["derive-thresholds", *graph, "--output", str(w / "th.tsv")]) == 0
+    assert _diversify(w, "top", "sol.tsv") == 0
+    assert _evaluate(w, "sol.tsv", "rep") == 0
+    out = str(w / "fuzz_out")
+    commands = [
+        ["split", "--ratings", str(w / "ratings.tsv"), "--output-dir", str(w / "folds"),
+         "--folds", "2", "--min-ratings", "1"],
+        ["derive-thresholds", *graph, "--constraint-file", str(w / "constraints.tsv"),
+         "--output", out],
+        ["--config", str(w / "config.json"), "diversify", *graph, "--method", "greedy",
+         "--thresholds", str(w / "th.tsv"), "--output", out],
+        ["diversify", *graph, "--method", "flow", "--output", out],
+        ["diversify", *graph, "--method", "mmr", "--lambda", "0.5", "--output", out],
+        ["--config", str(w / "config.json"), "evaluate", *graph[:6],
+         "--constraint-file", str(w / "constraints.tsv"), "--solution", str(w / "sol.tsv"),
+         "--thresholds", str(w / "th.tsv"), "--test", str(w / "test.tsv"), "--output", out],
+        ["gridsearch", *graph, "--method", "greedy", "--output", out],
+        ["report", "--inputs", str(w / "rep.json"), "--output", out],
+    ]
+    assert [main(argv) for argv in commands] == [0] * len(commands)
+    capsys.readouterr()
+    inputs = ["ratings.tsv", "candidates.tsv", "cats.tsv", "types.tsv", "train.tsv",
+              "test.tsv", "constraints.tsv", "config.json", "th.tsv", "sol.tsv", "rep.json"]
+    pristine = {name: (w / name).read_bytes() for name in inputs}
+    rng = random.Random(20241018)
+    for _ in range(200):
+        name = rng.choice(sorted(pristine))
+        path = w / name
+        path.write_bytes(
+            _random_config(rng) if name == "config.json" else _mutate(rng, path.read_text())
+        )
+        for argv in (a for a in commands if str(path) in a):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4), (name, path.read_bytes(), argv)
+            assert "Traceback" not in err, (name, path.read_bytes(), err)
+        path.write_bytes(pristine[name])

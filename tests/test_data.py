@@ -265,3 +265,43 @@ def test_solution_round_trip(tmp_path):
     save_solution(sol, p, "greedy")
     lists = load_solution_lists(p)
     assert lists == {"u1": [("v1", 0.9), ("v2", 0.25)]}
+
+
+# ---------------------------------------------------------------------------
+# malformed rows name their path and line
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_load_candidates_rejects_non_finite_relevance(tmp_path, value):
+    p = _write(tmp_path, "c.tsv", f"u1\tv1\t0.5\nu1\tv2\t{value}\n")
+    with pytest.raises(GraphError, match="c.tsv:2"):
+        load_candidates(p, 2)
+
+
+def test_load_thresholds_rejects_non_integer_value(tmp_path):
+    p = _write(tmp_path, "th.tsv", "user\tu1\tA\t1\nitem\tv1\tX\tmany\n")
+    with pytest.raises(DataFormatError, match="th.tsv:2"):
+        load_thresholds(p, ["u1"], ["v1"], ["X"], ["A"])
+
+
+def test_load_solution_lists_rejects_non_number_relevance(tmp_path):
+    p = _write(tmp_path, "sol.tsv", "u1\tv1\t0.9\tgreedy\nu1\tv2\t?\tgreedy\n")
+    with pytest.raises(DataFormatError, match="sol.tsv:2"):
+        load_solution_lists(p)
+
+
+def test_load_constraints(tmp_path):
+    from recdiv.data import load_constraints
+
+    p = _write(tmp_path, "c.tsv", "u1\t3\n\nu2\t1\n")
+    assert load_constraints(p) == {"u1": 3, "u2": 1}
+    for text, line in (("u1\t3\nu2\n", ":2"), ("u1\t3\t4\n", ":1"), ("u1\tx\n", ":1")):
+        p = _write(tmp_path, "bad.tsv", text)
+        with pytest.raises(DataFormatError, match=f"bad.tsv{line}"):
+            load_constraints(p)
+
+
+def test_loaders_reject_invalid_utf8(tmp_path):
+    p = tmp_path / "bin.tsv"
+    p.write_bytes(b"u1\tv1\t4\n\xff\xfe\n")
+    with pytest.raises(DataFormatError, match="bin.tsv"):
+        load_ratings(p)

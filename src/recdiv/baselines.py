@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import GraphError
 from .graph import Grouping, RecGraph
 from .metrics import IntentProfile, _cosine_distance
@@ -22,17 +24,23 @@ class RankedLists:
     scores: list[list[float]] = field(default_factory=list)
 
 
-def _candidates_by_relevance(graph: RecGraph, u: int) -> list[int]:
-    return sorted(graph.user_edges[u], key=lambda e: (-graph.edges[e].relevance, e))
+def _ranked_candidates(graph: RecGraph) -> list[list[int]]:
+    """Each user's candidate edges by relevance descending, ties toward the
+    lowest edge index (lexsort is stable)."""
+    order = np.lexsort((-graph.edge_rel, graph.edge_user)).tolist()
+    bounds = graph.user_offsets.tolist()
+    return [order[bounds[u]:bounds[u + 1]] for u in range(graph.num_users)]
 
 
 def top_k(graph: RecGraph) -> RankedLists:
     """Each user's candidates by relevance descending, truncated to c_i."""
+    item = graph.edge_item.tolist()
+    rel = graph.edge_rel.tolist()
     out = RankedLists()
-    for u in range(graph.num_users):
-        chosen = _candidates_by_relevance(graph, u)[: graph.display_constraints[u]]
-        out.items.append([graph.edges[e].item for e in chosen])
-        out.scores.append([graph.edges[e].relevance for e in chosen])
+    for u, ranked in enumerate(_ranked_candidates(graph)):
+        chosen = ranked[: graph.display_constraints[u]]
+        out.items.append([item[e] for e in chosen])
+        out.scores.append([rel[e] for e in chosen])
     return out
 
 
@@ -42,35 +50,31 @@ def mmr(graph: RecGraph, item_cats: Grouping, lam: float) -> RankedLists:
     relevance (there is nothing to diversify against yet)."""
     if not (0.0 <= lam <= 1.0):
         raise GraphError(f"lambda must be in [0,1], got {lam}")
+    item = graph.edge_item.tolist()
+    rel = graph.edge_rel.tolist()
     out = RankedLists()
-    for u in range(graph.num_users):
-        pool = _candidates_by_relevance(graph, u)
+    for u, pool in enumerate(_ranked_candidates(graph)):
         chosen: list[int] = []
         scores: list[float] = []
-        cats_of = {
-            graph.edges[e].item: item_cats.groups_of(graph.edges[e].item)
-            for e in pool
-        }
+        cats_of = {item[e]: item_cats.groups_of(item[e]) for e in pool}
         while pool and len(chosen) < graph.display_constraints[u]:
             if not chosen:
                 best = pool[0]
-                best_score = graph.edges[best].relevance
+                best_score = rel[best]
             else:
                 best = -1
                 best_score = float("-inf")
-                sel_cats = [cats_of[graph.edges[e].item] for e in chosen]
+                sel_cats = [cats_of[item[e]] for e in chosen]
                 for e in pool:
-                    edge = graph.edges[e]
-                    dist = min(
-                        _cosine_distance(cats_of[edge.item], sc) for sc in sel_cats
-                    )
-                    score = lam * edge.relevance + (1.0 - lam) * dist
+                    cats = cats_of[item[e]]
+                    dist = min(_cosine_distance(cats, sc) for sc in sel_cats)
+                    score = lam * rel[e] + (1.0 - lam) * dist
                     if score > best_score or (score == best_score and e < best):
                         best, best_score = e, score
             pool.remove(best)
             chosen.append(best)
             scores.append(best_score)
-        out.items.append([graph.edges[e].item for e in chosen])
+        out.items.append([item[e] for e in chosen])
         out.scores.append(scores)
     return out
 
@@ -84,9 +88,10 @@ def xquad(
     relevance masked by category membership."""
     if not (0.0 <= lam <= 1.0):
         raise GraphError(f"lambda must be in [0,1], got {lam}")
+    item = graph.edge_item.tolist()
+    rel = graph.edge_rel.tolist()
     out = RankedLists()
-    for u in range(graph.num_users):
-        pool = _candidates_by_relevance(graph, u)
+    for u, pool in enumerate(_ranked_candidates(graph)):
         probs = intent.category_probs[u]
         rels = intent.norm_rel[u]
         # remaining[a] = prod over selected items in a of (1 - rel_a)
@@ -97,22 +102,20 @@ def xquad(
             best = -1
             best_score = float("-inf")
             for e in pool:
-                edge = graph.edges[e]
                 div_term = 0.0
-                for a in item_cats.groups_of(edge.item):
+                for a in item_cats.groups_of(item[e]):
                     p = probs.get(a)
                     if p:
-                        div_term += p * rels.get(edge.item, 0.0) * remaining[a]
-                score = lam * edge.relevance + (1.0 - lam) * div_term
+                        div_term += p * rels.get(item[e], 0.0) * remaining[a]
+                score = lam * rel[e] + (1.0 - lam) * div_term
                 if score > best_score or (score == best_score and e < best):
                     best, best_score = e, score
-            edge = graph.edges[best]
-            for a in item_cats.groups_of(edge.item):
+            for a in item_cats.groups_of(item[best]):
                 if a in remaining:
-                    remaining[a] *= 1.0 - rels.get(edge.item, 0.0)
+                    remaining[a] *= 1.0 - rels.get(item[best], 0.0)
             pool.remove(best)
             chosen.append(best)
             scores.append(best_score)
-        out.items.append([graph.edges[e].item for e in chosen])
+        out.items.append([item[e] for e in chosen])
         out.scores.append(scores)
     return out

@@ -31,30 +31,37 @@ SOLVERS = ("greedy", "flow")
 # Shared loading helpers
 
 def _load_inputs(args, thresholds: str):
-    """Candidate graph, user types, item categories and thresholds named by
-    ``args``.  ``thresholds`` is "derive" (load --thresholds, else derive
-    them from --train), "empty" (an empty table) or "optional" (load
-    --thresholds if given, else None).  Only "optional" accepts a missing
-    grouping, and then gives None thresholds."""
+    """Candidate graph, user types, item categories, thresholds and skipped
+    row counts named by ``args``.  ``thresholds`` says what to use without
+    --thresholds: "derive" (derive them from --train), "empty" (an empty
+    table) or "optional" (None).  Only "optional" accepts a missing
+    grouping, and then gives None thresholds.  Each file's skipped rows
+    are counted under its option name and reported on stderr."""
     constraint: int | dict[str, int] = args.constraint
     if args.constraint_file:
         constraint = dio.load_constraints(args.constraint_file)
-    graph, _skipped = dio.load_candidates(args.candidates, constraint, args.top_n)
+    graph, skipped = dio.load_candidates(args.candidates, constraint, args.top_n)
+    skipped_rows = {"candidates": skipped}
+    _warn_skipped(args.candidates, skipped, "user not in --constraint-file")
     user_types = item_cats = table = None
     if args.categories:
-        item_cats, _ = dio.load_grouping(args.categories, "item", graph.item_ids)
+        item_cats, skipped_rows["categories"] = dio.load_grouping(
+            args.categories, "item", graph.item_ids)
+        _warn_skipped(args.categories, skipped_rows["categories"], "item not in the candidates")
     if args.types:
-        user_types, _ = dio.load_grouping(args.types, "user", graph.user_ids)
+        user_types, skipped_rows["types"] = dio.load_grouping(
+            args.types, "user", graph.user_ids)
+        _warn_skipped(args.types, skipped_rows["types"], "user not in the candidates")
     if user_types is None or item_cats is None:
         if thresholds != "optional":
             raise RecdivError("--categories and --types are required")
-    elif thresholds == "empty":
-        table = ThresholdTable()
     elif args.thresholds:
         table = dio.load_thresholds(
             args.thresholds, graph.user_ids, graph.item_ids,
             user_types.group_ids, item_cats.group_ids,
         )
+    elif thresholds == "empty":
+        table = ThresholdTable()
     elif thresholds == "derive":
         if not args.train:
             raise RecdivError("either --thresholds or --train is required")
@@ -67,19 +74,29 @@ def _load_inputs(args, thresholds: str):
             train, user_types, graph.user_ids, graph.item_ids, graph.display_constraints,
         )
         table = ThresholdTable(user_tab.user_category, item_tab.item_type)
-    return graph, user_types, item_cats, table
+    return graph, user_types, item_cats, table, skipped_rows
+
+
+def _warn_skipped(path, count: int, reason: str) -> None:
+    if count:
+        print(f"warning: {path}: {count} rows skipped ({reason})", file=sys.stderr)
 
 
 def _solution_of(graph: RecGraph, user_types: Grouping | None,
                  item_cats: Grouping | None, pairs) -> Solution:
     """Solution selecting the (user id, item id) ``pairs`` in order."""
-    edge_of = {(graph.user_ids[e.user], graph.item_ids[e.item]): e.index
-               for e in graph.edges}
-    sol = new_solution(graph, user_types, item_cats)
+    user_ids, item_ids = graph.user_ids, graph.item_ids
+    edge_of = {
+        (user_ids[u], item_ids[v]): e
+        for e, (u, v) in enumerate(zip(graph.edge_user.tolist(), graph.edge_item.tolist()))
+    }
+    chosen = []
     for pair in pairs:
         if pair not in edge_of:
             raise RecdivError(f"solution edge ({pair[0]},{pair[1]}) not in candidate graph")
-        sol.add_edge(edge_of[pair])
+        chosen.append(edge_of[pair])
+    sol = new_solution(graph, user_types, item_cats)
+    sol.add_edges(chosen)
     return sol
 
 
@@ -102,7 +119,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_derive_thresholds(args) -> int:
-    graph, user_types, item_cats, table = _load_inputs(args, "derive")
+    graph, user_types, item_cats, table, _ = _load_inputs(args, "derive")
     dio.save_thresholds(
         table, args.output, graph.user_ids, graph.item_ids,
         user_types.group_ids, item_cats.group_ids,
@@ -159,7 +176,7 @@ def _run_method(graph, user_types, item_cats, thresholds, args,
 def cmd_diversify(args) -> int:
     if args.method in ("mmr", "xquad") and args.lam is None:
         raise RecdivError(f"--lambda is required for {args.method}")
-    graph, user_types, item_cats, thresholds = _load_inputs(
+    graph, user_types, item_cats, thresholds, skipped_rows = _load_inputs(
         args, "derive" if args.method in SOLVERS else "empty"
     )
     if args.method == "flow" and not (user_types.disjoint and item_cats.disjoint):
@@ -168,6 +185,7 @@ def cmd_diversify(args) -> int:
         graph, user_types, item_cats, thresholds, args,
         args.method, args.beta, args.mu, args.lam or 0.0,
     )
+    info["skipped_rows"] = skipped_rows
     dio.save_solution(sol, args.output, args.method)
     log_path = args.log or f"{args.output}.log.json"
     with open(log_path, "w", encoding="utf-8") as fh:
@@ -226,7 +244,7 @@ def _evaluate_solution(graph, user_types, item_cats, thresholds, args,
 
 
 def cmd_evaluate(args) -> int:
-    graph, user_types, item_cats, thresholds = _load_inputs(args, "optional")
+    graph, user_types, item_cats, thresholds, _ = _load_inputs(args, "optional")
     sol = _solution_of(graph, user_types, item_cats, (
         (user, item)
         for user, rows in dio.load_solution_lists(args.solution).items()
@@ -266,7 +284,7 @@ def _grid_point(payload):
     """Worker for one grid setting; rebuilds inputs from paths so settings
     share no mutable state."""
     args, beta, mu, lam = payload
-    graph, user_types, item_cats, thresholds = _load_inputs(
+    graph, user_types, item_cats, thresholds, _ = _load_inputs(
         args, "derive" if args.method in SOLVERS else "empty"
     )
     sol, info = _run_method(

@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DataFormatError, GraphError
 from .graph import Grouping, RecGraph, Solution, ThresholdTable
 
@@ -189,50 +191,71 @@ def load_candidates(
     top_n: int = 250,
 ) -> tuple[RecGraph, int]:
     """Assemble a RecGraph from a candidate file, keeping each user's top_n
-    candidates by relevance.  ``display_constraint`` is either a uniform
-    value or a per-user-id map.  Returns (graph, skipped_row_count) where
-    skipped counts users missing from a per-user constraint map."""
-    rows: list[tuple[str, str, float]] = []
-    seen: set[tuple[str, str]] = set()
+    candidates by relevance (ties toward the smaller item id).  Users are
+    numbered in order of first appearance; each user's kept edges are in
+    item id order, and items are numbered in order of first use by those
+    edges.  ``display_constraint`` is either a uniform value or a
+    per-user-id map.  Returns (graph, skipped_row_count) where skipped
+    counts the rows of users missing from a per-user constraint map."""
+    user_code: dict[str, int] = {}
+    item_code: dict[str, int] = {}
+    users: list[int] = []
+    items: list[int] = []
+    rels: list[float] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, fields in _read_rows(path, 3, _split_tab_or_comma, at_least=True, header=True):
-        user, item = fields[0], fields[1]
         rel = _parse_number(path, lineno, "relevance", fields[2])
         if not 0 <= rel < math.inf:
             raise GraphError(f"{path}:{lineno}: relevance {rel} is negative or not finite")
-        if (user, item) in seen:
-            raise DataFormatError(f"{path}:{lineno}: duplicate pair ({user},{item})")
-        seen.add((user, item))
-        rows.append((user, item, rel))
+        pair = (user_code.setdefault(fields[0], len(user_code)),
+                item_code.setdefault(fields[1], len(item_code)))
+        if pair in seen:
+            raise DataFormatError(f"{path}:{lineno}: duplicate pair ({fields[0]},{fields[1]})")
+        seen.add(pair)
+        users.append(pair[0])
+        items.append(pair[1])
+        rels.append(rel)
 
-    per_user: dict[str, list[tuple[str, float]]] = {}
-    for user, item, rel in rows:
-        per_user.setdefault(user, []).append((item, rel))
+    user_names = list(user_code)
+    if isinstance(display_constraint, dict):
+        kept_user = np.array([u in display_constraint for u in user_names], dtype=bool)
+        constraints = [display_constraint[u] for u in user_names if u in display_constraint]
+    else:
+        kept_user = np.ones(len(user_names), dtype=bool)
+        constraints = [display_constraint] * len(user_names)
+    item_names = list(item_code)
+    item_rank = np.empty(len(item_names), dtype=np.int64)
+    item_rank[sorted(range(len(item_names)), key=item_names.__getitem__)] = np.arange(
+        len(item_names))
 
-    skipped = 0
-    user_ids: list[str] = []
-    constraints: list[int] = []
-    for user in per_user:
-        if isinstance(display_constraint, dict):
-            if user not in display_constraint:
-                skipped += 1
-                continue
-            c = display_constraint[user]
-        else:
-            c = display_constraint
-        user_ids.append(user)
-        constraints.append(c)
+    user = np.array(users, dtype=np.int64)
+    item = np.array(items, dtype=np.int64)
+    rel = np.array(rels, dtype=np.float64)
+    row_kept = kept_user[user]
+    skipped = int(len(user) - row_kept.sum())
+    user, item, rel = user[row_kept], item[row_kept], rel[row_kept]
+    # Per user, best relevance first (ties by item id); keep top_n.
+    order = np.lexsort((item_rank[item], -rel, user))
+    user, item, rel = user[order], item[order], rel[order]
+    group_start = np.searchsorted(user, user)
+    kept = np.arange(len(user)) - group_start < top_n
+    user, item, rel = user[kept], item[kept], rel[kept]
+    # The kept edges of each user in item id order.
+    order = np.lexsort((item_rank[item], user))
+    user, item, rel = user[order], item[order], rel[order]
 
-    item_index: dict[str, int] = {}
-    item_ids: list[str] = []
-    edges: list[tuple[int, int, float]] = []
-    for u, user in enumerate(user_ids):
-        kept = sorted(per_user[user], key=lambda t: (-t[1], t[0]))[:top_n]
-        for item, rel in sorted(kept):
-            if item not in item_index:
-                item_index[item] = len(item_ids)
-                item_ids.append(item)
-            edges.append((u, item_index[item], rel))
-    return RecGraph(user_ids, constraints, item_ids, edges), skipped
+    new_user = np.cumsum(kept_user) - 1
+    _, first_use = np.unique(item, return_index=True)
+    first_use.sort()
+    new_item = np.empty(len(item_names), dtype=np.int64)
+    new_item[item[first_use]] = np.arange(len(first_use))
+    graph = RecGraph(
+        [name for name, keep in zip(user_names, kept_user.tolist()) if keep],
+        constraints,
+        [item_names[i] for i in item[first_use].tolist()],
+        columns=(new_user[user], new_item[item], rel),
+    )
+    return graph, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +395,8 @@ def load_thresholds(
             raise DataFormatError(f"{path}:{lineno}: unknown side {side!r}")
         entities, groups, table = sides[side]
         threshold = _parse_number(path, lineno, "threshold", value, int)
+        if threshold < 0:
+            raise DataFormatError(f"{path}:{lineno}: threshold {threshold} is negative")
         if eid in entities and gid in groups:
             table[(entities[eid], groups[gid])] = threshold
     return ThresholdTable(uc, it)
@@ -379,13 +404,14 @@ def load_thresholds(
 
 def save_solution(sol: Solution, path: str | Path, method: str) -> None:
     graph = sol.graph
+    item = graph.edge_item.tolist()
+    rel = graph.edge_rel.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for u in range(graph.num_users):
             for eidx in sol.selected[u]:
-                e = graph.edges[eidx]
                 fh.write(
-                    f"{graph.user_ids[u]}\t{graph.item_ids[e.item]}\t"
-                    f"{e.relevance:.10g}\t{method}\n"
+                    f"{graph.user_ids[u]}\t{graph.item_ids[item[eidx]]}\t"
+                    f"{rel[eidx]:.10g}\t{method}\n"
                 )
 
 
@@ -399,7 +425,9 @@ def load_solution_lists(path: str | Path) -> dict[str, list[tuple[str, float]]]:
 
 def load_constraints(path: str | Path) -> dict[str, int]:
     """Per-user display constraints keyed by user id."""
-    return {
-        user: _parse_number(path, lineno, "constraint", value, int)
-        for lineno, (user, value) in _read_rows(path, 2)
-    }
+    out: dict[str, int] = {}
+    for lineno, (user, value) in _read_rows(path, 2):
+        out[user] = _parse_number(path, lineno, "constraint", value, int)
+        if out[user] < 1:
+            raise DataFormatError(f"{path}:{lineno}: constraint {out[user]} is below 1")
+    return out

@@ -8,11 +8,12 @@ tautology.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 from math import comb
 
 from .errors import InstanceTooLargeError
-from .graph import DivParams, Grouping, RecGraph, Solution, ThresholdTable
+from .graph import DivParams, Edge, Grouping, RecGraph, Solution, ThresholdTable
 
 ENUMERATION_GUARD = 10**7
 
@@ -27,11 +28,22 @@ def objective_from_scratch(
 ) -> float:
     """beta*TUDiv + mu*TIDiv + rel of an explicit edge set, via plain
     dictionaries rebuilt on every call."""
+    return _objective(graph.edges, user_types, item_cats, thresholds, params, edge_set)
+
+
+def _objective(
+    edges: Sequence[Edge],
+    user_types: Grouping,
+    item_cats: Grouping,
+    thresholds: ThresholdTable,
+    params: DivParams,
+    edge_set: tuple[int, ...] | list[int],
+) -> float:
     user_cat: dict[tuple[int, int], int] = {}
     item_type: dict[tuple[int, int], int] = {}
     rel = 0.0
     for eidx in edge_set:
-        e = graph.edges[eidx]
+        e = edges[eidx]
         rel += e.relevance
         for a in item_cats.groups_of(e.item):
             user_cat[(e.user, a)] = user_cat.get((e.user, a), 0) + 1
@@ -70,13 +82,12 @@ def brute_force_optimum(
 
     best_obj = float("-inf")
     best_set: tuple[int, ...] = ()
+    edges = list(graph.edges)  # records built once, not once per subset
 
     def recurse(u: int, chosen: list[int]) -> None:
         nonlocal best_obj, best_set
         if u == graph.num_users:
-            obj = objective_from_scratch(
-                graph, user_types, item_cats, thresholds, params, chosen
-            )
+            obj = _objective(edges, user_types, item_cats, thresholds, params, chosen)
             key = tuple(sorted(chosen))
             if obj > best_obj or (obj == best_obj and key < best_set):
                 best_obj = obj

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import GroupingError, GraphError, InfeasibleError
 from .graph import DivParams, Grouping, RecGraph, Solution, ThresholdTable, new_solution
 from .mincostflow import INF_CAP, FlowNetwork, FlowResult, solve_min_cost_flow
@@ -46,7 +48,12 @@ def _scaled(value: float, cost_scale: int) -> int:
     return scaled
 
 
-def _require_disjoint_total(grouping: Grouping, incident: set[int], what: str) -> None:
+def _edge_rows(graph: RecGraph):
+    """(user, item, relevance) per edge, in edge-index order."""
+    return zip(graph.edge_user.tolist(), graph.edge_item.tolist(), graph.edge_rel.tolist())
+
+
+def _require_disjoint_total(grouping: Grouping, incident: list[int], what: str) -> None:
     if not grouping.disjoint:
         raise GroupingError(f"{what} grouping must be disjoint for the flow reduction")
     for ent in incident:
@@ -67,8 +74,8 @@ def build_tdiv_network(
     """Reduction network for the full thresholded two-sided objective."""
     if cost_scale < 1:
         raise GraphError(f"cost_scale must be a positive integer, got {cost_scale}")
-    _require_disjoint_total(user_types, {e.user for e in graph.edges}, "user")
-    _require_disjoint_total(item_cats, {e.item for e in graph.edges}, "item")
+    _require_disjoint_total(user_types, np.unique(graph.edge_user).tolist(), "user")
+    _require_disjoint_total(item_cats, np.unique(graph.edge_item).tolist(), "item")
 
     net = FlowNetwork(graph.num_users + graph.num_items)
     sink = net.add_node()
@@ -82,36 +89,27 @@ def build_tdiv_network(
 
     # Gadgets are created in edge_index order, which fixes arc insertion
     # order and hence tie-breaking in the solver.
-    for e in graph.edges:
-        a = item_cats.single_group_of(e.item)
-        b = user_types.single_group_of(e.user)
-        if (e.user, a) not in cat_inner:
+    for eidx, (u, v, rel) in enumerate(_edge_rows(graph)):
+        a = item_cats.single_group_of(v)
+        b = user_types.single_group_of(u)
+        if (u, a) not in cat_inner:
             n_node = net.add_node()
             n_prime = net.add_node()
-            rho = thresholds.rho(e.user, a)
-            rmap.user_cat_bonus[(e.user, a)] = net.add_arc(
-                e.user, n_prime, rho, beta_cost
-            )
+            rho = thresholds.rho(u, a)
+            rmap.user_cat_bonus[(u, a)] = net.add_arc(u, n_prime, rho, beta_cost)
             net.add_arc(n_prime, n_node, rho, 0)
-            rmap.user_cat_free[(e.user, a)] = net.add_arc(e.user, n_node, INF_CAP, 0)
-            cat_inner[(e.user, a)] = n_node
-        if (e.item, b) not in type_inner:
+            rmap.user_cat_free[(u, a)] = net.add_arc(u, n_node, INF_CAP, 0)
+            cat_inner[(u, a)] = n_node
+        if (v, b) not in type_inner:
             m_node = net.add_node()
             m_prime = net.add_node()
-            lam = thresholds.lam(e.item, b)
+            lam = thresholds.lam(v, b)
             net.add_arc(m_node, m_prime, lam, 0)
-            rmap.item_type_bonus[(e.item, b)] = net.add_arc(
-                m_prime, item_node[e.item], lam, mu_cost
-            )
-            rmap.item_type_free[(e.item, b)] = net.add_arc(
-                m_node, item_node[e.item], INF_CAP, 0
-            )
-            type_inner[(e.item, b)] = m_node
-        rmap.edge_arc[e.index] = net.add_arc(
-            cat_inner[(e.user, a)],
-            type_inner[(e.item, b)],
-            1,
-            -_scaled(e.relevance, cost_scale),
+            rmap.item_type_bonus[(v, b)] = net.add_arc(m_prime, item_node[v], lam, mu_cost)
+            rmap.item_type_free[(v, b)] = net.add_arc(m_node, item_node[v], INF_CAP, 0)
+            type_inner[(v, b)] = m_node
+        rmap.edge_arc[eidx] = net.add_arc(
+            cat_inner[(u, a)], type_inner[(v, b)], 1, -_scaled(rel, cost_scale)
         )
 
     total_supply = 0
@@ -135,7 +133,7 @@ def build_userdiv_network(
     (user, category) gadget grants a single -1 (scaled) bonus unit."""
     if cost_scale < 1:
         raise GraphError(f"cost_scale must be a positive integer, got {cost_scale}")
-    _require_disjoint_total(item_cats, {e.item for e in graph.edges}, "item")
+    _require_disjoint_total(item_cats, np.unique(graph.edge_item).tolist(), "item")
 
     net = FlowNetwork(graph.num_users + graph.num_items)
     sink = net.add_node()
@@ -143,20 +141,16 @@ def build_userdiv_network(
     item_node = [graph.num_users + j for j in range(graph.num_items)]
     cat_inner: dict[tuple[int, int], int] = {}
 
-    for e in graph.edges:
-        a = item_cats.single_group_of(e.item)
-        if (e.user, a) not in cat_inner:
+    for eidx, (u, v, _rel) in enumerate(_edge_rows(graph)):
+        a = item_cats.single_group_of(v)
+        if (u, a) not in cat_inner:
             n_node = net.add_node()
             n_prime = net.add_node()
-            rmap.user_cat_bonus[(e.user, a)] = net.add_arc(
-                e.user, n_prime, 1, -cost_scale
-            )
+            rmap.user_cat_bonus[(u, a)] = net.add_arc(u, n_prime, 1, -cost_scale)
             net.add_arc(n_prime, n_node, 1, 0)
-            rmap.user_cat_free[(e.user, a)] = net.add_arc(e.user, n_node, INF_CAP, 0)
-            cat_inner[(e.user, a)] = n_node
-        rmap.edge_arc[e.index] = net.add_arc(
-            cat_inner[(e.user, a)], item_node[e.item], 1, 0
-        )
+            rmap.user_cat_free[(u, a)] = net.add_arc(u, n_node, INF_CAP, 0)
+            cat_inner[(u, a)] = n_node
+        rmap.edge_arc[eidx] = net.add_arc(cat_inner[(u, a)], item_node[v], 1, 0)
 
     total_supply = 0
     for u in range(graph.num_users):
@@ -179,9 +173,7 @@ def decode_solution(
 ) -> Solution:
     """Selected subgraph = candidate edges whose edge arc carries flow."""
     sol = new_solution(graph, user_types, item_cats)
-    for edge_index in sorted(rmap.edge_arc):
-        if result.flow[rmap.edge_arc[edge_index]] > 0:
-            sol.add_edge(edge_index)
+    sol.add_edges(e for e in sorted(rmap.edge_arc) if result.flow[rmap.edge_arc[e]] > 0)
     return sol
 
 

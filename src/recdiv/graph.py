@@ -3,12 +3,25 @@
 Users and items are identified internally by dense ordinal indices; the
 opaque string ids only matter at the I/O boundary.  All structures except
 Solution are immutable after construction.
+
+A RecGraph stores its edges as three read-only numpy columns indexed by
+edge: ``edge_user`` and ``edge_item`` (int32) and ``edge_rel`` (float64).
+Each user's and each item's edges are indexed by CSR (compressed sparse
+rows): ``user_order[user_offsets[u]:user_offsets[u + 1]]`` lists user u's
+edge indices in increasing order, and likewise for items.  Code that
+touches many edges reads the columns whole (``.tolist()`` or numpy
+operations).  ``graph.edges``, ``graph.user_edges`` and ``graph.item_edges``
+are read-only views that build small Python records on demand, for tests
+and reference oracles.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import CapacityError, DuplicateEdgeError, GraphError, GroupingError
 
@@ -18,22 +31,96 @@ ITEM_SIDE = "item"
 
 @dataclass(frozen=True)
 class Edge:
+    """One candidate edge, as ``graph.edges[index]`` returns it."""
+
     user: int
     item: int
     relevance: float
     index: int
 
 
+class _EdgeView(Sequence):
+    """``graph.edges``: Edge records with Python int/float fields, built
+    from the columns on each access."""
+
+    def __init__(self, graph: "RecGraph"):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph.edge_rel)
+
+    def __getitem__(self, index: int) -> Edge:
+        i = range(len(self))[index]  # bounds check and negative indices
+        g = self._graph
+        return Edge(g.edge_user.item(i), g.edge_item.item(i), g.edge_rel.item(i), i)
+
+    def __iter__(self):
+        g = self._graph
+        return map(Edge, g.edge_user.tolist(), g.edge_item.tolist(), g.edge_rel.tolist(),
+                   range(len(self)))
+
+
+class _Adjacency(Sequence):
+    """``graph.user_edges`` / ``graph.item_edges``: entry i is the tuple of
+    entity i's edge indices, read from a CSR order and offsets."""
+
+    def __init__(self, order: np.ndarray, offsets: np.ndarray):
+        self._order = order
+        self._offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, index: int) -> tuple[int, ...]:
+        i = range(len(self))[index]
+        return tuple(self._order[self._offsets[i]:self._offsets[i + 1]].tolist())
+
+
+def _csr(ends: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, offsets) grouping edge indices by endpoint, each group in
+    increasing edge order."""
+    order = np.argsort(ends, kind="stable")
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=size), out=offsets[1:])
+    return _frozen(order), _frozen(offsets)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _columns_of(edges: list[tuple[int, int, float]]) -> tuple:
+    if not edges:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    users, items, rels = zip(*edges)
+    return np.array(users), np.array(items), np.array(rels)
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry, or len(mask)."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else len(mask)
+
+
 class RecGraph:
-    """Weighted bipartite candidate graph with per-user display constraints."""
+    """Weighted bipartite candidate graph with per-user display constraints.
+
+    ``edges`` lists (user, item, relevance) triples; edge i is the i-th.
+    ``columns`` passes the same edges as three arrays (users, items,
+    relevances) instead, and is the path bulk builders take."""
 
     def __init__(
         self,
         user_ids: list[str],
         display_constraints: list[int],
         item_ids: list[str],
-        edges: list[tuple[int, int, float]],
+        edges: list[tuple[int, int, float]] = (),
+        *,
+        columns: tuple | None = None,
     ):
+        if columns is None:
+            columns = _columns_of(list(edges))
         if len(user_ids) != len(display_constraints):
             raise GraphError("one display constraint per user required")
         for c in display_constraints:
@@ -42,22 +129,62 @@ class RecGraph:
         self.user_ids = list(user_ids)
         self.item_ids = list(item_ids)
         self.display_constraints = list(display_constraints)
-        self.edges: list[Edge] = []
-        self.user_edges: list[list[int]] = [[] for _ in user_ids]
-        self.item_edges: list[list[int]] = [[] for _ in item_ids]
-        seen: set[tuple[int, int]] = set()
-        for u, v, rel in edges:
-            if not (0 <= u < len(user_ids)) or not (0 <= v < len(item_ids)):
-                raise GraphError(f"edge ({u},{v}) references unknown endpoint")
-            if (u, v) in seen:
-                raise DuplicateEdgeError(f"duplicate candidate edge ({u},{v})")
-            if not math.isfinite(rel) or rel < 0:
-                raise GraphError(f"relevance must be finite and >= 0, got {rel}")
-            seen.add((u, v))
-            e = Edge(u, v, float(rel), len(self.edges))
-            self.edges.append(e)
-            self.user_edges[u].append(e.index)
-            self.item_edges[v].append(e.index)
+        users, items, rels = (np.asarray(col) for col in columns)
+        self.edge_user, self.edge_item, self.edge_rel = self._validated(users, items, rels)
+        self.user_order, self.user_offsets = _csr(self.edge_user, self.num_users)
+        self.item_order, self.item_offsets = _csr(self.edge_item, self.num_items)
+        self.edges = _EdgeView(self)
+        self.user_edges = _Adjacency(self.user_order, self.user_offsets)
+        self.item_edges = _Adjacency(self.item_order, self.item_offsets)
+
+    @classmethod
+    def from_columns(
+        cls,
+        user_ids: list[str],
+        display_constraints: list[int],
+        item_ids: list[str],
+        edge_user,
+        edge_item,
+        edge_rel,
+    ) -> "RecGraph":
+        """Graph whose edge i is (edge_user[i], edge_item[i], edge_rel[i])."""
+        return cls(user_ids, display_constraints, item_ids,
+                   columns=(edge_user, edge_item, edge_rel))
+
+    def _validated(self, users: np.ndarray, items: np.ndarray, rels: np.ndarray):
+        """The columns as read-only int32/int32/float64 copies.  The error
+        raised is the one the first bad edge (in index order) would give
+        when checking endpoints, then duplicates, then relevance."""
+        if not (users.ndim == items.ndim == rels.ndim == 1
+                and len(users) == len(items) == len(rels)):
+            raise GraphError("edge columns must be 1-d and of equal length")
+        for col in (users, items):
+            if not np.issubdtype(col.dtype, np.integer):
+                raise GraphError(f"edge endpoints must be integers, got {col.dtype}")
+        rels = rels.astype(np.float64)
+        n = len(rels)
+        bad_end = _first((users < 0) | (users >= self.num_users)
+                         | (items < 0) | (items >= self.num_items))
+        keys = users[:bad_end].astype(np.int64) * self.num_items + items[:bad_end]
+        _, first_seen = np.unique(keys, return_index=True)
+        dup = n
+        if len(first_seen) < len(keys):
+            repeated = np.ones(len(keys), dtype=bool)
+            repeated[first_seen] = False
+            dup = _first(repeated)
+        bad_rel = _first(~np.isfinite(rels) | (rels < 0))
+        if bad_end < n and bad_end <= min(dup, bad_rel):
+            u, v = int(users[bad_end]), int(items[bad_end])
+            raise GraphError(f"edge ({u},{v}) references unknown endpoint")
+        if dup < n and dup <= bad_rel:
+            u, v = int(users[dup]), int(items[dup])
+            raise DuplicateEdgeError(f"duplicate candidate edge ({u},{v})")
+        if bad_rel < n:
+            raise GraphError(
+                f"relevance must be finite and >= 0, got {float(rels[bad_rel])}"
+            )
+        return (_frozen(users.astype(np.int32)), _frozen(items.astype(np.int32)),
+                _frozen(rels))
 
     @property
     def num_users(self) -> int:
@@ -69,7 +196,7 @@ class RecGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_rel)
 
     def __repr__(self) -> str:
         return (
@@ -101,6 +228,10 @@ class Grouping:
                 self.members[g].append(ent)
             self.membership.append(sorted(groups))
         self.disjoint = all(len(m) <= 1 for m in self.membership)
+        self._offsets = np.zeros(len(self.membership) + 1, dtype=np.int64)
+        np.cumsum([len(m) for m in self.membership], out=self._offsets[1:])
+        self._flat = np.fromiter((g for m in self.membership for g in m), dtype=np.int64,
+                                 count=int(self._offsets[-1]))
 
     @property
     def num_groups(self) -> int:
@@ -117,6 +248,18 @@ class Grouping:
             raise GroupingError("grouping is not disjoint")
         m = self.groups_of(entity)
         return m[0] if m else None
+
+    def expand(self, entities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every (position, group) pair with ``group`` in
+        ``groups_of(entities[position])``, as two arrays ordered by position,
+        then group: the vectorized form of a loop over ``groups_of``."""
+        entities = np.asarray(entities, dtype=np.int64)
+        n = len(self.membership)  # entities past the list have no groups
+        start = self._offsets[np.minimum(entities, n)]
+        count = self._offsets[np.minimum(entities + 1, n)] - start
+        position = np.repeat(np.arange(len(entities)), count)
+        skip = np.repeat(start - (np.cumsum(count) - count), count)
+        return position, self._flat[skip + np.arange(len(position))]
 
     @classmethod
     def empty(cls, side: str, num_entities: int) -> "Grouping":
@@ -145,6 +288,14 @@ class ThresholdTable:
     def lam(self, item: int, type_: int) -> int:
         return self.item_type.get((item, type_), 0)
 
+    def rhos(self, users: np.ndarray, categories: np.ndarray) -> np.ndarray:
+        """``rho(users[k], categories[k])`` for every k, as one array."""
+        return _lookup(self.user_category, users, categories)
+
+    def lams(self, items: np.ndarray, types: np.ndarray) -> np.ndarray:
+        """``lam(items[k], types[k])`` for every k, as one array."""
+        return _lookup(self.item_type, items, types)
+
     @classmethod
     def uniform(
         cls,
@@ -156,15 +307,46 @@ class ThresholdTable:
     ) -> "ThresholdTable":
         """Constant thresholds on every (entity, group) pair incident to a
         candidate edge.  Non-incident pairs can never accrue degree, so
-        restricting to incident pairs leaves every objective unchanged."""
-        uc: dict[tuple[int, int], int] = {}
-        it: dict[tuple[int, int], int] = {}
-        for e in graph.edges:
-            for a in item_cats.groups_of(e.item):
-                uc[(e.user, a)] = rho
-            for b in user_types.groups_of(e.user):
-                it[(e.item, b)] = lam
+        restricting to incident pairs leaves every objective unchanged.
+        Pairs are inserted in order of first incidence by edge index."""
+        edge, cats = item_cats.expand(graph.edge_item)
+        uc = dict.fromkeys(_distinct_pairs(graph.edge_user[edge], cats), rho)
+        edge, types = user_types.expand(graph.edge_user)
+        it = dict.fromkeys(_distinct_pairs(graph.edge_item[edge], types), lam)
         return cls(uc, it)
+
+
+def _distinct_pairs(rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int]]:
+    """The distinct (rows[k], cols[k]) pairs in order of first occurrence."""
+    width = int(cols.max()) + 1 if len(cols) else 1
+    _, first = np.unique(rows.astype(np.int64) * width + cols, return_index=True)
+    first.sort()
+    return list(zip(rows[first].tolist(), cols[first].tolist()))
+
+
+def _lookup(table: dict[tuple[int, int], int], rows: np.ndarray,
+            cols: np.ndarray) -> np.ndarray:
+    """``table.get((rows[k], cols[k]), 0)`` for every k, by binary search
+    over the table's sorted pair keys."""
+    out = np.zeros(len(rows), dtype=np.int64)
+    if not table or not len(rows):
+        return out
+    width = int(cols.max()) + 1
+    pairs = np.array(list(table), dtype=np.int64).reshape(-1, 2)
+    values = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+    # pairs whose column is outside the queried range never match, and
+    # their keys could alias a queried pair's
+    ok = (pairs[:, 1] >= 0) & (pairs[:, 1] < width)
+    keys = pairs[ok, 0] * width + pairs[ok, 1]
+    if not len(keys):
+        return out
+    order = np.argsort(keys)
+    keys, values = keys[order], values[ok][order]
+    query = rows.astype(np.int64) * width + cols
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    hit = keys[at] == query
+    out[hit] = values[at[hit]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -204,31 +386,41 @@ class Solution:
         return edge_index in self._selected_set
 
     def add_edge(self, edge_index: int) -> None:
+        self.add_edges([edge_index])
+
+    def add_edges(self, edge_indices) -> None:
+        """Select each edge in turn, as repeated add_edge calls would, with
+        one read of the graph's columns for the whole batch."""
+        edge_indices = list(edge_indices)
         graph = self.graph
-        e = graph.edges[edge_index]
-        if edge_index in self._selected_set:
-            raise DuplicateEdgeError(f"edge {edge_index} already selected")
-        if len(self.selected[e.user]) >= graph.display_constraints[e.user]:
-            raise CapacityError(
-                f"user {e.user} is at its display constraint "
-                f"({graph.display_constraints[e.user]})"
-            )
-        lst = self.selected[e.user]
-        lst.append(edge_index)
-        lst.sort()
-        self._selected_set.add(edge_index)
+        users = graph.edge_user[edge_indices].tolist()
+        items = graph.edge_item[edge_indices].tolist()
         ugd = self.user_group_degree
-        for a in self.item_cats.groups_of(e.item):
-            ugd[(e.user, a)] = ugd.get((e.user, a), 0) + 1
         igd = self.item_group_degree
-        for b in self.user_types.groups_of(e.user):
-            igd[(e.item, b)] = igd.get((e.item, b), 0) + 1
+        for edge_index, u, v in zip(edge_indices, users, items):
+            if edge_index in self._selected_set:
+                raise DuplicateEdgeError(f"edge {edge_index} already selected")
+            lst = self.selected[u]
+            if len(lst) >= graph.display_constraints[u]:
+                raise CapacityError(
+                    f"user {u} is at its display constraint "
+                    f"({graph.display_constraints[u]})"
+                )
+            lst.append(edge_index)
+            lst.sort()
+            self._selected_set.add(edge_index)
+            for a in self.item_cats.groups_of(v):
+                ugd[(u, a)] = ugd.get((u, a), 0) + 1
+            for b in self.user_types.groups_of(u):
+                igd[(v, b)] = igd.get((v, b), 0) + 1
 
     def edge_indices(self) -> list[int]:
         return sorted(self._selected_set)
 
     def relevance(self) -> float:
-        return sum(self.graph.edges[e].relevance for e in self._selected_set)
+        chosen = np.fromiter(self._selected_set, dtype=np.int64,
+                             count=len(self._selected_set))
+        return sum(self.graph.edge_rel[chosen].tolist())
 
     def num_selected(self) -> int:
         return len(self._selected_set)
@@ -237,14 +429,14 @@ class Solution:
         """Per-user item lists ranked by relevance descending (ties by edge
         index), truncated to k.  Used to apply rank cutoffs to the otherwise
         unordered selection."""
+        rel = self.graph.edge_rel.tolist()
+        item = self.graph.edge_item.tolist()
         out = []
         for u in range(self.graph.num_users):
-            es = sorted(
-                self.selected[u], key=lambda e: (-self.graph.edges[e].relevance, e)
-            )
+            es = sorted(self.selected[u], key=lambda e: (-rel[e], e))
             if k is not None:
                 es = es[:k]
-            out.append([self.graph.edges[e].item for e in es])
+            out.append([item[e] for e in es])
         return out
 
 

@@ -33,10 +33,15 @@ heap entries compact.
 from __future__ import annotations
 
 import struct
+from array import array
 from heapq import heapify, heappop, heappush
+
+import numpy as np
 
 from .errors import DuplicateEdgeError
 from .graph import DivParams, Grouping, RecGraph, Solution, ThresholdTable, new_solution
+
+_SLICE = 1 << 16  # edges per slice when building the initial heap entries
 
 
 def marginal_gain(
@@ -74,12 +79,9 @@ def greedy_solve(
     """
     beta, mu = params.beta, params.mu
     rho, lam = thresholds.rho, thresholds.lam
-    edges = graph.edges
-    ne = len(edges)
-    # Flat arrays beat attribute access on Edge in the hot loops.
-    euser = [e.user for e in edges]
-    eitem = [e.item for e in edges]
-    erel = [e.relevance for e in edges]
+    euser = _compact(graph.edge_user, "i")
+    eitem = _compact(graph.edge_item, "i")
+    erel = _compact(graph.edge_rel, "d")
     cats_of = item_cats.membership + [[]] * (graph.num_items - len(item_cats.membership))
     types_of = user_types.membership + [[]] * (graph.num_users - len(user_types.membership))
 
@@ -88,42 +90,42 @@ def greedy_solve(
 
     # Per-edge counts of not-yet-saturated incident pairs; pairs with a zero
     # threshold are born saturated and carry no key mass.
-    ucnt = [0] * ne
-    icnt = [0] * ne
-    pending_uc: dict[tuple[int, int], list[int]] = {}
-    pending_it: dict[tuple[int, int], list[int]] = {}
-    entry = [0] * ne  # scratch: each edge's initial encoded heap entry
-    for eidx in range(ne):
-        u, v = euser[eidx], eitem[eidx]
-        uc = 0
-        for a in cats_of[v]:
-            if rho(u, a) > 0:
-                uc += 1
-                pending_uc.setdefault((u, a), []).append(eidx)
-        it = 0
-        for b in types_of[u]:
-            if lam(v, b) > 0:
-                it += 1
-                pending_it.setdefault((v, b), []).append(eidx)
-        ucnt[eidx] = uc
-        icnt[eidx] = it
-        bits = unpack("<Q", pack("<d", erel[eidx] + beta * uc + mu * it))[0]
-        entry[eidx] = ((mask - bits) << 32) | eidx
+    edge, cat = item_cats.expand(graph.edge_item)
+    user = graph.edge_user[edge]
+    live = thresholds.rhos(user, cat) > 0
+    pending_uc = _pending(edge[live], user[live], cat[live])
+    ucnt = np.bincount(edge[live], minlength=graph.num_edges)
+    edge, type_ = user_types.expand(graph.edge_user)
+    item = graph.edge_item[edge]
+    live = thresholds.lams(item, type_) > 0
+    pending_it = _pending(edge[live], item[live], type_[live])
+    icnt = np.bincount(edge[live], minlength=graph.num_edges)
+    del edge, cat, type_, user, item, live
+
+    # Initial keys in the loop's operation order, so the bits match those
+    # user_best recomputes.  Entries are built in slices of the per-user
+    # (CSR) order, which keeps the temporary lists small.
+    inverted = (~(graph.edge_rel + beta * ucnt + mu * icnt).view(np.uint64))[graph.user_order]
+    entries: list[int] = []
+    for s in range(0, graph.num_edges, _SLICE):
+        entries += [(h << 32) | e for h, e in zip(inverted[s:s + _SLICE].tolist(),
+                                                  graph.user_order[s:s + _SLICE].tolist())]
+    del inverted
+    bounds = graph.user_offsets.tolist()
+    user_heaps = [entries[bounds[u]:bounds[u + 1]] for u in range(graph.num_users)]
+    del entries
+    for h in user_heaps:
+        heapify(h)
+    ucnt = _compact(ucnt, "i")
+    icnt = _compact(icnt, "i")
 
     sol = new_solution(graph, user_types, item_cats)
     remaining = list(graph.display_constraints)
-    dead = [False] * ne
+    dead = bytearray(graph.num_edges)
     ugd = sol.user_group_degree
     igd = sol.item_group_degree
     pops = 0
     decreases = 0
-
-    user_heaps: list[list[int]] = [[] for _ in range(graph.num_users)]
-    for eidx in range(ne):
-        user_heaps[euser[eidx]].append(entry[eidx])
-    del entry
-    for h in user_heaps:
-        heapify(h)
 
     def user_best(u: int) -> int:
         # fresh top entry of u's heap, or -1; stale tops (their counters
@@ -170,7 +172,7 @@ def greedy_solve(
             heappush(gheap, best)
             continue
         heappop(user_heaps[u])
-        dead[eidx] = True
+        dead[eidx] = 1
         remaining[u] -= 1
         v = eitem[eidx]
         sol.selected[u].append(eidx)
@@ -180,7 +182,7 @@ def greedy_solve(
             ugd[(u, a)] = d
             r = rho(u, a)
             if r > 0 and d == r:
-                for e2 in pending_uc.pop((u, a), ()):
+                for e2 in pending_uc.pop((u, a)).tolist():
                     if not dead[e2] and remaining[euser[e2]]:
                         ucnt[e2] -= 1
                         decreases += 1
@@ -189,7 +191,7 @@ def greedy_solve(
             igd[(v, b)] = d
             lm = lam(v, b)
             if lm > 0 and d == lm:
-                for e2 in pending_it.pop((v, b), ()):
+                for e2 in pending_it.pop((v, b)).tolist():
                     if not dead[e2] and remaining[euser[e2]]:
                         icnt[e2] -= 1
                         decreases += 1
@@ -202,6 +204,33 @@ def greedy_solve(
     if collect_stats:
         return sol, {"pops": pops, "decrease_keys": decreases}
     return sol
+
+
+def _compact(column: np.ndarray, typecode: str) -> array:
+    """A column as a Python array: indexed as fast as a list, without one
+    Python object per element."""
+    return array(typecode, column.astype(np.dtype(typecode)).tobytes())
+
+
+def _pending(edges: np.ndarray, owners: np.ndarray,
+             groups: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """(owner, group) -> the ``edges`` listed with that pair, in increasing
+    edge order: views into one stable argsort of the pair keys."""
+    if not len(edges):
+        return {}
+    width = int(groups.max()) + 1
+    keys = owners.astype(np.int64) * width + groups
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    flat = edges[order].astype(np.int32)
+    bounds = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), len(keys)]
+    heads = keys[bounds[:-1]]
+    return {
+        pair: flat[start:end]
+        for pair, start, end in zip(
+            zip((heads // width).tolist(), (heads % width).tolist()), bounds, bounds[1:]
+        )
+    }
 
 
 def naive_greedy(

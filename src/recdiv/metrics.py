@@ -33,10 +33,11 @@ Lists = list[list[int]]
 
 def tudiv(sol: Solution, item_cats: Grouping, thresholds: ThresholdTable) -> float:
     """Sum over users and categories of min(threshold, selected degree)."""
+    item_of = sol.graph.edge_item.tolist()
     counts: dict[tuple[int, int], int] = {}
     for u, lst in enumerate(sol.selected):
         for eidx in lst:
-            item = sol.graph.edges[eidx].item
+            item = item_of[eidx]
             for a in item_cats.groups_of(item):
                 counts[(u, a)] = counts.get((u, a), 0) + 1
     return float(sum(min(thresholds.rho(u, a), d) for (u, a), d in counts.items()))
@@ -44,10 +45,11 @@ def tudiv(sol: Solution, item_cats: Grouping, thresholds: ThresholdTable) -> flo
 
 def tidiv(sol: Solution, user_types: Grouping, thresholds: ThresholdTable) -> float:
     """Sum over items and types of min(threshold, selected degree)."""
+    item_of = sol.graph.edge_item.tolist()
     counts: dict[tuple[int, int], int] = {}
     for u, lst in enumerate(sol.selected):
         for eidx in lst:
-            item = sol.graph.edges[eidx].item
+            item = item_of[eidx]
             for b in user_types.groups_of(u):
                 counts[(item, b)] = counts.get((item, b), 0) + 1
     return float(sum(min(thresholds.lam(j, b), d) for (j, b), d in counts.items()))
@@ -55,21 +57,23 @@ def tidiv(sol: Solution, user_types: Grouping, thresholds: ThresholdTable) -> fl
 
 def userdiv(sol: Solution, item_cats: Grouping) -> float:
     """Number of distinct categories each user's selection hits, summed."""
+    item_of = sol.graph.edge_item.tolist()
     total = 0
     for u, lst in enumerate(sol.selected):
         hit: set[int] = set()
         for eidx in lst:
-            hit.update(item_cats.groups_of(sol.graph.edges[eidx].item))
+            hit.update(item_cats.groups_of(item_of[eidx]))
         total += len(hit)
     return float(total)
 
 
 def itemdiv(sol: Solution, user_types: Grouping) -> float:
     """Number of distinct user types each item is shown to, summed."""
+    item_of = sol.graph.edge_item.tolist()
     hit: dict[int, set[int]] = {}
     for u, lst in enumerate(sol.selected):
         for eidx in lst:
-            item = sol.graph.edges[eidx].item
+            item = item_of[eidx]
             hit.setdefault(item, set()).update(user_types.groups_of(u))
     return float(sum(len(s) for s in hit.values()))
 
@@ -82,11 +86,12 @@ def div_edgewise(
     item's in-type degree.  Requires disjoint groupings."""
     if not (user_types.disjoint and item_cats.disjoint):
         raise GroupingError("edge-wise diversity requires disjoint groupings")
+    item_of = sol.graph.edge_item.tolist()
     user_cat: dict[tuple[int, int], int] = {}
     item_type: dict[tuple[int, int], int] = {}
     for u, lst in enumerate(sol.selected):
         for eidx in lst:
-            item = sol.graph.edges[eidx].item
+            item = item_of[eidx]
             a = item_cats.single_group_of(item)
             b = user_types.single_group_of(u)
             if a is not None:
@@ -96,7 +101,7 @@ def div_edgewise(
     total = 0.0
     for u, lst in enumerate(sol.selected):
         for eidx in lst:
-            item = sol.graph.edges[eidx].item
+            item = item_of[eidx]
             a = item_cats.single_group_of(item)
             b = user_types.single_group_of(u)
             if a is not None:
@@ -173,22 +178,25 @@ class IntentProfile:
         """Category probabilities from each user's (training) item category
         frequencies; relevances min-max normalized over the whole candidate
         set.  Without training data the candidate items stand in."""
-        rels = [graph.edges[e].relevance for e in range(graph.num_edges)]
+        rels = graph.edge_rel.tolist()
+        items = graph.edge_item.tolist()
+        order = graph.user_order.tolist()
+        bounds = graph.user_offsets.tolist()
         lo = min(rels) if rels else 0.0
         hi = max(rels) if rels else 1.0
         span = hi - lo
         norm_rel: list[dict[int, float]] = []
         probs: list[dict[int, float]] = []
         for u in range(graph.num_users):
+            own = order[bounds[u]:bounds[u + 1]]
             nr = {}
-            for eidx in graph.user_edges[u]:
-                e = graph.edges[eidx]
-                nr[e.item] = (e.relevance - lo) / span if span > 0 else 1.0
+            for eidx in own:
+                nr[items[eidx]] = (rels[eidx] - lo) / span if span > 0 else 1.0
             norm_rel.append(nr)
             basis = (
                 training_items[u]
                 if training_items is not None
-                else [graph.edges[eidx].item for eidx in graph.user_edges[u]]
+                else [items[eidx] for eidx in own]
             )
             counts: dict[int, int] = {}
             for item in basis:

@@ -101,24 +101,27 @@ def movielens_shaped(
     user_type_membership = [[int(t)] for t in rng.integers(0, num_types, size=num_users)]
 
     taste = rng.integers(0, num_cats, size=(num_users, 2))
-    edges: list[tuple[int, int, float]] = []
+    # One choice and one noise draw per user, in user order, fix the RNG
+    # stream; relevance is then computed over all edges at once.
+    per_user = min(candidates_per_user, num_items)
+    items = np.empty((num_users, per_user), dtype=np.int64)
+    eps = np.empty((num_users, per_user))
     for u in range(num_users):
-        chosen = rng.choice(
-            num_items, size=min(candidates_per_user, num_items), replace=False,
-            p=popularity,
-        )
-        noise = rng.random(len(chosen))
-        for j, eps in zip(chosen, noise):
-            j = int(j)
-            bonus = 0.05 if primary_cat[j] in taste[u] else 0.0
-            rel = 0.8 * popularity[j] / popularity[0] + bonus + 0.05 * eps
-            edges.append((u, j, round(float(rel), 6)))
+        items[u] = rng.choice(num_items, size=per_user, replace=False, p=popularity)
+        eps[u] = rng.random(per_user)
+    items, eps = items.ravel(), eps.ravel()
+    users = np.repeat(np.arange(num_users), per_user)
+    cat = primary_cat[items]
+    bonus = np.where((taste[users, 0] == cat) | (taste[users, 1] == cat), 0.05, 0.0)
+    rel = 0.8 * popularity[items] / popularity[0] + bonus + 0.05 * eps
+    # Python's round (correctly rounded, unlike np.round) on each value
+    rel = np.array([round(x, 6) for x in rel.tolist()])
 
     graph = RecGraph(
         [f"u{u}" for u in range(num_users)],
         [constraint] * num_users,
         [f"v{j}" for j in range(num_items)],
-        edges,
+        columns=(users, items, rel),
     )
     user_types = Grouping("user", [f"T{b}" for b in range(num_types)], user_type_membership)
     item_cats = Grouping("item", [f"C{a}" for a in range(num_cats)], item_cat_membership)

@@ -556,3 +556,62 @@ def test_fuzz_malformed_inputs_exit_cleanly(workdir, capsys):
             assert code in (0, 2, 3, 4), (name, path.read_bytes(), argv)
             assert "Traceback" not in err, (name, path.read_bytes(), err)
         path.write_bytes(pristine[name])
+
+
+# ---------------------------------------------------------------------------
+# thresholds for rerankers, semantic loader errors, skipped rows
+
+
+def _derive(workdir, out="th.tsv"):
+    return main(["derive-thresholds", *_graph_args(workdir), "--output", str(workdir / out)])
+
+
+def test_reranker_log_scores_the_given_thresholds(workdir):
+    assert _derive(workdir) == 0
+    th = ["--thresholds", str(workdir / "th.tsv")]
+    assert _diversify(workdir, "top", "top.tsv", th) == 0
+    assert _evaluate(workdir, "top.tsv", "rep", [
+        "--categories", str(workdir / "cats.tsv"), "--types", str(workdir / "types.tsv"), *th,
+    ]) == 0
+    log = json.loads((workdir / "top.tsv.log.json").read_text())
+    report = json.loads((workdir / "rep.json").read_text())
+    assert report["tudiv"] == 3.0
+    assert (log["tudiv"], log["tidiv"]) == (report["tudiv"], report["tidiv"])
+    assert log["objective"] == log["rel"] + log["tudiv"] + log["tidiv"]
+
+
+def test_reranker_without_thresholds_scores_no_diversity(workdir):
+    assert _diversify(workdir, "top", "top.tsv") == 0
+    log = json.loads((workdir / "top.tsv.log.json").read_text())
+    assert (log["tudiv"], log["tidiv"]) == (0.0, 0.0)
+
+
+def test_negative_threshold_is_data_error_with_line(workdir, capsys):
+    (workdir / "th.tsv").write_text("user\tu1\tA\t1\nuser\tu2\tA\t-1\n")
+    code = _diversify(workdir, "greedy", "g.tsv", ["--thresholds", str(workdir / "th.tsv")])
+    _assert_data_error(capsys, code, "th.tsv:2")
+
+
+def test_constraint_below_one_is_data_error_with_line(workdir, capsys):
+    (workdir / "c.tsv").write_text("u1\t2\nu2\t0\nu3\t1\n")
+    code = _diversify(workdir, "top", "t.tsv", ["--constraint-file", str(workdir / "c.tsv")])
+    _assert_data_error(capsys, code, "c.tsv:2")
+
+
+def test_skipped_rows_are_reported(workdir, capsys):
+    (workdir / "c.tsv").write_text("u1\t1\nu2\t3\n")
+    capsys.readouterr()
+    assert _diversify(workdir, "greedy", "g.tsv",
+                      ["--constraint-file", str(workdir / "c.tsv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    candidates, types = str(workdir / "candidates.tsv"), str(workdir / "types.tsv")
+    assert err == [
+        f"warning: {candidates}: 4 rows skipped (user not in --constraint-file)",
+        f"warning: {types}: 1 rows skipped (user not in the candidates)",
+    ]
+    log = json.loads((workdir / "g.tsv.log.json").read_text())
+    assert log["skipped_rows"] == {"candidates": 4, "categories": 0, "types": 1}
+    assert _diversify(workdir, "greedy", "h.tsv") == 0
+    assert capsys.readouterr().err == ""
+    log = json.loads((workdir / "h.tsv.log.json").read_text())
+    assert log["skipped_rows"] == {"candidates": 0, "categories": 0, "types": 0}

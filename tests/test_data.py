@@ -305,3 +305,25 @@ def test_loaders_reject_invalid_utf8(tmp_path):
     p.write_bytes(b"u1\tv1\t4\n\xff\xfe\n")
     with pytest.raises(DataFormatError, match="bin.tsv"):
         load_ratings(p)
+
+
+def test_load_thresholds_rejects_negative_value_with_line(tmp_path):
+    p = _write(tmp_path, "th.tsv", "user\tu1\tA\t1\nuser\tu1\tA\t-1\n")
+    with pytest.raises(DataFormatError, match="th.tsv:2: threshold -1 is negative"):
+        load_thresholds(p, ["u1"], ["v1"], ["X"], ["A"])
+
+
+def test_load_constraints_rejects_constraint_below_one_with_line(tmp_path):
+    from recdiv.data import load_constraints
+
+    p = _write(tmp_path, "c.tsv", "u1\t2\nu2\t0\n")
+    with pytest.raises(DataFormatError, match="c.tsv:2: constraint 0 is below 1"):
+        load_constraints(p)
+
+
+def test_load_candidates_counts_skipped_rows(tmp_path):
+    p = _write(tmp_path, "c.tsv", "u1\tv1\t0.5\nu2\tv1\t0.4\nu2\tv2\t0.3\nu3\tv2\t0.1\n")
+    graph, skipped = load_candidates(p, {"u1": 1, "u3": 2})
+    assert skipped == 2
+    assert graph.user_ids == ["u1", "u3"] and graph.display_constraints == [1, 2]
+    assert [(e.user, graph.item_ids[e.item]) for e in graph.edges] == [(0, "v1"), (1, "v2")]

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from recdiv.errors import CapacityError, DuplicateEdgeError, GraphError, GroupingError
@@ -13,7 +15,7 @@ from recdiv.graph import (
     new_solution,
 )
 from recdiv.metrics import tidiv, tudiv
-from recdiv.synth import random_instance
+from recdiv.synth import movielens_shaped, random_instance
 
 
 def test_graph_rejects_negative_relevance():
@@ -178,3 +180,121 @@ def test_eval_objective_matches_metrics_randomized(rng):
             + sol.relevance()
         )
         assert eval_objective(sol, th, params) == pytest.approx(via_metrics, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# columnar graph contract
+
+
+def test_graph_rejects_out_of_range_endpoint():
+    for edges in ([(0, 3, 0.1)], [(2, 0, 0.1)], [(-1, 0, 0.1)], [(0, 0, 0.1), (0, -2, 0.2)]):
+        with pytest.raises(GraphError, match="unknown endpoint"):
+            RecGraph(["u0", "u1"], [1, 1], ["v0", "v1", "v2"], edges)
+
+
+def test_graph_rejects_nan_relevance():
+    with pytest.raises(GraphError, match="nan"):
+        RecGraph(["u"], [1], ["v0", "v1"], [(0, 0, 0.5), (0, 1, math.nan)])
+
+
+def test_graph_reports_the_first_bad_edge_in_index_order():
+    # a duplicate before a negative relevance, and the reverse
+    with pytest.raises(DuplicateEdgeError):
+        RecGraph(["u"], [1], ["v0", "v1"], [(0, 0, 0.1), (0, 0, 0.2), (0, 1, -1.0)])
+    with pytest.raises(GraphError, match="relevance"):
+        RecGraph(["u"], [1], ["v0", "v1"], [(0, 1, -1.0), (0, 0, 0.1), (0, 0, 0.2)])
+
+
+def test_graph_duplicate_among_many_edges_is_duplicate_error():
+    edges = [(u, v, 0.5) for u in range(100) for v in range(100)]
+    edges.insert(7000, (42, 17, 0.25))
+    with pytest.raises(DuplicateEdgeError, match=r"\(42,17\)"):
+        RecGraph([f"u{u}" for u in range(100)], [1] * 100,
+                 [f"v{v}" for v in range(100)], edges)
+
+
+def test_graph_views_match_columns(rng):
+    for _ in range(20):
+        graph, *_ = random_instance(rng, max_users=6, max_items=9)
+        users, items = graph.edge_user.tolist(), graph.edge_item.tolist()
+        rels = graph.edge_rel.tolist()
+        assert len(graph.edges) == graph.num_edges == len(users)
+        for i, e in enumerate(graph.edges):
+            assert (e.user, e.item, e.relevance, e.index) == (users[i], items[i], rels[i], i)
+            assert graph.edges[i] == e
+        assert graph.edges[-1] == graph.edges[graph.num_edges - 1]
+        assert list(graph.user_edges) == [
+            tuple(i for i in range(len(users)) if users[i] == u) for u in range(graph.num_users)
+        ]
+        assert list(graph.item_edges) == [
+            tuple(i for i in range(len(items)) if items[i] == v) for v in range(graph.num_items)
+        ]
+        with pytest.raises(IndexError):
+            graph.edges[graph.num_edges]
+        with pytest.raises(TypeError):
+            graph.user_edges[0] += (0,)  # views hand out tuples
+        with pytest.raises(ValueError):
+            graph.edge_rel[0] = 1.0  # columns are read-only
+
+
+def test_graph_edges_hold_python_scalars():
+    # a numpy scalar's repr ("np.float64(0.5)") would corrupt TSV output
+    graph = RecGraph.from_columns(["u"], [1], ["v0", "v1"], np.array([0, 0]),
+                                  np.array([1, 0]), np.array([0.5, 0.25]))
+    for e in [graph.edges[0], *graph.edges]:
+        assert type(e.user) is int and type(e.item) is int and type(e.index) is int
+        assert type(e.relevance) is float
+    assert repr(graph.edges[0].relevance) == "0.5"
+    assert graph.edge_user.dtype == np.int32 and graph.edge_rel.dtype == np.float64
+
+
+def test_from_columns_matches_tuple_constructor(rng):
+    for _ in range(20):
+        graph, *_ = random_instance(rng)
+        again = RecGraph.from_columns(graph.user_ids, graph.display_constraints,
+                                      graph.item_ids, graph.edge_user.tolist(),
+                                      graph.edge_item.tolist(), graph.edge_rel.tolist())
+        assert list(again.edges) == list(graph.edges)
+        assert list(again.user_edges) == list(graph.user_edges)
+
+
+# ---------------------------------------------------------------------------
+# synthetic instances
+
+
+def _instance_digest(graph, user_types, item_cats):
+    h = hashlib.sha256()
+    for e in graph.edges:
+        h.update(f"{e.user}\t{e.item}\t{e.relevance.hex()}\n".encode())
+    h.update(repr(user_types.membership).encode())
+    h.update(repr(item_cats.membership).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kwargs, edges, digest", [
+    (dict(num_users=30, num_items=120, candidates_per_user=40, seed=1), 1200,
+     "cf37fb4c968ab64cda9e9f428b1bc9ac52a4bb7321ad0e4e2cba0809e29c695e"),
+    (dict(num_users=25, num_items=90, candidates_per_user=30, overlapping_cats=False,
+          seed=2), 750,
+     "50f0d62c60c514e7ce2b781fcd9602732cc88671321a58f3a7dd38d798fe22fd"),
+])
+def test_movielens_shaped_is_pinned(kwargs, edges, digest):
+    """Edges (relevance bits included) and memberships, as generated by the
+    per-edge loop this generator had before it was vectorized."""
+    graph, user_types, item_cats = movielens_shaped(**kwargs)
+    assert graph.num_edges == edges
+    assert _instance_digest(graph, user_types, item_cats) == digest
+
+
+def test_uniform_thresholds_match_edge_by_edge_oracle(rng):
+    for i in range(100):
+        graph, ut, ic, _, _ = random_instance(rng, overlapping=(i % 2 == 0))
+        uc, it = {}, {}
+        for e in graph.edges:
+            for a in ic.groups_of(e.item):
+                uc[(e.user, a)] = 2
+            for b in ut.groups_of(e.user):
+                it[(e.item, b)] = 3
+        table = ThresholdTable.uniform(graph, ut, ic, rho=2, lam=3)
+        assert list(table.user_category.items()) == list(uc.items())
+        assert list(table.item_type.items()) == list(it.items())

@@ -302,8 +302,11 @@ def cmd_gridsearch(args) -> int:
         settings = [
             (args, beta, mu, 0.0) for beta in args.beta_grid for mu in args.mu_grid
         ]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A process pool may start all its workers up front: one per grid point
+    # at most.
+    workers = min(args.jobs, len(settings))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_grid_point, settings))
     else:
         results = [_grid_point(s) for s in settings]
@@ -365,7 +368,7 @@ def _add_method_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--thresholds", help="threshold TSV (else derived from --train)")
     p.add_argument("--train", help="training ratings for threshold derivation")
-    p.add_argument("--cost-scale", type=int, default=10**6)
+    p.add_argument("--cost-scale", type=_positive_int, default=10**6)
 
 
 def _add_eval_args(p: argparse.ArgumentParser) -> None:
@@ -423,7 +426,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--beta-grid", type=_parse_grid, default="0,1")
     p.add_argument("--mu-grid", type=_parse_grid, default="0,1")
     p.add_argument("--lambda-grid", type=_parse_grid, default="0,0.5,1")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_gridsearch)
 

@@ -88,7 +88,8 @@ def build_tdiv_network(
     type_inner: dict[tuple[int, int], int] = {}  # (item, type) -> m node
 
     # Gadgets are created in edge_index order, which fixes arc insertion
-    # order and hence tie-breaking in the solver.
+    # order; the solver prices arcs in that order, so among tied optima it
+    # fixes which one is returned.
     for eidx, (u, v, rel) in enumerate(_edge_rows(graph)):
         a = item_cats.single_group_of(v)
         b = user_types.single_group_of(u)

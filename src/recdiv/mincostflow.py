@@ -1,17 +1,25 @@
 """Exact minimum-cost flow over integer capacities and signed integer costs.
 
-Successive shortest augmenting paths with node potentials: one
-label-correcting pass establishes initial potentials (the reduction
-networks contain negative-cost arcs), after which Dijkstra on reduced
-costs finds each augmenting path.  Each augmentation pushes the full path
-bottleneck.  Parallel arcs are kept distinct.
+Primal network simplex on flat lists, in integer arithmetic throughout.
+Every node starts joined to an artificial root by an arc of infinite
+capacity, pointing toward the root (cost 0) at nodes of nonnegative supply
+and away from it (a big-M cost above that of any simple path) at demand
+nodes, so the initial spanning tree is feasible and strongly feasible.
+Entering arcs come from block search pricing over blocks of about sqrt(m)
+arcs; the leaving arc is the last blocking arc around the cycle, which
+keeps the tree strongly feasible and rules out cycling.  The tree is held
+in parent/pred/thread/depth arrays.  Supplies that cannot be met leave
+flow on an artificial arc.  A label-correcting pass first rejects networks
+with a negative-cost cycle of positive capacity.  Parallel arcs are kept
+distinct, and arcs of zero capacity never enter the tree.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from math import isqrt
 
 from .errors import GraphError, NegativeCycleError
 
@@ -62,11 +70,18 @@ class FlowResult:
     potentials: list[int]
 
 
-def _initial_potentials(n: int, first: list[int], nxt: list[int], to: list[int],
-                        cap: list[int], cost: list[int]) -> list[int]:
-    """Label-correcting pass from a virtual source connected to every node
-    with cost 0.  The resulting distances make every residual reduced cost
-    nonnegative; a node relaxed >= n times witnesses a negative cycle."""
+def _check_no_negative_cycle(net: FlowNetwork) -> None:
+    """Label-correcting pass from a virtual source joined to every node at
+    cost 0, over the arcs of positive capacity.  A node relaxed more than
+    n times lies on a negative-cost cycle."""
+    n = net.node_count
+    tail, head, cap, cost = net.tail, net.head, net.capacity, net.cost
+    first = [-1] * n
+    nxt = [-1] * net.arc_count
+    for a in range(net.arc_count):
+        if cap[a] > 0:
+            nxt[a] = first[tail[a]]
+            first[tail[a]] = a
     dist = [0] * n
     in_queue = [True] * n
     relax_count = [0] * n
@@ -77,130 +92,196 @@ def _initial_potentials(n: int, first: list[int], nxt: list[int], to: list[int],
         du = dist[u]
         a = first[u]
         while a != -1:
-            if cap[a] > 0:
-                v = to[a]
-                nd = du + cost[a]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    relax_count[v] += 1
-                    if relax_count[v] >= n + 1:
-                        raise NegativeCycleError(
-                            "negative-cost cycle of positive capacity detected"
-                        )
-                    if not in_queue[v]:
-                        in_queue[v] = True
-                        queue.append(v)
+            v = head[a]
+            nd = du + cost[a]
+            if nd < dist[v]:
+                dist[v] = nd
+                relax_count[v] += 1
+                if relax_count[v] >= n + 1:
+                    raise NegativeCycleError(
+                        "negative-cost cycle of positive capacity detected"
+                    )
+                if not in_queue[v]:
+                    in_queue[v] = True
+                    queue.append(v)
             a = nxt[a]
-    return dist
 
 
 def solve_min_cost_flow(net: FlowNetwork) -> FlowResult:
     """Minimum-cost integral flow satisfying all node supplies.
 
-    Returns ``feasible=False`` (with the best partial routing's flow values)
+    Returns ``feasible=False`` (with the flow values of the big-M optimum)
     when the supplies cannot be met.  Raises NegativeCycleError when the
     input network contains a negative-cost cycle of positive capacity.
     """
     if sum(net.supply) != 0:
         raise GraphError("node supplies must sum to zero")
-    n = net.node_count + 2
-    s, t = net.node_count, net.node_count + 1
+    _check_no_negative_cycle(net)
+    n = net.node_count
+    root = n
 
-    # Residual representation: arc 2k is the k-th forward arc, 2k+1 its reverse.
-    to: list[int] = []
-    cap: list[int] = []
-    cost: list[int] = []
-    first = [-1] * n
-    nxt: list[int] = []
+    # The arcs of positive capacity, in their order, become arcs 0..m-1;
+    # arc m+u joins node u and the root.  state: 1 at the lower bound, -1 at
+    # the upper bound, 0 in the tree.
+    live = [a for a, c in enumerate(net.capacity) if c]
+    m = len(live)
+    tail = [net.tail[a] for a in live] + [0] * n
+    head = [net.head[a] for a in live] + [0] * n
+    cap = [net.capacity[a] for a in live] + [INF_CAP] * n
+    cost = [net.cost[a] for a in live] + [0] * n
+    flow = [0] * (m + n)
+    state = [1] * m + [0] * n
 
-    def residual_arc(u: int, v: int, c: int, w: int) -> None:
-        for (a, b, cc, ww) in ((u, v, c, w), (v, u, 0, -w)):
-            to.append(b)
-            cap.append(cc)
-            cost.append(ww)
-            nxt.append(first[a])
-            first[a] = len(to) - 1
+    # Spanning tree rooted at the artificial root.  pred[u] is the tree arc
+    # joining u to parent[u] (in either direction), and thread is the
+    # preorder successor (rev_thread its inverse).
+    parent = [root] * n + [-1]
+    pred = [m + u for u in range(n)] + [-1]
+    depth = [1] * n + [0]
+    thread = list(range(1, n + 1)) + [0]
+    rev_thread = [n] + list(range(n))
+    pi = [0] * (n + 1)
+    big = (max(map(abs, cost), default=0) + 1) * (n + 1)
+    for u, b in enumerate(net.supply):
+        a = m + u
+        if b >= 0:
+            tail[a], head[a], flow[a] = u, root, b
+        else:
+            tail[a], head[a], flow[a], cost[a], pi[u] = root, u, -b, big, big
 
-    for k in range(net.arc_count):
-        residual_arc(net.tail[k], net.head[k], net.capacity[k], net.cost[k])
-    total_supply = 0
-    for node, sup in enumerate(net.supply):
-        if sup > 0:
-            residual_arc(s, node, sup, 0)
-            total_supply += sup
-        elif sup < 0:
-            residual_arc(node, t, -sup, 0)
-
-    pot = _initial_potentials(n, first, nxt, to, cap, cost)
-
-    # Costs and potentials are all integers, so Dijkstra labels are too:
-    # each heap entry packs (label << shift) | node into one int, which
-    # compares faster than a tuple.  Once the sink is settled every
-    # unsettled label is >= dist[t], so the loop can stop there (the
-    # potential update caps those labels at dist[t] anyway).
-    shift = n.bit_length()
-    node_mask = (1 << shift) - 1
-    big = 1 << 62
-    dist = [0] * n
-    parent_arc = [-1] * n
-    heappush, heappop = heapq.heappush, heapq.heappop
-    routed = 0
-    while routed < total_supply:
-        for i in range(n):
-            dist[i] = big
-            parent_arc[i] = -1
-        dist[s] = 0
-        done = [False] * n
-        heap = [s]
-        while heap:
-            ent = heappop(heap)
-            u = ent & node_mask
-            if done[u]:
-                continue
-            done[u] = True
-            if u == t:
+    block = max(isqrt(m), 10)
+    next_start = 0
+    while True:
+        # Block search: scan the arcs in blocks of about sqrt(m), from where
+        # the last search stopped and wrapping around, and take the most
+        # violating arc of the first block that has one.  None: optimal.
+        in_arc = -1
+        for start in chain(range(next_start, m, block), range(0, next_start, block)):
+            stop = min(start + block, m)
+            violation = [s * (c + pi[t] - pi[h]) for s, c, t, h in zip(
+                state[start:stop], cost[start:stop], tail[start:stop], head[start:stop]
+            )]
+            low = min(violation)
+            if low < 0:
+                in_arc = start + violation.index(low)
+                next_start = stop if stop < m else 0
                 break
-            d = ent >> shift
-            pu = pot[u]
-            a = first[u]
-            while a != -1:
-                if cap[a] > 0:
-                    v = to[a]
-                    if not done[v]:
-                        nd = d + cost[a] + pu - pot[v]
-                        if nd < dist[v]:
-                            dist[v] = nd
-                            parent_arc[v] = a
-                            heappush(heap, (nd << shift) | v)
-                a = nxt[a]
-        if not done[t]:
+        if in_arc < 0:
             break
-        dt = dist[t]
-        for i in range(n):
-            pot[i] += dist[i] if dist[i] < dt else dt
-        # Push the path bottleneck, not unit flow.
-        bottleneck = total_supply - routed
-        v = t
-        while v != s:
-            a = parent_arc[v]
-            if cap[a] < bottleneck:
-                bottleneck = cap[a]
-            v = to[a ^ 1]
-        v = t
-        while v != s:
-            a = parent_arc[v]
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-            v = to[a ^ 1]
-        routed += bottleneck
 
-    flow = [cap[2 * k + 1] for k in range(net.arc_count)]
-    total_cost = sum(f * c for f, c in zip(flow, net.cost))
+        # The cycle pushes flow over in_arc from first to second.
+        if state[in_arc] == 1:
+            first, second = tail[in_arc], head[in_arc]
+        else:
+            first, second = head[in_arc], tail[in_arc]
+        u, v = first, second
+        while depth[u] > depth[v]:
+            u = parent[u]
+        while depth[v] > depth[u]:
+            v = parent[v]
+        while u != v:
+            u = parent[u]
+            v = parent[v]
+        join = u
+
+        # Leaving arc: the last blocking arc in the direction of the cycle,
+        # starting from join, which keeps the tree strongly feasible.
+        delta = cap[in_arc]
+        side = 0
+        u_out = -1
+        u = first
+        while u != join:
+            e = pred[u]
+            d = flow[e] if tail[e] == u else cap[e] - flow[e]
+            if d < delta:
+                delta, u_out, side = d, u, 1
+            u = parent[u]
+        u = second
+        while u != join:
+            e = pred[u]
+            d = cap[e] - flow[e] if tail[e] == u else flow[e]
+            if d <= delta:
+                delta, u_out, side = d, u, 2
+            u = parent[u]
+
+        if delta:
+            flow[in_arc] += state[in_arc] * delta
+            u = first
+            while u != join:
+                e = pred[u]
+                flow[e] += -delta if tail[e] == u else delta
+                u = parent[u]
+            u = second
+            while u != join:
+                e = pred[u]
+                flow[e] += delta if tail[e] == u else -delta
+                u = parent[u]
+        if not side:
+            state[in_arc] = -state[in_arc]
+            continue
+
+        u_in, v_in = (first, second) if side == 1 else (second, first)
+        out_arc = pred[u_out]
+        state[out_arc] = 1 if flow[out_arc] == 0 else -1
+        state[in_arc] = 0
+        reduced = cost[in_arc] + pi[tail[in_arc]] - pi[head[in_arc]]
+        sigma = -reduced if tail[in_arc] == u_in else reduced
+
+        # The subtree below out_arc, in thread order; cut it out of the thread.
+        d_out = depth[u_out]
+        seq = [u_out]
+        x = thread[u_out]
+        while depth[x] > d_out:
+            seq.append(x)
+            x = thread[x]
+        before = rev_thread[u_out]
+        thread[before] = x
+        rev_thread[x] = before
+
+        # Re-root that subtree at u_in, reversing the stem u_in = s_0, ...,
+        # s_k = u_out.  The new preorder lists each s_i with its old subtree
+        # less the old subtree of s_{i-1}: the slices of seq on either side
+        # of that of s_{i-1}.
+        stem = [u_in]
+        while stem[-1] != u_out:
+            stem.append(parent[stem[-1]])
+        pos = {x: j for j, x in enumerate(seq)}
+        order = []
+        lo_prev = hi = pos[u_in] + 1
+        for s in stem:
+            lo, hi_prev, ds = pos[s], hi, depth[s]
+            while hi < len(seq) and depth[seq[hi]] > ds:
+                hi += 1
+            order += seq[lo:lo_prev]
+            order += seq[hi_prev:hi]
+            lo_prev = lo
+        for i in range(len(stem) - 1, 0, -1):
+            s, t = stem[i], stem[i - 1]
+            parent[s], pred[s] = t, pred[t]
+        parent[u_in], pred[u_in] = v_in, in_arc
+
+        # Hang the subtree after v_in in the thread, with new depths and
+        # potentials shifted so that in_arc has zero reduced cost.
+        after = thread[v_in]
+        prev = v_in
+        for x in order:
+            thread[prev] = x
+            rev_thread[x] = prev
+            depth[x] = depth[parent[x]] + 1
+            pi[x] += sigma
+            prev = x
+        thread[prev] = after
+        rev_thread[after] = prev
+
+    feasible = not any(flow[m:])
+    net_flow = [0] * net.arc_count
+    for a, f in zip(live, flow):
+        net_flow[a] = f
     return FlowResult(
-        flow=flow,
-        total_cost=total_cost,
-        feasible=(routed == total_supply),
-        potentials=pot[: net.node_count],
+        flow=net_flow,
+        total_cost=sum(f * c for f, c in zip(net_flow, net.cost)),
+        feasible=feasible,
+        potentials=pi[:n],
     )
 
 

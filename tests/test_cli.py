@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import random
@@ -464,6 +465,51 @@ def test_gridsearch_without_groupings_is_data_error(workdir, capsys):
     code = main(["gridsearch", "--candidates", str(workdir / "candidates.tsv"),
                  "--method", "top", "--output", str(workdir / "grid.csv")])
     _assert_data_error(capsys, code, "--categories and --types are required")
+
+
+@pytest.mark.parametrize("method", ["flow", "greedy"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_cost_scale_below_one_is_usage_error_before_reading_files(tmp_path, capsys,
+                                                                   method, value):
+    missing = str(tmp_path / "missing.tsv")
+    with pytest.raises(SystemExit) as exc:
+        main(["diversify", "--candidates", missing, "--categories", missing,
+              "--types", missing, "--constraint", "2", "--method", method,
+              "--cost-scale", value, "--output", str(tmp_path / "out.tsv")])
+    assert exc.value.code == 2
+    assert "--cost-scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_gridsearch_jobs_below_one_is_usage_error(workdir, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["gridsearch", *_graph_args(workdir), "--method", "greedy",
+              "--jobs", value, "--output", str(workdir / "grid.csv")])
+    assert exc.value.code == 2
+
+
+def test_gridsearch_pool_is_capped_at_the_grid_size(workdir, monkeypatch):
+    sizes = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    code = main(["gridsearch", *_graph_args(workdir), "--method", "greedy",
+                 "--beta-grid", "0,1", "--mu-grid", "0,1", "--jobs", "500",
+                 "--output", str(workdir / "grid.csv")])
+    assert code == 0
+    assert sizes == [4]
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

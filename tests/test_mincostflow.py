@@ -4,7 +4,10 @@ import random
 import pytest
 
 from recdiv.errors import GraphError, NegativeCycleError
+from recdiv.flownet import build_tdiv_network
+from recdiv.graph import DivParams, ThresholdTable
 from recdiv.mincostflow import (
+    INF_CAP,
     FlowNetwork,
     FlowResult,
     from_dimacs,
@@ -12,6 +15,7 @@ from recdiv.mincostflow import (
     to_dimacs,
     validate_flow,
 )
+from recdiv.synth import movielens_shaped
 
 
 def _net(nodes, arcs, supplies):
@@ -171,3 +175,45 @@ def test_dimacs_rejects_garbage():
         from_dimacs("p max 3 1\n")
     with pytest.raises(GraphError):
         from_dimacs("x nonsense\n")
+
+
+def _assert_slackness(net, res):
+    pi = res.potentials
+    for k in range(net.arc_count):
+        reduced = net.cost[k] + pi[net.tail[k]] - pi[net.head[k]]
+        if res.flow[k] > 0:
+            assert reduced <= 0
+        if res.flow[k] < net.capacity[k]:
+            assert reduced >= 0
+
+
+def test_parallel_infinite_and_zero_capacity_arcs():
+    # 5 units from 0 to 2.  Per unit: 1 on arc 0 (twice), 3 on its parallel
+    # arc 1 (twice), 4 on the direct arc 4.  Arc 2 is cheaper still but has
+    # no capacity.  Optimum 1+1+3+3+4 = 12, and arc 3 carries 4 units.
+    net = _net(3, [(0, 1, 2, 1), (0, 1, 2, 3), (0, 1, 0, -10),
+                   (1, 2, INF_CAP, 0), (0, 2, INF_CAP, 4)], {0: 5, 2: -5})
+    res = solve_min_cost_flow(net)
+    assert res.feasible
+    assert res.flow == [2, 2, 0, 4, 1]
+    assert res.total_cost == 12
+    assert validate_flow(net, res)
+    _assert_slackness(net, res)
+
+
+# Optimal costs of reduction networks far beyond brute force, as found by
+# the earlier successive-shortest-paths solver.
+@pytest.mark.parametrize("seed, expected", [
+    (1, -459476266), (2, -459197082), (3, -462543451),
+])
+def test_reduction_network_optimum_pinned(seed, expected):
+    graph, user_types, item_cats = movielens_shaped(
+        num_users=10, overlapping_cats=False, constraint=10, seed=seed
+    )
+    thresholds = ThresholdTable.uniform(graph, user_types, item_cats, rho=2, lam=2)
+    net, _ = build_tdiv_network(graph, user_types, item_cats, thresholds, DivParams(4.0, 0.2))
+    res = solve_min_cost_flow(net)
+    assert res.feasible
+    assert res.total_cost == expected
+    assert validate_flow(net, res)
+    _assert_slackness(net, res)

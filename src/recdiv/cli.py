@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -104,11 +105,14 @@ def _solution_of(graph: RecGraph, user_types: Grouping | None,
 # Subcommands
 
 def cmd_split(args) -> int:
-    if args.folds < 2:
-        print("usage error: --folds must be >= 2", file=sys.stderr)
+    # SplitSpec holds the --folds and --min-ratings ranges; check them
+    # before reading any file
+    try:
+        spec = dio.SplitSpec(folds=args.folds, min_ratings=args.min_ratings, seed=args.seed)
+    except DataFormatError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     ratings = dio.load_ratings(args.ratings)
-    spec = dio.SplitSpec(folds=args.folds, min_ratings=args.min_ratings, seed=args.seed)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for fold, (train, test) in enumerate(dio.split_folds(ratings, spec)):
@@ -245,10 +249,10 @@ def _evaluate_solution(graph, user_types, item_cats, thresholds, args,
 
 def cmd_evaluate(args) -> int:
     graph, user_types, item_cats, thresholds, _ = _load_inputs(args, "optional")
+    lists = dio.load_solution_lists(
+        args.solution, dict(zip(graph.user_ids, graph.display_constraints)))
     sol = _solution_of(graph, user_types, item_cats, (
-        (user, item)
-        for user, rows in dio.load_solution_lists(args.solution).items()
-        for item, _rel in rows
+        (user, item) for user, rows in lists.items() for item, _rel in rows
     ))
     report = _evaluate_solution(graph, user_types, item_cats, thresholds, args, sol)
     prefix = args.output
@@ -261,23 +265,41 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> list[float]:
-    """A non-empty comma-separated list of numbers (an argparse ``type``)."""
-    try:
-        grid = [float(x) for x in text.split(",") if x != ""]
-    except ValueError:
-        grid = []
-    if not grid:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    return grid
-
+# argparse ``type``s: a bad value is a usage error (exit 2) before any file
+# is read.  The library keeps its own checks for API callers.
 
 def _positive_int(text: str) -> int:
-    """An integer >= 1 (an argparse ``type``)."""
+    """An integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
+
+
+def _weight(text: str) -> float:
+    """A finite number >= 0 (beta, mu)."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
+def _unit(text: str) -> float:
+    """A number in [0, 1] (lambda)."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
+
+
+def _grid(element):
+    """A non-empty comma-separated list of ``element`` values."""
+    def grid(text: str) -> list[float]:
+        values = [element(x) for x in text.split(",") if x != ""]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        return values
+    return grid
 
 
 def _grid_point(payload):
@@ -354,7 +376,8 @@ def cmd_report(args) -> int:
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--candidates", required=True, help="candidate TSV (user, item, relevance)")
-    p.add_argument("--constraint", type=int, default=10, help="uniform display constraint")
+    p.add_argument("--constraint", type=_positive_int, default=10,
+                   help="uniform display constraint")
     p.add_argument("--constraint-file", help="per-user TSV (user_id, constraint)")
     p.add_argument("--top-n", type=_positive_int, default=250, help="candidates kept per user")
     p.add_argument("--categories", help="item category TSV")
@@ -363,9 +386,9 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 
 def _add_method_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=METHODS, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--beta", type=_weight, default=1.0)
+    p.add_argument("--mu", type=_weight, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=_unit, default=None)
     p.add_argument("--thresholds", help="threshold TSV (else derived from --train)")
     p.add_argument("--train", help="training ratings for threshold derivation")
     p.add_argument("--cost-scale", type=_positive_int, default=10**6)
@@ -414,8 +437,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_eval_args(p)
     p.add_argument("--solution", required=True)
     p.add_argument("--thresholds")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--beta", type=_weight, default=1.0)
+    p.add_argument("--mu", type=_weight, default=1.0)
     p.add_argument("--output", required=True, help="output prefix (.json/.csv added)")
     p.set_defaults(func=cmd_evaluate)
 
@@ -423,9 +446,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_graph_args(p)
     _add_method_args(p)
     _add_eval_args(p)
-    p.add_argument("--beta-grid", type=_parse_grid, default="0,1")
-    p.add_argument("--mu-grid", type=_parse_grid, default="0,1")
-    p.add_argument("--lambda-grid", type=_parse_grid, default="0,0.5,1")
+    p.add_argument("--beta-grid", type=_grid(_weight), default="0,1")
+    p.add_argument("--mu-grid", type=_grid(_weight), default="0,1")
+    p.add_argument("--lambda-grid", type=_grid(_unit), default="0,0.5,1")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_gridsearch)

@@ -415,11 +415,24 @@ def save_solution(sol: Solution, path: str | Path, method: str) -> None:
                 )
 
 
-def load_solution_lists(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    """Solution rows grouped per user id, in file order."""
+def load_solution_lists(
+    path: str | Path, limits: dict[str, int] | None = None
+) -> dict[str, list[tuple[str, float]]]:
+    """Solution rows grouped per user id, in file order.  A repeated
+    (user, item) row is an error, and so is a row past its user's entry in
+    ``limits`` (display constraints by user id), when given."""
     out: dict[str, list[tuple[str, float]]] = {}
+    seen: set[tuple[str, str]] = set()
     for lineno, (user, item, rel, _method) in _read_rows(path, 4):
-        out.setdefault(user, []).append((item, _parse_number(path, lineno, "relevance", rel)))
+        if (user, item) in seen:
+            raise DataFormatError(f"{path}:{lineno}: user {user} item {item} listed twice")
+        seen.add((user, item))
+        rows = out.setdefault(user, [])
+        limit = limits.get(user) if limits is not None else None
+        if limit is not None and len(rows) >= limit:
+            raise DataFormatError(f"{path}:{lineno}: user {user} item {item} is past the "
+                                  f"user's display constraint ({limit})")
+        rows.append((item, _parse_number(path, lineno, "relevance", rel)))
     return out
 
 

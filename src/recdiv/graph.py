@@ -79,10 +79,15 @@ class _Adjacency(Sequence):
 def _csr(ends: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """(order, offsets) grouping edge indices by endpoint, each group in
     increasing edge order."""
-    order = np.argsort(ends, kind="stable")
+    return _frozen(np.argsort(ends, kind="stable")), _frozen(csr_offsets(ends, size))
+
+
+def csr_offsets(ids: np.ndarray, size: int) -> np.ndarray:
+    """Offsets of rows grouped by id in increasing id order: the rows of
+    id i are ``offsets[i]:offsets[i + 1]``."""
     offsets = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=size), out=offsets[1:])
-    return _frozen(order), _frozen(offsets)
+    np.cumsum(np.bincount(ids, minlength=size), out=offsets[1:])
+    return offsets
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

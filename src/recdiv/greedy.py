@@ -1,47 +1,52 @@
 """Greedy maximization of beta*TUDiv + mu*TIDiv + rel, for overlapping or
 disjoint groupings.
 
-Each unused candidate edge sits in a max priority queue keyed by its exact
-marginal gain.  When a (user, category) pair reaches its threshold the key
-of every unused edge from that user into that category drops by beta, and
-symmetrically by mu for (item, type) pairs; keys only ever decrease, so one
-key update per affected edge per saturation event keeps every key exact.
-Keys are recomputed from the integer unsaturated-pair counts (not
-decremented in floating point) so that they match a from-scratch marginal
-computation bit for bit.
+Every unused candidate edge has a key, its exact marginal gain
+``rel + beta*ucnt + mu*icnt``: ``ucnt`` counts the edge's (user, category)
+pairs still below their threshold, ``icnt`` its (item, type) pairs.  When a
+pair reaches its threshold, the key of every unused edge in that pair drops
+by beta (or mu).  Keys only ever decrease, and each decrease recomputes the
+key from the integer counts in the same operation order as the initial
+build, so a key always equals a from-scratch marginal computation bit for
+bit.
 
-The queue is two-level with lazy repair: one small heapq per user over
-that user's unused edges, and a global heapq holding each unfilled user's
-current best entry.  A key decrease updates only the integer counters; the
-key itself is recomputed when the edge surfaces at the top of a heap, and
-an entry whose stored key no longer matches is reinserted at its current
-key instead of being used.  An entry is acted on only when stored and
-current key agree, so the edge extracted each round is exactly the argmax
-of the true marginals (with ties toward the lowest edge index), identical
-to eager decrease-key but with all heap traffic in C.  Users at capacity
-leave the global heap, so their remaining edges are never popped, and
-reinsertions are bounded by the number of key decreases — preserving the
-O((E + saturation events) log E) bound.
+The keys live in one flat float64 array laid out in the graph's per-user
+CSR order, so each user's edges are one contiguous slice.  A user's best
+edge is the argmax of that slice (numpy's first maximum, which in CSR order
+is the lowest edge index).  Selected edges, and every edge of a user at its
+display constraint, hold -inf.  A global heap holds the best entry of
+each user with room and an unselected edge, as in Minoux's lazy greedy ("Accelerated greedy algorithms for
+maximizing submodular set functions", 1978): a popped entry is used only if
+it is still its user's current best, and otherwise the current best is
+pushed in its place.  So the edge extracted each round is exactly the
+argmax of the true marginals, ties toward the lowest edge index.
 
-Each entry is a single integer (~(IEEE-754 key bits) << 32 | edge index).
-For nonnegative floats the raw bit pattern is order-isomorphic to the
-value, so the complemented bits give max-first ordering with exact float
-semantics and edge-index tie-breaking at both heap levels, while keeping
-heap entries compact.
+Each heap entry is a single integer (~(IEEE-754 key bits) << 32 | edge
+index).  For nonnegative floats the raw bit pattern is order-isomorphic to
+the value, so the complemented bits give max-first ordering with exact
+float semantics and edge-index tie-breaking.
+
+Every incident (user, category) and (item, type) pair has a dense id.
+Degrees, thresholds, each edge's pairs and each pair's pending edges (those
+a saturation lowers) are flat integer arrays indexed by it; the solution's
+degree maps are filled once, at the end.
+
+Cost: O(1) per key decrease; O(deg(u)) for the argmax each time user u's
+entry surfaces (once per pop plus once per selection), not O(log deg(u));
+O(log U) per global heap operation over U users.  Each pop either selects
+an edge or replaces an entry made stale by a key decrease.
 """
 
 from __future__ import annotations
 
-import struct
 from array import array
 from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 from .errors import DuplicateEdgeError
-from .graph import DivParams, Grouping, RecGraph, Solution, ThresholdTable, new_solution
-
-_SLICE = 1 << 16  # edges per slice when building the initial heap entries
+from .graph import (DivParams, Grouping, RecGraph, Solution, ThresholdTable, csr_offsets,
+                    new_solution)
 
 
 def marginal_gain(
@@ -77,84 +82,55 @@ def greedy_solve(
     extracted, decrease_keys = key-lowering updates) for the runtime-bound
     checks.
     """
-    beta, mu = params.beta, params.mu
-    rho, lam = thresholds.rho, thresholds.lam
+    beta, mu = float(params.beta), float(params.mu)
+    n = graph.num_edges
+    order = graph.user_order
+    offsets = graph.user_offsets.tolist()
+    # Everything below is laid out by CSR position: position p holds edge
+    # order[p], and user u's edges fill positions offsets[u]:offsets[u + 1].
+    user = np.repeat(np.arange(graph.num_users, dtype=np.int32), np.diff(graph.user_offsets))
+    item = graph.edge_item[order]
+    at, group = item_cats.expand(item)
+    uc = _PairIndex(at, user[at], group, thresholds.rhos, n)
+    at, group = user_types.expand(user)
+    it = _PairIndex(at, item[at], group, thresholds.lams, n)
+    del user, item, at, group
+    edge_at = _compact(order, "i")
+    pos_of = array("i", [0]) * n  # the position of each edge
+    np.frombuffer(pos_of, dtype=np.int32)[order] = np.arange(n, dtype=np.int32)
     euser = _compact(graph.edge_user, "i")
-    eitem = _compact(graph.edge_item, "i")
-    erel = _compact(graph.edge_rel, "d")
-    cats_of = item_cats.membership + [[]] * (graph.num_items - len(item_cats.membership))
-    types_of = user_types.membership + [[]] * (graph.num_users - len(user_types.membership))
-
-    pack, unpack = struct.pack, struct.unpack
-    mask = (1 << 64) - 1
-
-    # Per-edge counts of not-yet-saturated incident pairs; pairs with a zero
-    # threshold are born saturated and carry no key mass.
-    edge, cat = item_cats.expand(graph.edge_item)
-    user = graph.edge_user[edge]
-    live = thresholds.rhos(user, cat) > 0
-    pending_uc = _pending(edge[live], user[live], cat[live])
-    ucnt = np.bincount(edge[live], minlength=graph.num_edges)
-    edge, type_ = user_types.expand(graph.edge_user)
-    item = graph.edge_item[edge]
-    live = thresholds.lams(item, type_) > 0
-    pending_it = _pending(edge[live], item[live], type_[live])
-    icnt = np.bincount(edge[live], minlength=graph.num_edges)
-    del edge, cat, type_, user, item, live
-
-    # Initial keys in the loop's operation order, so the bits match those
-    # user_best recomputes.  Entries are built in slices of the per-user
-    # (CSR) order, which keeps the temporary lists small.
-    inverted = (~(graph.edge_rel + beta * ucnt + mu * icnt).view(np.uint64))[graph.user_order]
-    entries: list[int] = []
-    for s in range(0, graph.num_edges, _SLICE):
-        entries += [(h << 32) | e for h, e in zip(inverted[s:s + _SLICE].tolist(),
-                                                  graph.user_order[s:s + _SLICE].tolist())]
-    del inverted
-    bounds = graph.user_offsets.tolist()
-    user_heaps = [entries[bounds[u]:bounds[u + 1]] for u in range(graph.num_users)]
-    del entries
-    for h in user_heaps:
-        heapify(h)
-    ucnt = _compact(ucnt, "i")
-    icnt = _compact(icnt, "i")
+    rel = _compact(graph.edge_rel[order], "d")
+    ucnt, icnt = uc.live_count, it.live_count
+    live_total = _total(ucnt) + _total(icnt)
+    # Initial keys in the loop's operation order, so the bits match the
+    # keys it recomputes.
+    keys = array("d", [0.0]) * n
+    key_view = np.frombuffer(keys, dtype=np.float64)
+    np.add(np.frombuffer(rel), beta * np.frombuffer(ucnt, dtype=np.int32), out=key_view)
+    key_view += mu * np.frombuffer(icnt, dtype=np.int32)
+    key_bits = memoryview(keys).cast("B").cast("Q")
+    uc_pair, uc_first, uc_deg, uc_thr, uc_pend, uc_pend_first = (
+        uc.pair, uc.first, uc.degree, uc.threshold, uc.pending, uc.pending_first)
+    it_pair, it_first, it_deg, it_thr, it_pend, it_pend_first = (
+        it.pair, it.first, it.degree, it.threshold, it.pending, it.pending_first)
 
     sol = new_solution(graph, user_types, item_cats)
     remaining = list(graph.display_constraints)
-    dead = bytearray(graph.num_edges)
-    ugd = sol.user_group_degree
-    igd = sol.item_group_degree
+    neg_inf = float("-inf")
+    mask = (1 << 64) - 1
     pops = 0
-    decreases = 0
 
     def user_best(u: int) -> int:
-        # fresh top entry of u's heap, or -1; stale tops (their counters
-        # moved since insertion) are requeued at their current key,
-        # selected edges dropped.  Keys are recomputed from the counters
-        # only here, when an edge surfaces, not on every saturation event.
-        h = user_heaps[u]
-        while h:
-            ent = h[0]
-            e = ent & 0xFFFFFFFF
-            if dead[e]:
-                heappop(h)
-                continue
-            bits = unpack(
-                "<Q", pack("<d", erel[e] + beta * ucnt[e] + mu * icnt[e])
-            )[0]
-            ce = ((mask - bits) << 32) | e
-            if ent != ce:
-                heappop(h)
-                heappush(h, ce)
-            else:
-                return ent
-        return -1
+        # heap entry of u's max-key unselected edge, or -1; the first
+        # maximum in CSR order is the lowest edge index
+        s = offsets[u]
+        p = s + int(key_view[s:offsets[u + 1]].argmax())
+        if keys[p] == neg_inf:
+            return -1
+        return ((mask - key_bits[p]) << 32) | edge_at[p]
 
-    gheap = []
-    for u in range(graph.num_users):
-        best = user_best(u)
-        if best != -1:
-            gheap.append(best)
+    # one entry per user with room and an unselected edge
+    gheap = [user_best(u) for u in range(graph.num_users) if offsets[u] < offsets[u + 1]]
     heapify(gheap)
 
     while gheap:
@@ -162,46 +138,48 @@ def greedy_solve(
         pops += 1
         eidx = gent & 0xFFFFFFFF
         u = euser[eidx]
-        if remaining[u] == 0:
-            continue
         best = user_best(u)
-        if best == -1:
-            continue
         if best != gent:
-            # this user's best changed since the entry was pushed
+            # a key of this user dropped since the entry was pushed
             heappush(gheap, best)
             continue
-        heappop(user_heaps[u])
-        dead[eidx] = 1
+        p = pos_of[eidx]
+        keys[p] = neg_inf
         remaining[u] -= 1
-        v = eitem[eidx]
+        if not remaining[u]:
+            # a full user's edges take no more decreases
+            key_view[offsets[u]:offsets[u + 1]] = neg_inf
         sol.selected[u].append(eidx)
         sol._selected_set.add(eidx)
-        for a in cats_of[v]:
-            d = ugd.get((u, a), 0) + 1
-            ugd[(u, a)] = d
-            r = rho(u, a)
-            if r > 0 and d == r:
-                for e2 in pending_uc.pop((u, a)).tolist():
-                    if not dead[e2] and remaining[euser[e2]]:
-                        ucnt[e2] -= 1
-                        decreases += 1
-        for b in types_of[u]:
-            d = igd.get((v, b), 0) + 1
-            igd[(v, b)] = d
-            lm = lam(v, b)
-            if lm > 0 and d == lm:
-                for e2 in pending_it.pop((v, b)).tolist():
-                    if not dead[e2] and remaining[euser[e2]]:
-                        icnt[e2] -= 1
-                        decreases += 1
+        for k in uc_pair[uc_first[p]:uc_first[p + 1]]:
+            d = uc_deg[k] + 1
+            uc_deg[k] = d
+            if d == uc_thr[k]:
+                for q in uc_pend[uc_pend_first[k]:uc_pend_first[k + 1]]:
+                    if keys[q] != neg_inf:
+                        c = ucnt[q] - 1
+                        ucnt[q] = c
+                        keys[q] = rel[q] + beta * c + mu * icnt[q]
+        for k in it_pair[it_first[p]:it_first[p + 1]]:
+            d = it_deg[k] + 1
+            it_deg[k] = d
+            if d == it_thr[k]:
+                for q in it_pend[it_pend_first[k]:it_pend_first[k + 1]]:
+                    if keys[q] != neg_inf:
+                        c = icnt[q] - 1
+                        icnt[q] = c
+                        keys[q] = rel[q] + beta * ucnt[q] + mu * c
         if remaining[u]:
             nb = user_best(u)
             if nb != -1:
                 heappush(gheap, nb)
     for lst in sol.selected:
         lst.sort()
+    sol.user_group_degree.update(uc.degrees())
+    sol.item_group_degree.update(it.degrees())
     if collect_stats:
+        # each decrease took one off a live count
+        decreases = live_total - _total(ucnt) - _total(icnt)
         return sol, {"pops": pops, "decrease_keys": decreases}
     return sol
 
@@ -209,28 +187,49 @@ def greedy_solve(
 def _compact(column: np.ndarray, typecode: str) -> array:
     """A column as a Python array: indexed as fast as a list, without one
     Python object per element."""
-    return array(typecode, column.astype(np.dtype(typecode)).tobytes())
+    out = array(typecode)
+    out.frombytes(memoryview(np.ascontiguousarray(column, dtype=np.dtype(typecode))).cast("B"))
+    return out
 
 
-def _pending(edges: np.ndarray, owners: np.ndarray,
-             groups: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """(owner, group) -> the ``edges`` listed with that pair, in increasing
-    edge order: views into one stable argsort of the pair keys."""
-    if not len(edges):
-        return {}
-    width = int(groups.max()) + 1
-    keys = owners.astype(np.int64) * width + groups
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    flat = edges[order].astype(np.int32)
-    bounds = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), len(keys)]
-    heads = keys[bounds[:-1]]
-    return {
-        pair: flat[start:end]
-        for pair, start, end in zip(
-            zip((heads // width).tolist(), (heads % width).tolist()), bounds, bounds[1:]
-        )
-    }
+def _total(counts: array) -> int:
+    return int(np.frombuffer(counts, dtype=np.int32).sum(dtype=np.int64))
+
+
+class _PairIndex:
+    """Dense ids for one side's (owner, group) pairs, (user, category) or
+    (item, type), from their incidences: ``position[k]`` (increasing) is
+    incident to the pair (owner[k], group[k]).  Holds, as Python arrays,
+    the pair ids of each position (CSR ``pair``/``first``), each pair's
+    threshold and degree, and each pair's pending positions (CSR
+    ``pending``/``pending_first``, increasing) with ``live_count``, the
+    number of pending pairs per position.  A pair with a zero threshold is
+    born saturated: it has no pending positions and never lowers a key."""
+
+    def __init__(self, position: np.ndarray, owner: np.ndarray, group: np.ndarray,
+                 threshold_of, num_positions: int):
+        self.width = int(group.max()) + 1 if len(group) else 1
+        self.keys, pair = np.unique(owner.astype(np.int64) * self.width + group,
+                                    return_inverse=True)
+        threshold = threshold_of(self.keys // self.width, self.keys % self.width)
+        self.pair = _compact(pair, "i")
+        self.first = _compact(csr_offsets(position, num_positions), "i")
+        self.threshold = _compact(threshold, "q")
+        self.degree = array("q", [0]) * len(self.keys)
+        live = threshold[pair] > 0
+        position, pair = position[live], pair[live]
+        self.live_count = _compact(np.bincount(position, minlength=num_positions), "i")
+        # sorted by (pair, position); the keys are distinct, so no stable sort
+        self.pending = _compact(np.sort(pair * num_positions + position) % num_positions, "i")
+        self.pending_first = _compact(csr_offsets(pair, len(self.keys)), "i")
+
+    def degrees(self) -> dict[tuple[int, int], int]:
+        """{(owner, group): degree} for every pair of nonzero degree."""
+        degree = np.frombuffer(self.degree, dtype=np.int64)
+        hit = np.flatnonzero(degree)
+        keys = self.keys[hit]
+        return dict(zip(zip((keys // self.width).tolist(), (keys % self.width).tolist()),
+                        degree[hit].tolist()))
 
 
 def naive_greedy(

@@ -661,3 +661,73 @@ def test_skipped_rows_are_reported(workdir, capsys):
     assert capsys.readouterr().err == ""
     log = json.loads((workdir / "h.tsv.log.json").read_text())
     assert log["skipped_rows"] == {"candidates": 0, "categories": 0, "types": 0}
+
+
+def _usage_error_before_reading(capsys, argv, option):
+    """argv names only missing files, so reading any of them would exit 3."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def _missing_inputs(tmp_path):
+    missing = str(tmp_path / "missing.tsv")
+    return ["--candidates", missing, "--categories", missing, "--types", missing,
+            "--train", missing]
+
+
+@pytest.mark.parametrize("command", ["diversify", "gridsearch"])
+@pytest.mark.parametrize("option, value", [("--beta", "-1"), ("--beta", "nan"),
+                                           ("--mu", "inf")])
+def test_bad_weight_is_usage_error_before_reading_files(tmp_path, capsys, command,
+                                                        option, value):
+    _usage_error_before_reading(capsys, [
+        command, *_missing_inputs(tmp_path), "--method", "greedy", option, value,
+        "--output", str(tmp_path / "out.tsv")], option)
+
+
+@pytest.mark.parametrize("method", ["mmr", "xquad"])
+@pytest.mark.parametrize("value", ["2", "nan"])
+def test_lambda_outside_unit_interval_is_usage_error_before_reading_files(
+        tmp_path, capsys, method, value):
+    _usage_error_before_reading(capsys, [
+        "diversify", *_missing_inputs(tmp_path), "--method", method, "--lambda", value,
+        "--output", str(tmp_path / "out.tsv")], "--lambda")
+
+
+@pytest.mark.parametrize("option, value", [("--beta-grid", "0,-1"), ("--mu-grid", "1,inf"),
+                                           ("--lambda-grid", "0,2")])
+def test_bad_grid_value_is_usage_error_before_reading_files(tmp_path, capsys, option, value):
+    _usage_error_before_reading(capsys, [
+        "gridsearch", *_missing_inputs(tmp_path), "--method", "greedy", option, value,
+        "--output", str(tmp_path / "grid.csv")], option)
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_constraint_below_one_is_usage_error_before_reading_files(tmp_path, capsys, value):
+    _usage_error_before_reading(capsys, [
+        "diversify", *_missing_inputs(tmp_path), "--method", "top", "--constraint", value,
+        "--output", str(tmp_path / "out.tsv")], "--constraint")
+
+
+def test_split_min_ratings_below_one_is_usage_error_before_reading_files(tmp_path, capsys):
+    code = main(["split", "--ratings", str(tmp_path / "missing.tsv"),
+                 "--output-dir", str(tmp_path / "out"), "--min-ratings", "-5"])
+    assert code == 2
+    assert "min_ratings" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_repeated_solution_row_is_data_error_with_line(workdir, capsys):
+    (workdir / "sol.tsv").write_text("u1\tv1\t0.9\ttop\nu2\tv1\t0.7\ttop\nu1\tv1\t0.9\ttop\n")
+    code = _evaluate(workdir, "sol.tsv", "rep")
+    _assert_data_error(capsys, code, "sol.tsv:3: user u1 item v1")
+
+
+def test_evaluate_solution_past_display_constraint_is_data_error_with_line(workdir, capsys):
+    (workdir / "sol.tsv").write_text(
+        "u1\tv1\t0.9\ttop\nu1\tv2\t0.8\ttop\nu2\tv1\t0.7\ttop\nu1\tv4\t0.3\ttop\n")
+    code = _evaluate(workdir, "sol.tsv", "rep")
+    _assert_data_error(capsys, code,
+                       "sol.tsv:4: user u1 item v4 is past the user's display constraint (2)")

@@ -289,6 +289,17 @@ def test_load_solution_lists_rejects_non_number_relevance(tmp_path):
         load_solution_lists(p)
 
 
+def test_load_solution_lists_rejects_repeated_row_and_rows_past_limit(tmp_path):
+    p = _write(tmp_path, "sol.tsv", "u1\tv1\t0.9\tgreedy\nu1\tv1\t0.9\tgreedy\n")
+    with pytest.raises(DataFormatError, match="sol.tsv:2: user u1 item v1 listed twice"):
+        load_solution_lists(p)
+    p = _write(tmp_path, "sol.tsv", "u1\tv1\t0.9\tg\nu2\tv1\t0.5\tg\nu1\tv2\t0.8\tg\n")
+    assert load_solution_lists(p, {"u1": 2, "u2": 1})["u1"] == [("v1", 0.9), ("v2", 0.8)]
+    assert load_solution_lists(p, {"u2": 1}) == load_solution_lists(p)
+    with pytest.raises(DataFormatError, match=r"sol.tsv:3: user u1 item v2 .*\(1\)"):
+        load_solution_lists(p, {"u1": 1, "u2": 1})
+
+
 def test_load_constraints(tmp_path):
     from recdiv.data import load_constraints
 

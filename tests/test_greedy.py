@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from recdiv.errors import DuplicateEdgeError
@@ -11,7 +13,7 @@ from recdiv.graph import (
     new_solution,
 )
 from recdiv.greedy import greedy_solve, marginal_gain, naive_greedy
-from recdiv.synth import random_instance
+from recdiv.synth import movielens_shaped, random_instance
 
 
 def test_marginal_gain_two_cats_one_type():
@@ -178,3 +180,77 @@ def test_submodularity_and_monotonicity(rng):
         assert fxe >= fx - 1e-9  # monotone
         assert fy >= fx - 1e-9
         checks += 1
+
+
+def _shuffled_tied_instance(rng):
+    """Edges in random (not per-user) order, relevances from three values so
+    keys tie, one user without candidates, some thresholds 0 and some
+    entities in no group."""
+    nu = rng.randint(2, 6)
+    ni = rng.randint(1, 7)
+    ncat = rng.randint(1, 3)
+    ntype = rng.randint(1, 3)
+    empty_user = rng.randrange(nu)
+    edges = [(u, v, rng.choice((0.0, 0.25, 0.5)))
+             for u in range(nu) for v in range(ni)
+             if u != empty_user and rng.random() < 0.7]
+    if not edges:
+        edges.append(((empty_user + 1) % nu, 0, 0.5))
+    rng.shuffle(edges)
+    graph = RecGraph([f"u{i}" for i in range(nu)],
+                     [rng.randint(1, 3) for _ in range(nu)],
+                     [f"v{j}" for j in range(ni)], edges)
+
+    def memberships(n, ngroups):
+        return [sorted(rng.sample(range(ngroups), rng.randint(0, ngroups)))
+                for _ in range(n)]
+
+    ut = Grouping("user", [f"T{b}" for b in range(ntype)], memberships(nu, ntype))
+    ic = Grouping("item", [f"C{a}" for a in range(ncat)], memberships(ni, ncat))
+    th = ThresholdTable(
+        {(u, a): rng.randint(0, 2) for u in range(nu) for a in range(ncat)},
+        {(v, b): rng.randint(0, 2) for v in range(ni) for b in range(ntype)},
+    )
+    params = DivParams(rng.choice((0.0, 0.25, 1.0)), rng.choice((0.0, 0.25, 1.0)))
+    return graph, ut, ic, th, params
+
+
+def test_greedy_matches_naive_on_shuffled_tied_edges(rng):
+    # edge index order differs from the per-user order, and tied keys must
+    # still go to the lowest edge index
+    for _ in range(300):
+        graph, ut, ic, th, params = _shuffled_tied_instance(rng)
+        fast = greedy_solve(graph, ut, ic, th, params)
+        slow = naive_greedy(graph, ut, ic, th, params)
+        assert fast.edge_indices() == slow.edge_indices()
+        assert fast.selected == slow.selected
+        assert fast.user_group_degree == slow.user_group_degree
+        assert fast.item_group_degree == slow.item_group_degree
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, pops, decrease_keys, objective, digests", [
+    (3, 5459, 68274, 30146.863944999997, (
+        "24e992b9a456d0d0c28396745b8b7f81d3804782f50ac211130bdddcf218f419",
+        "c34022121ddeccb435d2db2407e9c092fcd89b40ff05ad98f3b7c226a49bd9f0",
+        "23c32043b213a47552177f8336245a2563ee339a48b8dac3437f6988ea172335")),
+    (4, 5474, 68383, 30167.081907, (
+        "d13b0b5060ada6c5ddd1a587a3d8b2f154ff2d70840cc349c669e6afe9b1d686",
+        "9a4a69fa1e6a186613546d1e52855a1f31a152f6e2eb51a20cff8b60100b80ca",
+        "c1a3c0f72779052ea4d67bba744e143c98d249e49d4f03b59bd68af26e10fe24")),
+])
+def test_greedy_counters_and_output_pinned(seed, pops, decrease_keys, objective, digests):
+    # values from the per-user-heap greedy: the work counters, the selection,
+    # both degree maps and the objective (whose last bits follow the order
+    # edges enter the selected set) must repeat exactly
+    graph, ut, ic = movielens_shaped(num_users=200, seed=seed)
+    th = ThresholdTable.uniform(graph, ut, ic, rho=2, lam=2)
+    params = DivParams(4, 0.2)
+    sol, stats = greedy_solve(graph, ut, ic, th, params, collect_stats=True)
+    assert stats == {"pops": pops, "decrease_keys": decrease_keys}
+    assert (_digest(sol.selected), _digest(sorted(sol.user_group_degree.items())),
+            _digest(sorted(sol.item_group_degree.items()))) == digests
+    assert eval_objective(sol, th, params) == objective

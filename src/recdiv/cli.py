@@ -20,7 +20,7 @@ from . import data as dio
 from .baselines import mmr, top_k, xquad
 from .errors import DataFormatError, InfeasibleError, InstanceTooLargeError, RecdivError
 from .flownet import solve_tdiv_detailed
-from .graph import DivParams, Grouping, RecGraph, Solution, ThresholdTable, eval_objective, new_solution
+from .graph import DivParams, RecGraph, Solution, ThresholdTable, new_solution
 from .greedy import greedy_solve
 from . import metrics as m
 
@@ -83,22 +83,13 @@ def _warn_skipped(path, count: int, reason: str) -> None:
         print(f"warning: {path}: {count} rows skipped ({reason})", file=sys.stderr)
 
 
-def _solution_of(graph: RecGraph, user_types: Grouping | None,
-                 item_cats: Grouping | None, pairs) -> Solution:
-    """Solution selecting the (user id, item id) ``pairs`` in order."""
+def _edge_ids(graph: RecGraph) -> dict[tuple[str, str], int]:
+    """The edge index of each candidate (user id, item id) pair."""
     user_ids, item_ids = graph.user_ids, graph.item_ids
-    edge_of = {
+    return {
         (user_ids[u], item_ids[v]): e
         for e, (u, v) in enumerate(zip(graph.edge_user.tolist(), graph.edge_item.tolist()))
     }
-    chosen = []
-    for pair in pairs:
-        if pair not in edge_of:
-            raise RecdivError(f"solution edge ({pair[0]},{pair[1]}) not in candidate graph")
-        chosen.append(edge_of[pair])
-    sol = new_solution(graph, user_types, item_cats)
-    sol.add_edges(chosen)
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +142,10 @@ def _run_method(graph, user_types, item_cats, thresholds, args,
             ranked = mmr(graph, item_cats, lam)
         else:
             ranked = xquad(graph, item_cats, m.IntentProfile.from_graph(graph, item_cats), lam)
-        sol = _solution_of(graph, user_types, item_cats, (
-            (graph.user_ids[u], graph.item_ids[item])
-            for u, items in enumerate(ranked.items) for item in items
-        ))
+        edge_of = _edge_ids(graph)
+        sol = new_solution(graph, user_types, item_cats)
+        sol.add_edges(edge_of[(graph.user_ids[u], graph.item_ids[item])]
+                      for u, items in enumerate(ranked.items) for item in items)
     elapsed = time.perf_counter() - t0
     tu = m.tudiv(sol, item_cats, thresholds)
     ti = m.tidiv(sol, user_types, thresholds)
@@ -249,11 +240,12 @@ def _evaluate_solution(graph, user_types, item_cats, thresholds, args,
 
 def cmd_evaluate(args) -> int:
     graph, user_types, item_cats, thresholds, _ = _load_inputs(args, "optional")
+    edge_of = _edge_ids(graph)
     lists = dio.load_solution_lists(
-        args.solution, dict(zip(graph.user_ids, graph.display_constraints)))
-    sol = _solution_of(graph, user_types, item_cats, (
-        (user, item) for user, rows in lists.items() for item, _rel in rows
-    ))
+        args.solution, dict(zip(graph.user_ids, graph.display_constraints)), edge_of)
+    sol = new_solution(graph, user_types, item_cats)
+    sol.add_edges(edge_of[(user, item)] for user, rows in lists.items() for item, _rel in rows)
+    del edge_of  # one entry per candidate edge: free it before the metrics run
     report = _evaluate_solution(graph, user_types, item_cats, thresholds, args, sol)
     prefix = args.output
     with open(f"{prefix}.json", "w", encoding="utf-8") as fh:
@@ -281,6 +273,14 @@ def _weight(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
+def _finite(text: str) -> float:
+    """A finite number (the relevance cutoff)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -397,7 +397,7 @@ def _add_method_args(p: argparse.ArgumentParser) -> None:
 def _add_eval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--test", help="held-out test ratings")
     p.add_argument("--cutoff", type=_positive_int, default=None, help="rank cutoff k")
-    p.add_argument("--relevance-cutoff", type=float, default=3.0,
+    p.add_argument("--relevance-cutoff", type=_finite, default=3.0,
                    help="test rating considered relevant at or above this value")
 
 

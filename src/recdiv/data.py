@@ -416,16 +416,22 @@ def save_solution(sol: Solution, path: str | Path, method: str) -> None:
 
 
 def load_solution_lists(
-    path: str | Path, limits: dict[str, int] | None = None
+    path: str | Path,
+    limits: dict[str, int] | None = None,
+    candidates: dict[tuple[str, str], int] | None = None,
 ) -> dict[str, list[tuple[str, float]]]:
     """Solution rows grouped per user id, in file order.  A repeated
-    (user, item) row is an error, and so is a row past its user's entry in
-    ``limits`` (display constraints by user id), when given."""
+    (user, item) row is an error, and so is a row whose (user id, item id)
+    is not a key of ``candidates`` or that is past its user's entry in
+    ``limits`` (display constraints by user id), when those are given."""
     out: dict[str, list[tuple[str, float]]] = {}
     seen: set[tuple[str, str]] = set()
     for lineno, (user, item, rel, _method) in _read_rows(path, 4):
         if (user, item) in seen:
             raise DataFormatError(f"{path}:{lineno}: user {user} item {item} listed twice")
+        if candidates is not None and (user, item) not in candidates:
+            raise DataFormatError(
+                f"{path}:{lineno}: user {user} item {item} is not a candidate edge")
         seen.add((user, item))
         rows = out.setdefault(user, [])
         limit = limits.get(user) if limits is not None else None

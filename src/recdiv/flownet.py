@@ -12,6 +12,10 @@ Gadget nodes are created lazily, only for (user, category) and
 O(|E|) size.  A zero-cost slack arc from each user to the sink keeps the
 network feasible when a user has fewer candidates than its display
 constraint.
+
+The UserDiv reduction (one unit per distinct category a user's selection
+hits) is this network specialized: zero relevance, a single user type,
+every rho = 1 and lambda = 0, beta = 1 and mu = 0.
 """
 
 from __future__ import annotations
@@ -32,12 +36,9 @@ _MAX_COST = 1 << 60
 class ReductionMap:
     """Arc/node bookkeeping needed to decode a flow back into a Solution."""
 
-    sink: int
     edge_arc: dict[int, int] = field(default_factory=dict)
     user_cat_bonus: dict[tuple[int, int], int] = field(default_factory=dict)
-    user_cat_free: dict[tuple[int, int], int] = field(default_factory=dict)
     item_type_bonus: dict[tuple[int, int], int] = field(default_factory=dict)
-    item_type_free: dict[tuple[int, int], int] = field(default_factory=dict)
     slack_arc: dict[int, int] = field(default_factory=dict)
 
 
@@ -46,11 +47,6 @@ def _scaled(value: float, cost_scale: int) -> int:
     if abs(scaled) >= _MAX_COST:
         raise GraphError(f"scaled cost overflow: {value} * {cost_scale}")
     return scaled
-
-
-def _edge_rows(graph: RecGraph):
-    """(user, item, relevance) per edge, in edge-index order."""
-    return zip(graph.edge_user.tolist(), graph.edge_item.tolist(), graph.edge_rel.tolist())
 
 
 def _require_disjoint_total(grouping: Grouping, incident: list[int], what: str) -> None:
@@ -79,7 +75,7 @@ def build_tdiv_network(
 
     net = FlowNetwork(graph.num_users + graph.num_items)
     sink = net.add_node()
-    rmap = ReductionMap(sink=sink)
+    rmap = ReductionMap()
     beta_cost = -_scaled(params.beta, cost_scale)
     mu_cost = -_scaled(params.mu, cost_scale)
 
@@ -90,7 +86,8 @@ def build_tdiv_network(
     # Gadgets are created in edge_index order, which fixes arc insertion
     # order; the solver prices arcs in that order, so among tied optima it
     # fixes which one is returned.
-    for eidx, (u, v, rel) in enumerate(_edge_rows(graph)):
+    rows = zip(graph.edge_user.tolist(), graph.edge_item.tolist(), graph.edge_rel.tolist())
+    for eidx, (u, v, rel) in enumerate(rows):
         a = item_cats.single_group_of(v)
         b = user_types.single_group_of(u)
         if (u, a) not in cat_inner:
@@ -99,7 +96,7 @@ def build_tdiv_network(
             rho = thresholds.rho(u, a)
             rmap.user_cat_bonus[(u, a)] = net.add_arc(u, n_prime, rho, beta_cost)
             net.add_arc(n_prime, n_node, rho, 0)
-            rmap.user_cat_free[(u, a)] = net.add_arc(u, n_node, INF_CAP, 0)
+            net.add_arc(u, n_node, INF_CAP, 0)
             cat_inner[(u, a)] = n_node
         if (v, b) not in type_inner:
             m_node = net.add_node()
@@ -107,21 +104,18 @@ def build_tdiv_network(
             lam = thresholds.lam(v, b)
             net.add_arc(m_node, m_prime, lam, 0)
             rmap.item_type_bonus[(v, b)] = net.add_arc(m_prime, item_node[v], lam, mu_cost)
-            rmap.item_type_free[(v, b)] = net.add_arc(m_node, item_node[v], INF_CAP, 0)
+            net.add_arc(m_node, item_node[v], INF_CAP, 0)
             type_inner[(v, b)] = m_node
         rmap.edge_arc[eidx] = net.add_arc(
             cat_inner[(u, a)], type_inner[(v, b)], 1, -_scaled(rel, cost_scale)
         )
 
-    total_supply = 0
-    for u in range(graph.num_users):
-        c = graph.display_constraints[u]
+    for u, c in enumerate(graph.display_constraints):
         net.set_supply(u, c)
-        total_supply += c
         rmap.slack_arc[u] = net.add_arc(u, sink, c, 0)
     for j in range(graph.num_items):
         net.add_arc(item_node[j], sink, INF_CAP, 0)
-    net.set_supply(sink, -total_supply)
+    net.set_supply(sink, -sum(graph.display_constraints))
     return net, rmap
 
 
@@ -130,39 +124,15 @@ def build_userdiv_network(
     item_cats: Grouping,
     cost_scale: int = DEFAULT_COST_SCALE,
 ) -> tuple[FlowNetwork, ReductionMap]:
-    """Simpler reduction rewarding only distinct categories per user: each
+    """Reduction rewarding only distinct categories per user: the TDiv
+    network specialized as the module docstring says, so each
     (user, category) gadget grants a single -1 (scaled) bonus unit."""
-    if cost_scale < 1:
-        raise GraphError(f"cost_scale must be a positive integer, got {cost_scale}")
-    _require_disjoint_total(item_cats, np.unique(graph.edge_item).tolist(), "item")
-
-    net = FlowNetwork(graph.num_users + graph.num_items)
-    sink = net.add_node()
-    rmap = ReductionMap(sink=sink)
-    item_node = [graph.num_users + j for j in range(graph.num_items)]
-    cat_inner: dict[tuple[int, int], int] = {}
-
-    for eidx, (u, v, _rel) in enumerate(_edge_rows(graph)):
-        a = item_cats.single_group_of(v)
-        if (u, a) not in cat_inner:
-            n_node = net.add_node()
-            n_prime = net.add_node()
-            rmap.user_cat_bonus[(u, a)] = net.add_arc(u, n_prime, 1, -cost_scale)
-            net.add_arc(n_prime, n_node, 1, 0)
-            rmap.user_cat_free[(u, a)] = net.add_arc(u, n_node, INF_CAP, 0)
-            cat_inner[(u, a)] = n_node
-        rmap.edge_arc[eidx] = net.add_arc(cat_inner[(u, a)], item_node[v], 1, 0)
-
-    total_supply = 0
-    for u in range(graph.num_users):
-        c = graph.display_constraints[u]
-        net.set_supply(u, c)
-        total_supply += c
-        rmap.slack_arc[u] = net.add_arc(u, sink, c, 0)
-    for j in range(graph.num_items):
-        net.add_arc(item_node[j], sink, INF_CAP, 0)
-    net.set_supply(sink, -total_supply)
-    return net, rmap
+    flat = RecGraph(graph.user_ids, graph.display_constraints, graph.item_ids,
+                    columns=(graph.edge_user, graph.edge_item, np.zeros(graph.num_edges)))
+    one_type = Grouping("user", ["all"], [[0]] * graph.num_users)
+    thresholds = ThresholdTable.uniform(flat, one_type, item_cats, rho=1, lam=0)
+    return build_tdiv_network(flat, one_type, item_cats, thresholds, DivParams(1, 0),
+                              cost_scale)
 
 
 def decode_solution(

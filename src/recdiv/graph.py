@@ -142,20 +142,6 @@ class RecGraph:
         self.user_edges = _Adjacency(self.user_order, self.user_offsets)
         self.item_edges = _Adjacency(self.item_order, self.item_offsets)
 
-    @classmethod
-    def from_columns(
-        cls,
-        user_ids: list[str],
-        display_constraints: list[int],
-        item_ids: list[str],
-        edge_user,
-        edge_item,
-        edge_rel,
-    ) -> "RecGraph":
-        """Graph whose edge i is (edge_user[i], edge_item[i], edge_rel[i])."""
-        return cls(user_ids, display_constraints, item_ids,
-                   columns=(edge_user, edge_item, edge_rel))
-
     def _validated(self, users: np.ndarray, items: np.ndarray, rels: np.ndarray):
         """The columns as read-only int32/int32/float64 copies.  The error
         raised is the one the first bad edge (in index order) would give
@@ -223,14 +209,12 @@ class Grouping:
         self.side = side
         self.group_ids = list(group_ids)
         self.membership: list[list[int]] = []
-        self.members: list[list[int]] = [[] for _ in group_ids]
         for ent, groups in enumerate(membership):
             if len(set(groups)) != len(groups):
                 raise GroupingError(f"entity {ent} listed twice in a group")
             for g in groups:
                 if not (0 <= g < len(group_ids)):
                     raise GroupingError(f"entity {ent} references unknown group {g}")
-                self.members[g].append(ent)
             self.membership.append(sorted(groups))
         self.disjoint = all(len(m) <= 1 for m in self.membership)
         self._offsets = np.zeros(len(self.membership) + 1, dtype=np.int64)
@@ -273,7 +257,8 @@ class Grouping:
 
 class ThresholdTable:
     """Sparse nonnegative integer thresholds per (user, category) and
-    (item, type) pair; missing entries are 0."""
+    (item, type) pair; missing entries are 0.  The dicts ``user_category``
+    and ``item_type`` are the one representation every reader looks up."""
 
     def __init__(
         self,
@@ -292,14 +277,6 @@ class ThresholdTable:
 
     def lam(self, item: int, type_: int) -> int:
         return self.item_type.get((item, type_), 0)
-
-    def rhos(self, users: np.ndarray, categories: np.ndarray) -> np.ndarray:
-        """``rho(users[k], categories[k])`` for every k, as one array."""
-        return _lookup(self.user_category, users, categories)
-
-    def lams(self, items: np.ndarray, types: np.ndarray) -> np.ndarray:
-        """``lam(items[k], types[k])`` for every k, as one array."""
-        return _lookup(self.item_type, items, types)
 
     @classmethod
     def uniform(
@@ -327,31 +304,6 @@ def _distinct_pairs(rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int]]
     _, first = np.unique(rows.astype(np.int64) * width + cols, return_index=True)
     first.sort()
     return list(zip(rows[first].tolist(), cols[first].tolist()))
-
-
-def _lookup(table: dict[tuple[int, int], int], rows: np.ndarray,
-            cols: np.ndarray) -> np.ndarray:
-    """``table.get((rows[k], cols[k]), 0)`` for every k, by binary search
-    over the table's sorted pair keys."""
-    out = np.zeros(len(rows), dtype=np.int64)
-    if not table or not len(rows):
-        return out
-    width = int(cols.max()) + 1
-    pairs = np.array(list(table), dtype=np.int64).reshape(-1, 2)
-    values = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-    # pairs whose column is outside the queried range never match, and
-    # their keys could alias a queried pair's
-    ok = (pairs[:, 1] >= 0) & (pairs[:, 1] < width)
-    keys = pairs[ok, 0] * width + pairs[ok, 1]
-    if not len(keys):
-        return out
-    order = np.argsort(keys)
-    keys, values = keys[order], values[ok][order]
-    query = rows.astype(np.int64) * width + cols
-    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    hit = keys[at] == query
-    out[hit] = values[at[hit]]
-    return out
 
 
 @dataclass(frozen=True)

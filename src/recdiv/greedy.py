@@ -91,9 +91,9 @@ def greedy_solve(
     user = np.repeat(np.arange(graph.num_users, dtype=np.int32), np.diff(graph.user_offsets))
     item = graph.edge_item[order]
     at, group = item_cats.expand(item)
-    uc = _PairIndex(at, user[at], group, thresholds.rhos, n)
+    uc = _PairIndex(at, user[at], group, thresholds.user_category, n)
     at, group = user_types.expand(user)
-    it = _PairIndex(at, item[at], group, thresholds.lams, n)
+    it = _PairIndex(at, item[at], group, thresholds.item_type, n)
     del user, item, at, group
     edge_at = _compact(order, "i")
     pos_of = array("i", [0]) * n  # the position of each edge
@@ -199,19 +199,21 @@ def _total(counts: array) -> int:
 class _PairIndex:
     """Dense ids for one side's (owner, group) pairs, (user, category) or
     (item, type), from their incidences: ``position[k]`` (increasing) is
-    incident to the pair (owner[k], group[k]).  Holds, as Python arrays,
-    the pair ids of each position (CSR ``pair``/``first``), each pair's
-    threshold and degree, and each pair's pending positions (CSR
+    incident to the pair (owner[k], group[k]), whose threshold is
+    ``table.get((owner, group), 0)``.  Holds, as Python arrays, the pair ids
+    of each position (CSR ``pair``/``first``), each pair's threshold and
+    degree, and each pair's pending positions (CSR
     ``pending``/``pending_first``, increasing) with ``live_count``, the
     number of pending pairs per position.  A pair with a zero threshold is
     born saturated: it has no pending positions and never lowers a key."""
 
     def __init__(self, position: np.ndarray, owner: np.ndarray, group: np.ndarray,
-                 threshold_of, num_positions: int):
+                 table: dict[tuple[int, int], int], num_positions: int):
         self.width = int(group.max()) + 1 if len(group) else 1
         self.keys, pair = np.unique(owner.astype(np.int64) * self.width + group,
                                     return_inverse=True)
-        threshold = threshold_of(self.keys // self.width, self.keys % self.width)
+        threshold = np.fromiter((table.get(p, 0) for p in self._pairs(self.keys)),
+                                dtype=np.int64, count=len(self.keys))
         self.pair = _compact(pair, "i")
         self.first = _compact(csr_offsets(position, num_positions), "i")
         self.threshold = _compact(threshold, "q")
@@ -223,13 +225,15 @@ class _PairIndex:
         self.pending = _compact(np.sort(pair * num_positions + position) % num_positions, "i")
         self.pending_first = _compact(csr_offsets(pair, len(self.keys)), "i")
 
+    def _pairs(self, keys: np.ndarray):
+        """The (owner, group) tuple of each pair key."""
+        return zip((keys // self.width).tolist(), (keys % self.width).tolist())
+
     def degrees(self) -> dict[tuple[int, int], int]:
         """{(owner, group): degree} for every pair of nonzero degree."""
         degree = np.frombuffer(self.degree, dtype=np.int64)
         hit = np.flatnonzero(degree)
-        keys = self.keys[hit]
-        return dict(zip(zip((keys // self.width).tolist(), (keys % self.width).tolist()),
-                        degree[hit].tolist()))
+        return dict(zip(self._pairs(self.keys[hit]), degree[hit].tolist()))
 
 
 def naive_greedy(

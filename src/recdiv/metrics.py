@@ -31,20 +31,19 @@ Lists = list[list[int]]
 # ---------------------------------------------------------------------------
 # Diversity objectives on solutions
 
-def tudiv(sol: Solution, item_cats: Grouping, thresholds: ThresholdTable) -> float:
-    """Sum over users and categories of min(threshold, selected degree)."""
+def _user_cat_degrees(sol: Solution, item_cats: Grouping) -> dict[tuple[int, int], int]:
+    """Selected degree of every (user, category) pair the selection hits."""
     item_of = sol.graph.edge_item.tolist()
     counts: dict[tuple[int, int], int] = {}
     for u, lst in enumerate(sol.selected):
         for eidx in lst:
-            item = item_of[eidx]
-            for a in item_cats.groups_of(item):
+            for a in item_cats.groups_of(item_of[eidx]):
                 counts[(u, a)] = counts.get((u, a), 0) + 1
-    return float(sum(min(thresholds.rho(u, a), d) for (u, a), d in counts.items()))
+    return counts
 
 
-def tidiv(sol: Solution, user_types: Grouping, thresholds: ThresholdTable) -> float:
-    """Sum over items and types of min(threshold, selected degree)."""
+def _item_type_degrees(sol: Solution, user_types: Grouping) -> dict[tuple[int, int], int]:
+    """Selected degree of every (item, type) pair the selection hits."""
     item_of = sol.graph.edge_item.tolist()
     counts: dict[tuple[int, int], int] = {}
     for u, lst in enumerate(sol.selected):
@@ -52,30 +51,29 @@ def tidiv(sol: Solution, user_types: Grouping, thresholds: ThresholdTable) -> fl
             item = item_of[eidx]
             for b in user_types.groups_of(u):
                 counts[(item, b)] = counts.get((item, b), 0) + 1
+    return counts
+
+
+def tudiv(sol: Solution, item_cats: Grouping, thresholds: ThresholdTable) -> float:
+    """Sum over users and categories of min(threshold, selected degree)."""
+    counts = _user_cat_degrees(sol, item_cats)
+    return float(sum(min(thresholds.rho(u, a), d) for (u, a), d in counts.items()))
+
+
+def tidiv(sol: Solution, user_types: Grouping, thresholds: ThresholdTable) -> float:
+    """Sum over items and types of min(threshold, selected degree)."""
+    counts = _item_type_degrees(sol, user_types)
     return float(sum(min(thresholds.lam(j, b), d) for (j, b), d in counts.items()))
 
 
 def userdiv(sol: Solution, item_cats: Grouping) -> float:
     """Number of distinct categories each user's selection hits, summed."""
-    item_of = sol.graph.edge_item.tolist()
-    total = 0
-    for u, lst in enumerate(sol.selected):
-        hit: set[int] = set()
-        for eidx in lst:
-            hit.update(item_cats.groups_of(item_of[eidx]))
-        total += len(hit)
-    return float(total)
+    return float(len(_user_cat_degrees(sol, item_cats)))
 
 
 def itemdiv(sol: Solution, user_types: Grouping) -> float:
     """Number of distinct user types each item is shown to, summed."""
-    item_of = sol.graph.edge_item.tolist()
-    hit: dict[int, set[int]] = {}
-    for u, lst in enumerate(sol.selected):
-        for eidx in lst:
-            item = item_of[eidx]
-            hit.setdefault(item, set()).update(user_types.groups_of(u))
-    return float(sum(len(s) for s in hit.values()))
+    return float(len(_item_type_degrees(sol, user_types)))
 
 
 def div_edgewise(
@@ -87,26 +85,15 @@ def div_edgewise(
     if not (user_types.disjoint and item_cats.disjoint):
         raise GroupingError("edge-wise diversity requires disjoint groupings")
     item_of = sol.graph.edge_item.tolist()
-    user_cat: dict[tuple[int, int], int] = {}
-    item_type: dict[tuple[int, int], int] = {}
-    for u, lst in enumerate(sol.selected):
-        for eidx in lst:
-            item = item_of[eidx]
-            a = item_cats.single_group_of(item)
-            b = user_types.single_group_of(u)
-            if a is not None:
-                user_cat[(u, a)] = user_cat.get((u, a), 0) + 1
-            if b is not None:
-                item_type[(item, b)] = item_type.get((item, b), 0) + 1
+    user_cat = _user_cat_degrees(sol, item_cats)
+    item_type = _item_type_degrees(sol, user_types)
     total = 0.0
     for u, lst in enumerate(sol.selected):
         for eidx in lst:
             item = item_of[eidx]
-            a = item_cats.single_group_of(item)
-            b = user_types.single_group_of(u)
-            if a is not None:
+            for a in item_cats.groups_of(item):
                 total += params.beta / user_cat[(u, a)]
-            if b is not None:
+            for b in user_types.groups_of(u):
                 total += params.mu / item_type[(item, b)]
     return total
 

@@ -725,6 +725,31 @@ def test_evaluate_repeated_solution_row_is_data_error_with_line(workdir, capsys)
     _assert_data_error(capsys, code, "sol.tsv:3: user u1 item v1")
 
 
+def test_evaluate_non_candidate_solution_row_is_data_error_with_line(workdir, capsys):
+    (workdir / "sol.tsv").write_text("u1\tv1\t0.9\ttop\nu9\tv1\t0.5\ttop\n")
+    code = _evaluate(workdir, "sol.tsv", "rep")
+    _assert_data_error(capsys, code, "sol.tsv:2: user u9 item v1 is not a candidate edge")
+    assert not (workdir / "rep.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_evaluate_relevance_cutoff_not_finite_is_usage_error_before_reading_files(
+        tmp_path, capsys, value):
+    missing = str(tmp_path / "missing.tsv")
+    _usage_error_before_reading(capsys, [
+        "evaluate", "--candidates", missing, "--solution", missing, "--test", missing,
+        "--relevance-cutoff", value, "--output", str(tmp_path / "rep")], "--relevance-cutoff")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_gridsearch_relevance_cutoff_not_finite_is_usage_error_before_reading_files(
+        tmp_path, capsys, value):
+    _usage_error_before_reading(capsys, [
+        "gridsearch", *_missing_inputs(tmp_path), "--method", "greedy",
+        f"--relevance-cutoff={value}", "--output", str(tmp_path / "grid.csv")],
+        "--relevance-cutoff")
+
+
 def test_evaluate_solution_past_display_constraint_is_data_error_with_line(workdir, capsys):
     (workdir / "sol.tsv").write_text(
         "u1\tv1\t0.9\ttop\nu1\tv2\t0.8\ttop\nu2\tv1\t0.7\ttop\nu1\tv4\t0.3\ttop\n")

@@ -117,6 +117,21 @@ def test_userdiv_network_single_category():
     assert res.total_cost == -1 * SCALE
 
 
+
+def test_userdiv_network_matches_closed_form(rng):
+    # each user gains one unit per distinct category it can reach, at most
+    # one per displayed item
+    for _ in range(200):
+        graph, _, ic, _, _ = random_instance(rng)
+        net, _ = build_userdiv_network(graph, ic, SCALE)
+        res = solve_min_cost_flow(net)
+        assert res.feasible
+        expected = 0
+        for u in range(graph.num_users):
+            cats = {a for e in graph.user_edges[u] for a in ic.groups_of(graph.edges[e].item)}
+            expected += min(graph.display_constraints[u], len(cats))
+        assert -res.total_cost == SCALE * expected
+
 def test_under_full_user_allowed():
     # display constraint larger than the candidate pool: slack absorbs
     graph = RecGraph(["u"], [5], ["v"], [(0, 0, 0.7)])

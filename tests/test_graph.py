@@ -239,8 +239,8 @@ def test_graph_views_match_columns(rng):
 
 def test_graph_edges_hold_python_scalars():
     # a numpy scalar's repr ("np.float64(0.5)") would corrupt TSV output
-    graph = RecGraph.from_columns(["u"], [1], ["v0", "v1"], np.array([0, 0]),
-                                  np.array([1, 0]), np.array([0.5, 0.25]))
+    graph = RecGraph(["u"], [1], ["v0", "v1"],
+                     columns=(np.array([0, 0]), np.array([1, 0]), np.array([0.5, 0.25])))
     for e in [graph.edges[0], *graph.edges]:
         assert type(e.user) is int and type(e.item) is int and type(e.index) is int
         assert type(e.relevance) is float
@@ -251,9 +251,9 @@ def test_graph_edges_hold_python_scalars():
 def test_from_columns_matches_tuple_constructor(rng):
     for _ in range(20):
         graph, *_ = random_instance(rng)
-        again = RecGraph.from_columns(graph.user_ids, graph.display_constraints,
-                                      graph.item_ids, graph.edge_user.tolist(),
-                                      graph.edge_item.tolist(), graph.edge_rel.tolist())
+        again = RecGraph(graph.user_ids, graph.display_constraints, graph.item_ids,
+                         columns=(graph.edge_user.tolist(), graph.edge_item.tolist(),
+                                  graph.edge_rel.tolist()))
         assert list(again.edges) == list(graph.edges)
         assert list(again.user_edges) == list(graph.user_edges)
 

@@ -254,3 +254,29 @@ def test_greedy_counters_and_output_pinned(seed, pops, decrease_keys, objective,
     assert (_digest(sol.selected), _digest(sorted(sol.user_group_degree.items())),
             _digest(sorted(sol.item_group_degree.items()))) == digests
     assert eval_objective(sol, th, params) == objective
+
+
+def test_greedy_ignores_threshold_entries_no_pair_reaches(rng):
+    # entries for an entity or group outside the grouping, and for group ids
+    # past the grouping's width (whose pair keys owner*width + group would
+    # alias another owner's pair), must neither change the selection nor
+    # reach the degree maps; the shuffled instances also leave entities
+    # without a group
+    for i in range(120):
+        graph, ut, ic, th, params = (_shuffled_tied_instance(rng) if i % 3 == 0
+                                     else random_instance(rng, overlapping=(i % 2 == 0)))
+        uc, it = dict(th.user_category), dict(th.item_type)
+        for _ in range(4):
+            past_cat = ic.num_groups + rng.randrange(2 * ic.num_groups + 2)
+            past_type = ut.num_groups + rng.randrange(2 * ut.num_groups + 2)
+            uc[(rng.randrange(graph.num_users), past_cat)] = rng.randint(1, 3)
+            uc[(graph.num_users + rng.randrange(3), rng.randrange(ic.num_groups))] = 2
+            it[(rng.randrange(graph.num_items), past_type)] = rng.randint(1, 3)
+            it[(graph.num_items + rng.randrange(3), rng.randrange(ut.num_groups))] = 2
+        wide = ThresholdTable(uc, it)
+        fast = greedy_solve(graph, ut, ic, wide, params)
+        slow = naive_greedy(graph, ut, ic, wide, params)
+        assert fast.selected == slow.selected
+        assert fast.user_group_degree == slow.user_group_degree
+        assert fast.item_group_degree == slow.item_group_degree
+        assert eval_objective(fast, wide, params) == eval_objective(fast, th, params)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import random
 
 import pytest
 
@@ -221,3 +223,30 @@ def test_report_round_trip():
     assert len(header) == len(row)
     assert row[header.index("gini")] == "0.9"
     assert row[header.index("err_ia")] == ""
+
+
+def test_diversity_metrics_pinned():
+    # exact values of the five diversity metrics over random solutions, on
+    # disjoint and overlapping groupings with some entities left ungrouped;
+    # div_edgewise only where both groupings are disjoint; the digest was
+    # taken from the per-metric counting loops these metrics had before they
+    # shared one degree count per side
+    rng = random.Random(6061)
+    h = hashlib.sha256()
+    for i in range(100):
+        graph, ut, ic, th, params = random_instance(rng, overlapping=(i % 2 == 1))
+        if i % 3 == 0:
+            ut = Grouping("user", ut.group_ids,
+                          [m if rng.random() < 0.7 else [] for m in ut.membership])
+            ic = Grouping("item", ic.group_ids,
+                          [m if rng.random() < 0.7 else [] for m in ic.membership])
+        sol = new_solution(graph, ut, ic)
+        for e in rng.sample(range(graph.num_edges), graph.num_edges):
+            u = graph.edges[e].user
+            if rng.random() < 0.7 and len(sol.selected[u]) < graph.display_constraints[u]:
+                sol.add_edge(e)
+        values = [tudiv(sol, ic, th), tidiv(sol, ut, th), userdiv(sol, ic), itemdiv(sol, ut)]
+        if ut.disjoint and ic.disjoint:
+            values.append(div_edgewise(sol, ut, ic, params))
+        h.update(" ".join(v.hex() for v in values).encode() + b"\n")
+    assert h.hexdigest() == "da3ae0580d6613fa7202fe3d8fbd6c8c07cd746ee31113f6a329d4cce916ff64"

@@ -3,6 +3,13 @@
 All three produce per-user ranked lists drawn from the candidate edges and
 truncated at the display constraint.  Ties always break toward the lowest
 edge index so that outputs are reproducible.
+
+Per user with n candidates and display constraint c, both diversifying
+rerankers cost O(c*n) after the sort.  MMR keeps each candidate's minimum
+distance to the picks and updates it against the last pick only, reading
+distances from one table over the distinct category lists
+(``metrics.CategoryClasses``).  xQuAD rescores only the candidates that
+share a category with the last pick.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import numpy as np
 
 from .errors import GraphError
 from .graph import Grouping, RecGraph
-from .metrics import IntentProfile, _cosine_distance
+from .metrics import CategoryClasses, IntentProfile
 
 
 @dataclass
@@ -44,36 +51,59 @@ def top_k(graph: RecGraph) -> RankedLists:
     return out
 
 
+def _pick(alive: list[int], score: list[float]) -> int:
+    """Position in ``alive`` of the best-scoring edge, ties toward the
+    lowest edge index."""
+    best = best_pos = -1
+    best_score = float("-inf")
+    for pos, e in enumerate(alive):
+        if score[e] > best_score or (score[e] == best_score and e < best):
+            best, best_score, best_pos = e, score[e], pos
+    return best_pos
+
+
+def _take(alive: list[int], pos: int) -> int:
+    """Remove and return ``alive[pos]``; the last entry fills its place
+    (the order of ``alive`` does not matter, ties go by edge index)."""
+    e = alive[pos]
+    alive[pos] = alive[-1]
+    alive.pop()
+    return e
+
+
 def mmr(graph: RecGraph, item_cats: Grouping, lam: float) -> RankedLists:
     """Maximal marginal relevance: each pick maximizes
     lam*rel + (1-lam)*min-distance-to-selected; the first pick is pure
-    relevance (there is nothing to diversify against yet)."""
+    relevance (there is nothing to diversify against yet).  Each candidate
+    keeps its minimum distance so far, updated against the last pick only."""
     if not (0.0 <= lam <= 1.0):
         raise GraphError(f"lambda must be in [0,1], got {lam}")
     item = graph.edge_item.tolist()
     rel = graph.edge_rel.tolist()
+    lam_rel = [lam * r for r in rel]
+    keep = 1.0 - lam
+    table = CategoryClasses(item_cats)
+    cls = table.classes(item)
+    nearest = [float("inf")] * graph.num_edges
+    score = [0.0] * graph.num_edges
     out = RankedLists()
-    for u, pool in enumerate(_ranked_candidates(graph)):
+    for u, alive in enumerate(_ranked_candidates(graph)):
         chosen: list[int] = []
         scores: list[float] = []
-        cats_of = {item[e]: item_cats.groups_of(item[e]) for e in pool}
-        while pool and len(chosen) < graph.display_constraints[u]:
-            if not chosen:
-                best = pool[0]
-                best_score = rel[best]
-            else:
-                best = -1
-                best_score = float("-inf")
-                sel_cats = [cats_of[item[e]] for e in chosen]
-                for e in pool:
-                    cats = cats_of[item[e]]
-                    dist = min(_cosine_distance(cats, sc) for sc in sel_cats)
-                    score = lam * rel[e] + (1.0 - lam) * dist
-                    if score > best_score or (score == best_score and e < best):
-                        best, best_score = e, score
-            pool.remove(best)
-            chosen.append(best)
-            scores.append(best_score)
+        if alive:
+            last = _take(alive, 0)
+            chosen.append(last)
+            scores.append(rel[last])
+        while alive and len(chosen) < graph.display_constraints[u]:
+            row = table.dist[cls[last]]
+            for e in alive:
+                d = row[cls[e]]
+                if d < nearest[e]:
+                    nearest[e] = d
+                    score[e] = lam_rel[e] + keep * d
+            last = _take(alive, _pick(alive, score))
+            chosen.append(last)
+            scores.append(score[last])
         out.items.append([item[e] for e in chosen])
         out.scores.append(scores)
     return out
@@ -85,37 +115,55 @@ def xquad(
     """Explicit query-aspect diversification with categories as aspects:
     each pick maximizes lam*rel + (1-lam) * sum_a p(a) * rel_a(v) *
     prod_{s selected} (1 - rel_a(s)), where rel_a is the normalized
-    relevance masked by category membership."""
+    relevance masked by category membership.  After a pick only the
+    candidates that share a category with it are rescored."""
     if not (0.0 <= lam <= 1.0):
         raise GraphError(f"lambda must be in [0,1], got {lam}")
     item = graph.edge_item.tolist()
     rel = graph.edge_rel.tolist()
+    lam_rel = [lam * r for r in rel]
+    keep = 1.0 - lam
+    cats = [item_cats.groups_of(v) for v in item]
+    score = [0.0] * graph.num_edges
+    taken = [False] * graph.num_edges
     out = RankedLists()
-    for u, pool in enumerate(_ranked_candidates(graph)):
+    for u, alive in enumerate(_ranked_candidates(graph)):
         probs = intent.category_probs[u]
         rels = intent.norm_rel[u]
         # remaining[a] = prod over selected items in a of (1 - rel_a)
         remaining = {a: 1.0 for a in probs}
+
+        def rescore(e: int) -> None:
+            r = rels.get(item[e], 0.0)
+            div_term = 0.0
+            for a in cats[e]:
+                p = probs.get(a)
+                if p:
+                    div_term += p * r * remaining[a]
+            score[e] = lam_rel[e] + keep * div_term
+
+        # the candidates in each category the scores read
+        in_cat: dict[int, list[int]] = {}
+        for e in alive:
+            rescore(e)
+            for a in cats[e]:
+                if a in remaining:
+                    in_cat.setdefault(a, []).append(e)
         chosen: list[int] = []
         scores: list[float] = []
-        while pool and len(chosen) < graph.display_constraints[u]:
-            best = -1
-            best_score = float("-inf")
-            for e in pool:
-                div_term = 0.0
-                for a in item_cats.groups_of(item[e]):
-                    p = probs.get(a)
-                    if p:
-                        div_term += p * rels.get(item[e], 0.0) * remaining[a]
-                score = lam * rel[e] + (1.0 - lam) * div_term
-                if score > best_score or (score == best_score and e < best):
-                    best, best_score = e, score
-            for a in item_cats.groups_of(item[best]):
+        while alive and len(chosen) < graph.display_constraints[u]:
+            best = _take(alive, _pick(alive, score))
+            taken[best] = True
+            chosen.append(best)
+            scores.append(score[best])
+            stale: set[int] = set()
+            for a in cats[best]:
                 if a in remaining:
                     remaining[a] *= 1.0 - rels.get(item[best], 0.0)
-            pool.remove(best)
-            chosen.append(best)
-            scores.append(best_score)
+                    stale.update(in_cat[a])
+            for e in stale:
+                if not taken[e]:
+                    rescore(e)
         out.items.append([item[e] for e in chosen])
         out.scores.append(scores)
     return out

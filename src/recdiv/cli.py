@@ -170,7 +170,8 @@ def _run_method(graph, user_types, item_cats, thresholds, args,
 
 def cmd_diversify(args) -> int:
     if args.method in ("mmr", "xquad") and args.lam is None:
-        raise RecdivError(f"--lambda is required for {args.method}")
+        print(f"usage error: --lambda is required for {args.method}", file=sys.stderr)
+        return 2
     graph, user_types, item_cats, thresholds, skipped_rows = _load_inputs(
         args, "derive" if args.method in SOLVERS else "empty"
     )

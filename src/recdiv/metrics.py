@@ -22,8 +22,10 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 from .errors import GraphError, GroupingError
-from .graph import DivParams, Grouping, Solution, ThresholdTable
+from .graph import DivParams, Grouping, Solution, ThresholdTable, csr_offsets
 
 Lists = list[list[int]]
 
@@ -108,11 +110,49 @@ def _cosine_distance(cats1: list[int], cats2: list[int]) -> float:
     return 1.0 - inter / math.sqrt(len(cats1) * len(cats2))
 
 
+class CategoryClasses:
+    """Items grouped into classes by their category list, with the
+    ``_cosine_distance`` of every two classes.
+
+    ``class_of[i]`` is the class of item i; items past the grouping's
+    membership list share the class of the empty list, ``class_of[-1]``.
+    ``dist[c1][c2]`` is the distance between classes c1 and c2, so the
+    distance between two items is one lookup however many categories
+    they have.  The table holds k*k floats for k distinct category lists
+    (a few hundred for genre-like groupings).
+    """
+
+    def __init__(self, item_cats: Grouping):
+        ids: dict[tuple[int, ...], int] = {}
+        self.class_of = [ids.setdefault(tuple(m), len(ids)) for m in item_cats.membership]
+        self.class_of.append(ids.setdefault((), len(ids)))
+        cat_lists = list(ids)
+        with_cat: dict[int, list[int]] = {}
+        for c, cats in enumerate(cat_lists):
+            for a in cats:
+                with_cat.setdefault(a, []).append(c)
+        # Two classes that share no category are at distance 1.0, which is
+        # what _cosine_distance gives them; only sharing pairs call it.
+        self.dist = [[1.0] * len(cat_lists) for _ in cat_lists]
+        for c, cats in enumerate(cat_lists):
+            row = self.dist[c]
+            for other in {o for a in cats for o in with_cat[a]}:
+                row[other] = _cosine_distance(cats, cat_lists[other])
+
+    def classes(self, items) -> list[int]:
+        """The class of each item in ``items``."""
+        class_of = self.class_of
+        last = len(class_of) - 1
+        return [class_of[min(item, last)] for item in items]
+
+
 def ild(lists: Lists, item_cats: Grouping, k: int | None = None) -> float:
     """Mean over users of the average pairwise category distance within the
     user's (truncated) list.  Users with fewer than two items contribute 0."""
     if not lists:
         return 0.0
+    table = CategoryClasses(item_cats)
+    dist = table.dist
     total = 0.0
     for items in lists:
         if k is not None:
@@ -120,13 +160,13 @@ def ild(lists: Lists, item_cats: Grouping, k: int | None = None) -> float:
         c = len(items)
         if c < 2:
             continue
+        classes = table.classes(items)
         pair_sum = 0.0
         for x in range(c):
+            row = dist[classes[x]]
             for y in range(c):
                 if x != y:
-                    pair_sum += _cosine_distance(
-                        item_cats.groups_of(items[x]), item_cats.groups_of(items[y])
-                    )
+                    pair_sum += row[classes[y]]
         total += pair_sum / (c * (c - 1))
     return total / len(lists)
 
@@ -156,44 +196,41 @@ class IntentProfile:
                     )
 
     @classmethod
-    def from_graph(
-        cls,
-        graph,
-        item_cats: Grouping,
-        training_items: list[list[int]] | None = None,
-    ) -> "IntentProfile":
-        """Category probabilities from each user's (training) item category
-        frequencies; relevances min-max normalized over the whole candidate
-        set.  Without training data the candidate items stand in."""
-        rels = graph.edge_rel.tolist()
-        items = graph.edge_item.tolist()
-        order = graph.user_order.tolist()
-        bounds = graph.user_offsets.tolist()
-        lo = min(rels) if rels else 0.0
-        hi = max(rels) if rels else 1.0
+    def from_graph(cls, graph, item_cats: Grouping) -> "IntentProfile":
+        """Category probabilities from the category frequencies of each
+        user's candidate items; relevances min-max normalized over the
+        whole candidate set.  Both dicts of a user are in order of first
+        occurrence over the user's edges by index."""
+        rel = graph.edge_rel
+        lo, hi = 0.0, 1.0
+        if len(rel):
+            # the first minimum and maximum in edge order, as min() and
+            # max() pick them (0.0 and -0.0 compare equal)
+            lo, hi = rel[np.argmin(rel)], rel[np.argmax(rel)]
         span = hi - lo
-        norm_rel: list[dict[int, float]] = []
-        probs: list[dict[int, float]] = []
-        for u in range(graph.num_users):
-            own = order[bounds[u]:bounds[u + 1]]
-            nr = {}
-            for eidx in own:
-                nr[items[eidx]] = (rels[eidx] - lo) / span if span > 0 else 1.0
-            norm_rel.append(nr)
-            basis = (
-                training_items[u]
-                if training_items is not None
-                else [items[eidx] for eidx in own]
-            )
-            counts: dict[int, int] = {}
-            for item in basis:
-                for a in item_cats.groups_of(item):
-                    counts[a] = counts.get(a, 0) + 1
-            total = sum(counts.values())
-            probs.append(
-                {a: c / total for a, c in counts.items()} if total else {}
-            )
+        norm = (rel - lo) / span if span > 0 else np.ones(len(rel))
+        order = graph.user_order
+        items = graph.edge_item[order]
+        norm_rel = _dicts(items.tolist(), norm[order].tolist(), graph.user_offsets.tolist())
+
+        # distinct (user, category) pairs over the user-ordered edges, in
+        # order of first occurrence, with their counts
+        position, cats = item_cats.expand(items)
+        users = graph.edge_user[order][position].astype(np.int64)
+        _, first, counts = np.unique(users * max(item_cats.num_groups, 1) + cats,
+                                     return_index=True, return_counts=True)
+        by_first = np.argsort(first)
+        first, counts = first[by_first], counts[by_first]
+        share = counts / np.bincount(users, minlength=graph.num_users)[users[first]]
+        probs = _dicts(cats[first].tolist(), share.tolist(),
+                       csr_offsets(users[first], graph.num_users).tolist())
         return cls(probs, norm_rel)
+
+
+def _dicts(keys: list, values: list, bounds: list[int]) -> list[dict]:
+    """One dict per consecutive pair of bounds, over that slice of keys and
+    values."""
+    return [dict(zip(keys[lo:hi], values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def err_ia(

@@ -4,7 +4,9 @@ from recdiv.baselines import mmr, top_k, xquad
 from recdiv.errors import GraphError
 from recdiv.graph import Grouping, RecGraph
 from recdiv.metrics import IntentProfile
-from recdiv.synth import random_instance
+from recdiv.synth import movielens_shaped, random_instance
+
+from loop_oracles import edge_case_instance, loop_mmr, loop_xquad
 
 
 def test_top_k_sorts_and_truncates(three_item_graph):
@@ -100,3 +102,22 @@ def test_determinism(rng):
     intent = IntentProfile.from_graph(graph, ic)
     assert mmr(graph, ic, 0.4).items == mmr(graph, ic, 0.4).items
     assert xquad(graph, ic, intent, 0.4).items == xquad(graph, ic, intent, 0.4).items
+
+
+def _bits(ranked):
+    return ranked.items, [[s.hex() for s in row] for row in ranked.scores]
+
+
+def test_rerankers_match_loop_oracles(rng):
+    # items and the bits of every score against the O(c^2 n) MMR and the
+    # full-rescan xQuAD
+    instances = [edge_case_instance(rng, overlapping=i % 2 == 0) for i in range(240)]
+    for seed in (1, 2):
+        graph, _, ic = movielens_shaped(num_users=15, num_items=120, candidates_per_user=40,
+                                        constraint=8, seed=seed)
+        instances.append((graph, ic))
+    for graph, ic in instances:
+        intent = IntentProfile.from_graph(graph, ic)
+        for lam in (0.0, 0.3, 0.5, 1.0):
+            assert _bits(mmr(graph, ic, lam)) == _bits(loop_mmr(graph, ic, lam))
+            assert _bits(xquad(graph, ic, intent, lam)) == _bits(loop_xquad(graph, ic, intent, lam))

@@ -198,7 +198,7 @@ def test_diversify_rerun_byte_identical(workdir):
 
 
 def test_mmr_requires_lambda(workdir):
-    assert _diversify(workdir, "mmr", "m.tsv") == 3
+    assert _diversify(workdir, "mmr", "m.tsv") == 2
     assert _diversify(workdir, "mmr", "m.tsv", ["--lambda", "0.5"]) == 0
     assert _diversify(workdir, "xquad", "x.tsv", ["--lambda", "0.5"]) == 0
 
@@ -694,6 +694,14 @@ def test_lambda_outside_unit_interval_is_usage_error_before_reading_files(
     _usage_error_before_reading(capsys, [
         "diversify", *_missing_inputs(tmp_path), "--method", method, "--lambda", value,
         "--output", str(tmp_path / "out.tsv")], "--lambda")
+
+
+@pytest.mark.parametrize("method", ["mmr", "xquad"])
+def test_missing_lambda_is_usage_error_before_reading_files(tmp_path, capsys, method):
+    code = main(["diversify", *_missing_inputs(tmp_path), "--method", method,
+                 "--output", str(tmp_path / "out.tsv")])
+    assert code == 2
+    assert "--lambda is required" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option, value", [("--beta-grid", "0,-1"), ("--mu-grid", "1,inf"),

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from recdiv.baselines import mmr
 from recdiv.errors import GraphError, GroupingError
 from recdiv.graph import DivParams, Grouping, RecGraph, ThresholdTable, new_solution
 from recdiv.metrics import (
+    CategoryClasses,
     IntentProfile,
     MetricsReport,
     aggregate_diversity,
@@ -21,8 +23,11 @@ from recdiv.metrics import (
     tidiv,
     tudiv,
     userdiv,
+    _cosine_distance,
 )
 from recdiv.synth import random_instance
+
+from loop_oracles import edge_case_instance, loop_ild, loop_intent_profile
 
 
 def _one_user_solution(cats, thresholds=None):
@@ -162,6 +167,59 @@ def test_intent_profile_from_graph():
     assert prof.norm_rel[0] == {0: 0.0, 1: 1.0}
     # categories hit: A twice, B once
     assert prof.category_probs[0] == pytest.approx({0: 2 / 3, 1: 1 / 3})
+
+
+def _profile_bits(intent):
+    """Both dicts of every user, in insertion order, with exact values."""
+    return ([[(a, p.hex()) for a, p in d.items()] for d in intent.category_probs],
+            [[(v, r.hex()) for v, r in d.items()] for d in intent.norm_rel])
+
+
+def _assert_matches_loop_oracles(graph, ic, lists):
+    intent = IntentProfile.from_graph(graph, ic)
+    oracle = loop_intent_profile(graph, ic)
+    assert _profile_bits(intent) == _profile_bits(oracle)
+    for k in (None, 2):
+        assert err_ia(lists, intent, ic, k).hex() == err_ia(lists, oracle, ic, k).hex()
+        assert ild(lists, ic, k).hex() == loop_ild(lists, ic, k).hex()
+    return intent
+
+
+def test_intent_profile_and_ild_match_loop_oracles(rng):
+    for i in range(240):
+        graph, ic = edge_case_instance(rng, overlapping=i % 2 == 0)
+        _assert_matches_loop_oracles(graph, ic, mmr(graph, ic, 0.3).items)
+
+
+# u1 has v1 (A) and v2 (A, B); u2 has v3 (no categories) and v4 (past the
+# membership list); u3 has no candidates
+_EDGES = [(1, 2), (0, 0), (1, 3), (0, 1)]
+
+
+@pytest.mark.parametrize("rels", [[], [0.4] * 4, [0.0, -0.0, 0.5, 0.25],
+                                  [-0.0, 0.0, 0.5, 0.25]])
+def test_intent_profile_edge_cases_match_loop_oracles(rels):
+    graph = RecGraph(["u1", "u2", "u3"], [2, 2, 2], ["v1", "v2", "v3", "v4"],
+                     [(u, v, r) for (u, v), r in zip(_EDGES, rels)])
+    ic = Grouping("item", ["A", "B"], [[0], [0, 1], []])
+    intent = _assert_matches_loop_oracles(graph, ic, [[0, 1], [2, 3], []])
+    assert intent.category_probs[1] == {} and intent.category_probs[2] == {}
+    if not rels:
+        assert intent.norm_rel == [{}, {}, {}]
+    elif len(set(rels)) == 1:
+        assert all(r == 1.0 for d in intent.norm_rel for r in d.values())
+
+
+def test_category_classes_hold_cosine_distance(rng):
+    for i in range(100):
+        _, ic = edge_case_instance(rng, overlapping=i % 2 == 0)
+        table = CategoryClasses(ic)
+        items = range(len(ic.membership) + 2)
+        classes = table.classes(items)
+        for x in items:
+            for y in items:
+                expected = _cosine_distance(ic.groups_of(x), ic.groups_of(y))
+                assert table.dist[classes[x]][classes[y]].hex() == expected.hex()
 
 
 def test_gini_fixtures():

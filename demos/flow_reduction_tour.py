@@ -6,6 +6,13 @@ category bonus the optimum trades v2 for v3.  The script prints the
 network, the raw flow cost and the decoded selection so the cost identity
 -(total cost)/scale = objective is visible by eye.
 
+The printed network has 7 nodes and 14 arcs (DIMACS numbers from 1): the
+user (1), the sink (2), one node per (user, category) pair, A (3) and
+B (6), and one per (item, type) pair, v1 (4), v2 (5) and v3 (7).  Each
+pair node has a bonus arc (capacity = threshold, cost -beta or -mu) and a
+free arc of capacity 2^60 beside it; each candidate edge is one arc of
+capacity 1 and cost -rel, and the last arc is the user's slack to the sink.
+
 Run:  python3 demos/flow_reduction_tour.py
 """
 

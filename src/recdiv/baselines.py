@@ -25,10 +25,12 @@ from .metrics import CategoryClasses, IntentProfile
 
 @dataclass
 class RankedLists:
-    """Per-user ordered item lists with the scores that ranked them."""
+    """Per-user ordered item lists, the candidate edges they came from and
+    the scores that ranked them."""
 
     items: list[list[int]] = field(default_factory=list)
     scores: list[list[float]] = field(default_factory=list)
+    edges: list[list[int]] = field(default_factory=list)
 
 
 def _ranked_candidates(graph: RecGraph) -> list[list[int]]:
@@ -46,6 +48,7 @@ def top_k(graph: RecGraph) -> RankedLists:
     out = RankedLists()
     for u, ranked in enumerate(_ranked_candidates(graph)):
         chosen = ranked[: graph.display_constraints[u]]
+        out.edges.append(chosen)
         out.items.append([item[e] for e in chosen])
         out.scores.append([rel[e] for e in chosen])
     return out
@@ -104,6 +107,7 @@ def mmr(graph: RecGraph, item_cats: Grouping, lam: float) -> RankedLists:
             last = _take(alive, _pick(alive, score))
             chosen.append(last)
             scores.append(score[last])
+        out.edges.append(chosen)
         out.items.append([item[e] for e in chosen])
         out.scores.append(scores)
     return out
@@ -164,6 +168,7 @@ def xquad(
             for e in stale:
                 if not taken[e]:
                     rescore(e)
+        out.edges.append(chosen)
         out.items.append([item[e] for e in chosen])
         out.scores.append(scores)
     return out

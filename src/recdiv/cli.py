@@ -19,7 +19,7 @@ from pathlib import Path
 from . import data as dio
 from .baselines import mmr, top_k, xquad
 from .errors import DataFormatError, InfeasibleError, InstanceTooLargeError, RecdivError
-from .flownet import solve_tdiv_detailed
+from .flownet import solve_tdiv
 from .graph import DivParams, RecGraph, Solution, ThresholdTable, new_solution
 from .greedy import greedy_solve
 from . import metrics as m
@@ -132,9 +132,7 @@ def _run_method(graph, user_types, item_cats, thresholds, args,
     if method == "greedy":
         sol = greedy_solve(graph, user_types, item_cats, thresholds, params)
     elif method == "flow":
-        sol, _net, _res, _rmap = solve_tdiv_detailed(
-            graph, user_types, item_cats, thresholds, params, args.cost_scale
-        )
+        sol = solve_tdiv(graph, user_types, item_cats, thresholds, params, args.cost_scale)
     else:
         if method == "top":
             ranked = top_k(graph)
@@ -142,10 +140,8 @@ def _run_method(graph, user_types, item_cats, thresholds, args,
             ranked = mmr(graph, item_cats, lam)
         else:
             ranked = xquad(graph, item_cats, m.IntentProfile.from_graph(graph, item_cats), lam)
-        edge_of = _edge_ids(graph)
         sol = new_solution(graph, user_types, item_cats)
-        sol.add_edges(edge_of[(graph.user_ids[u], graph.item_ids[item])]
-                      for u, items in enumerate(ranked.items) for item in items)
+        sol.add_edges(e for edges in ranked.edges for e in edges)
     elapsed = time.perf_counter() - t0
     tu = m.tudiv(sol, item_cats, thresholds)
     ti = m.tidiv(sol, user_types, thresholds)

@@ -383,6 +383,8 @@ def load_thresholds(
     user_group_ids: list[str],
     item_group_ids: list[str],
 ) -> ThresholdTable:
+    """Threshold table from a thresholds file.  Rows naming an unknown
+    entity or group are skipped; a repeated (side, entity, group) is an error."""
     uidx = {x: i for i, x in enumerate(user_ids)}
     iidx = {x: i for i, x in enumerate(item_ids)}
     ugidx = {x: i for i, x in enumerate(user_group_ids)}
@@ -390,6 +392,7 @@ def load_thresholds(
     uc: dict[tuple[int, int], int] = {}
     it: dict[tuple[int, int], int] = {}
     sides = {"user": (uidx, igidx, uc), "item": (iidx, ugidx, it)}
+    seen: set[tuple[str, str, str]] = set()
     for lineno, (side, eid, gid, value) in _read_rows(path, 4):
         if side not in sides:
             raise DataFormatError(f"{path}:{lineno}: unknown side {side!r}")
@@ -397,6 +400,10 @@ def load_thresholds(
         threshold = _parse_number(path, lineno, "threshold", value, int)
         if threshold < 0:
             raise DataFormatError(f"{path}:{lineno}: threshold {threshold} is negative")
+        key = (side, eid, gid)
+        if key in seen:
+            raise DataFormatError(f"{path}:{lineno}: {side} {eid} group {gid} listed twice")
+        seen.add(key)
         if eid in entities and gid in groups:
             table[(entities[eid], groups[gid])] = threshold
     return ThresholdTable(uc, it)
@@ -443,9 +450,12 @@ def load_solution_lists(
 
 
 def load_constraints(path: str | Path) -> dict[str, int]:
-    """Per-user display constraints keyed by user id."""
+    """Per-user display constraints keyed by user id; a repeated user is an
+    error."""
     out: dict[str, int] = {}
     for lineno, (user, value) in _read_rows(path, 2):
+        if user in out:
+            raise DataFormatError(f"{path}:{lineno}: user {user} listed twice")
         out[user] = _parse_number(path, lineno, "constraint", value, int)
         if out[user] < 1:
             raise DataFormatError(f"{path}:{lineno}: constraint {out[user]} is below 1")

@@ -7,11 +7,22 @@ receives from a type with -mu each, and every used candidate edge with
 beta*TUDiv + mu*TIDiv + rel.  Costs are scaled to integers; all
 quantization error is bounded by |E| / cost_scale.
 
-Gadget nodes are created lazily, only for (user, category) and
-(item, type) pairs incident to a candidate edge, so the network has
-O(|E|) size.  A zero-cost slack arc from each user to the sink keeps the
-network feasible when a user has fewer candidates than its display
-constraint.
+Nodes: users 0..U-1, the sink at U, and one node n per (user, category)
+and one node m per (item, type) pair incident to a candidate edge, so the
+network has O(|E|) size.  Each pair gets a bonus arc (u -> n of capacity
+rho and cost -beta; m -> sink of capacity lambda and cost -mu) and beside
+it a free arc with the same endpoints, infinite capacity and cost 0; each
+candidate edge an arc n -> m of capacity 1 and cost -rel; each user a
+zero-cost slack arc u -> sink of capacity c_u, which keeps the network
+feasible when a user has fewer candidates than its display constraint.
+The bonus arc is the path u -> n' -> n of the textbook gadget with its
+relay node n' removed: both hops have capacity rho, so the path carries
+what one arc of capacity rho and the summed cost carries.  Items need no
+node: their type nodes feed the sink directly.
+
+Gadgets are created in edge index order, bonus arc first.  The solver
+prices arcs in insertion order, so this order fixes which of several tied
+optima is returned.
 
 The UserDiv reduction (one unit per distinct category a user's selection
 hits) is this network specialized: zero relevance, a single user type,
@@ -19,8 +30,6 @@ every rho = 1 and lambda = 0, beta = 1 and mu = 0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,16 +39,6 @@ from .mincostflow import INF_CAP, FlowNetwork, FlowResult, solve_min_cost_flow
 
 DEFAULT_COST_SCALE = 10**6
 _MAX_COST = 1 << 60
-
-
-@dataclass
-class ReductionMap:
-    """Arc/node bookkeeping needed to decode a flow back into a Solution."""
-
-    edge_arc: dict[int, int] = field(default_factory=dict)
-    user_cat_bonus: dict[tuple[int, int], int] = field(default_factory=dict)
-    item_type_bonus: dict[tuple[int, int], int] = field(default_factory=dict)
-    slack_arc: dict[int, int] = field(default_factory=dict)
 
 
 def _scaled(value: float, cost_scale: int) -> int:
@@ -66,64 +65,49 @@ def build_tdiv_network(
     thresholds: ThresholdTable,
     params: DivParams,
     cost_scale: int = DEFAULT_COST_SCALE,
-) -> tuple[FlowNetwork, ReductionMap]:
-    """Reduction network for the full thresholded two-sided objective."""
+) -> tuple[FlowNetwork, list[int]]:
+    """Reduction network for the full thresholded two-sided objective, and
+    the arc of each candidate edge (``edge_arc[e]`` is edge e's arc)."""
     if cost_scale < 1:
         raise GraphError(f"cost_scale must be a positive integer, got {cost_scale}")
     _require_disjoint_total(user_types, np.unique(graph.edge_user).tolist(), "user")
     _require_disjoint_total(item_cats, np.unique(graph.edge_item).tolist(), "item")
 
-    net = FlowNetwork(graph.num_users + graph.num_items)
-    sink = net.add_node()
-    rmap = ReductionMap()
+    sink = graph.num_users
+    net = FlowNetwork(sink + 1)
     beta_cost = -_scaled(params.beta, cost_scale)
     mu_cost = -_scaled(params.mu, cost_scale)
-
-    item_node = [graph.num_users + j for j in range(graph.num_items)]
-    cat_inner: dict[tuple[int, int], int] = {}  # (user, category) -> n node
-    type_inner: dict[tuple[int, int], int] = {}  # (item, type) -> m node
-
-    # Gadgets are created in edge_index order, which fixes arc insertion
-    # order; the solver prices arcs in that order, so among tied optima it
-    # fixes which one is returned.
+    cat_node: dict[tuple[int, int], int] = {}  # (user, category) -> n
+    type_node: dict[tuple[int, int], int] = {}  # (item, type) -> m
+    edge_arc: list[int] = []
     rows = zip(graph.edge_user.tolist(), graph.edge_item.tolist(), graph.edge_rel.tolist())
-    for eidx, (u, v, rel) in enumerate(rows):
+    for u, v, rel in rows:
         a = item_cats.single_group_of(v)
         b = user_types.single_group_of(u)
-        if (u, a) not in cat_inner:
-            n_node = net.add_node()
-            n_prime = net.add_node()
-            rho = thresholds.rho(u, a)
-            rmap.user_cat_bonus[(u, a)] = net.add_arc(u, n_prime, rho, beta_cost)
-            net.add_arc(n_prime, n_node, rho, 0)
-            net.add_arc(u, n_node, INF_CAP, 0)
-            cat_inner[(u, a)] = n_node
-        if (v, b) not in type_inner:
-            m_node = net.add_node()
-            m_prime = net.add_node()
-            lam = thresholds.lam(v, b)
-            net.add_arc(m_node, m_prime, lam, 0)
-            rmap.item_type_bonus[(v, b)] = net.add_arc(m_prime, item_node[v], lam, mu_cost)
-            net.add_arc(m_node, item_node[v], INF_CAP, 0)
-            type_inner[(v, b)] = m_node
-        rmap.edge_arc[eidx] = net.add_arc(
-            cat_inner[(u, a)], type_inner[(v, b)], 1, -_scaled(rel, cost_scale)
-        )
+        n = cat_node.get((u, a))
+        if n is None:
+            n = cat_node[(u, a)] = net.add_node()
+            net.add_arc(u, n, thresholds.rho(u, a), beta_cost)
+            net.add_arc(u, n, INF_CAP, 0)
+        m = type_node.get((v, b))
+        if m is None:
+            m = type_node[(v, b)] = net.add_node()
+            net.add_arc(m, sink, thresholds.lam(v, b), mu_cost)
+            net.add_arc(m, sink, INF_CAP, 0)
+        edge_arc.append(net.add_arc(n, m, 1, -_scaled(rel, cost_scale)))
 
     for u, c in enumerate(graph.display_constraints):
         net.set_supply(u, c)
-        rmap.slack_arc[u] = net.add_arc(u, sink, c, 0)
-    for j in range(graph.num_items):
-        net.add_arc(item_node[j], sink, INF_CAP, 0)
+        net.add_arc(u, sink, c, 0)
     net.set_supply(sink, -sum(graph.display_constraints))
-    return net, rmap
+    return net, edge_arc
 
 
 def build_userdiv_network(
     graph: RecGraph,
     item_cats: Grouping,
     cost_scale: int = DEFAULT_COST_SCALE,
-) -> tuple[FlowNetwork, ReductionMap]:
+) -> tuple[FlowNetwork, list[int]]:
     """Reduction rewarding only distinct categories per user: the TDiv
     network specialized as the module docstring says, so each
     (user, category) gadget grants a single -1 (scaled) bonus unit."""
@@ -139,12 +123,13 @@ def decode_solution(
     graph: RecGraph,
     user_types: Grouping,
     item_cats: Grouping,
-    rmap: ReductionMap,
+    edge_arc: list[int],
     result: FlowResult,
 ) -> Solution:
     """Selected subgraph = candidate edges whose edge arc carries flow."""
     sol = new_solution(graph, user_types, item_cats)
-    sol.add_edges(e for e in sorted(rmap.edge_arc) if result.flow[rmap.edge_arc[e]] > 0)
+    flow = result.flow
+    sol.add_edges(e for e, arc in enumerate(edge_arc) if flow[arc] > 0)
     return sol
 
 
@@ -155,15 +140,15 @@ def solve_tdiv_detailed(
     thresholds: ThresholdTable,
     params: DivParams,
     cost_scale: int = DEFAULT_COST_SCALE,
-) -> tuple[Solution, FlowNetwork, FlowResult, ReductionMap]:
-    net, rmap = build_tdiv_network(
+) -> tuple[Solution, FlowNetwork, FlowResult, list[int]]:
+    net, edge_arc = build_tdiv_network(
         graph, user_types, item_cats, thresholds, params, cost_scale
     )
     result = solve_min_cost_flow(net)
     if not result.feasible:
         raise InfeasibleError("reduction network admits no feasible flow")
-    sol = decode_solution(graph, user_types, item_cats, rmap, result)
-    return sol, net, result, rmap
+    sol = decode_solution(graph, user_types, item_cats, edge_arc, result)
+    return sol, net, result, edge_arc
 
 
 def solve_tdiv(

@@ -121,3 +121,17 @@ def test_rerankers_match_loop_oracles(rng):
         for lam in (0.0, 0.3, 0.5, 1.0):
             assert _bits(mmr(graph, ic, lam)) == _bits(loop_mmr(graph, ic, lam))
             assert _bits(xquad(graph, ic, intent, lam)) == _bits(loop_xquad(graph, ic, intent, lam))
+
+
+def test_ranked_lists_record_the_edges_of_their_items(rng):
+    instances = [edge_case_instance(rng, overlapping=i % 2 == 0) for i in range(60)]
+    graph, _, ic = movielens_shaped(num_users=15, num_items=120, candidates_per_user=40,
+                                    constraint=8, seed=3)
+    instances.append((graph, ic))
+    for graph, ic in instances:
+        intent = IntentProfile.from_graph(graph, ic)
+        for ranked in (top_k(graph), mmr(graph, ic, 0.5), xquad(graph, ic, intent, 0.5)):
+            assert len(ranked.edges) == len(ranked.items) == graph.num_users
+            for u, edges in enumerate(ranked.edges):
+                assert graph.edge_item[edges].tolist() == ranked.items[u]
+                assert (graph.edge_user[edges] == u).all()

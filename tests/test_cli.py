@@ -403,6 +403,19 @@ def test_constraint_file_malformed_line_is_data_error(workdir, capsys, bad_line)
     _assert_data_error(capsys, code, "c.tsv:2")
 
 
+def test_constraint_file_repeated_user_is_data_error(workdir, capsys):
+    (workdir / "c.tsv").write_text("u1\t3\nu2\t2\nu1\t1\n")
+    code = _diversify(workdir, "top", "t.tsv", ["--constraint-file", str(workdir / "c.tsv")])
+    _assert_data_error(capsys, code, "c.tsv:3: user u1 listed twice")
+    assert not (workdir / "t.tsv").exists()
+
+
+def test_threshold_file_repeated_row_is_data_error(workdir, capsys):
+    (workdir / "th.tsv").write_text("user\tu1\tA\t2\nuser\tu2\tA\t1\nuser\tu1\tA\t0\n")
+    code = _diversify(workdir, "greedy", "g.tsv", ["--thresholds", str(workdir / "th.tsv")])
+    _assert_data_error(capsys, code, "th.tsv:3: user u1 group A listed twice")
+
+
 def test_constraint_file_sets_per_user_constraints(workdir):
     (workdir / "c.tsv").write_text("u1\t1\nu2\t3\n")
     assert _diversify(workdir, "top", "t.tsv",

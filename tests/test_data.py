@@ -305,10 +305,29 @@ def test_load_constraints(tmp_path):
 
     p = _write(tmp_path, "c.tsv", "u1\t3\n\nu2\t1\n")
     assert load_constraints(p) == {"u1": 3, "u2": 1}
-    for text, line in (("u1\t3\nu2\n", ":2"), ("u1\t3\t4\n", ":1"), ("u1\tx\n", ":1")):
+    for text, line in (("u1\t3\nu2\n", ":2"), ("u1\t3\t4\n", ":1"), ("u1\tx\n", ":1"),
+                       ("u1\t3\nu2\t2\nu1\t1\n", ":3: user u1 listed twice")):
         p = _write(tmp_path, "bad.tsv", text)
         with pytest.raises(DataFormatError, match=f"bad.tsv{line}"):
             load_constraints(p)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("user\tu1\tA\t2\nuser\tu1\tA\t0\n", "th.tsv:2: user u1 group A listed twice"),
+    ("item\tv1\tX\t1\nuser\tu1\tA\t1\nitem\tv1\tX\t1\n",
+     "th.tsv:3: item v1 group X listed twice"),
+    ("user\tu9\tA\t1\nuser\tu9\tA\t1\n", "th.tsv:2: user u9 group A listed twice"),
+])
+def test_load_thresholds_rejects_repeated_row(tmp_path, text, where):
+    p = _write(tmp_path, "th.tsv", text)
+    with pytest.raises(DataFormatError, match=where):
+        load_thresholds(p, ["u1"], ["v1"], ["X"], ["A"])
+
+
+def test_load_thresholds_same_entity_and_group_on_both_sides(tmp_path):
+    p = _write(tmp_path, "th.tsv", "user\tx\tx\t2\nitem\tx\tx\t1\n")
+    table = load_thresholds(p, ["x"], ["x"], ["x"], ["x"])
+    assert (table.user_category, table.item_type) == ({(0, 0): 2}, {(0, 0): 1})
 
 
 def test_loaders_reject_invalid_utf8(tmp_path):

@@ -17,28 +17,64 @@ from recdiv.graph import (
     ThresholdTable,
     eval_objective,
 )
-from recdiv.mincostflow import solve_min_cost_flow
-from recdiv.synth import random_instance
+from recdiv.mincostflow import INF_CAP, solve_min_cost_flow, validate_flow
+from recdiv.synth import movielens_shaped, random_instance
 
 SCALE = 10**6
 
 
-def test_tdiv_network_structure(three_item_graph):
+def _check_network_shape(graph, ut, ic, th, params, net, edge_arc):
+    """Users, the sink, one node per incident (user, category) and (item,
+    type) pair and nothing else; each pair has a bonus arc of its
+    threshold's capacity and a free arc beside it; one arc per edge."""
+    sink = graph.num_users
+    cats = {(e.user, ic.single_group_of(e.item)) for e in graph.edges}
+    types = {(e.item, ut.single_group_of(e.user)) for e in graph.edges}
+    assert net.node_count == graph.num_users + 1 + len(cats) + len(types)
+    assert net.arc_count == 2 * len(cats) + 2 * len(types) + graph.num_edges + graph.num_users
+    into = [[] for _ in range(net.node_count)]
+    out_of = [[] for _ in range(net.node_count)]
+    for arc in range(net.arc_count):
+        into[net.head[arc]].append(arc)
+        out_of[net.tail[arc]].append(arc)
+    cat_node, type_node = {}, {}
+    for e, arc in enumerate(edge_arc):
+        edge = graph.edges[e]
+        assert (net.capacity[arc], net.cost[arc]) == (1, -round(edge.relevance * SCALE))
+        cat_node.setdefault((edge.user, ic.single_group_of(edge.item)), net.tail[arc])
+        type_node.setdefault((edge.item, ut.single_group_of(edge.user)), net.head[arc])
+    # the gadget nodes are distinct and none of them is an item node
+    gadgets = set(cat_node.values()) | set(type_node.values())
+    assert len(gadgets) == len(cats) + len(types)
+    assert gadgets == set(range(sink + 1, net.node_count))
+    for (u, a), n in cat_node.items():
+        bonus, free = (arc for arc in into[n] if net.tail[arc] == u)
+        assert (net.capacity[bonus], net.cost[bonus]) == (th.rho(u, a), -round(params.beta * SCALE))
+        assert (net.capacity[free], net.cost[free]) == (INF_CAP, 0)
+    for (v, b), m in type_node.items():
+        bonus, free = out_of[m]
+        assert net.head[bonus] == net.head[free] == sink
+        assert (net.capacity[bonus], net.cost[bonus]) == (th.lam(v, b), -round(params.mu * SCALE))
+        assert (net.capacity[free], net.cost[free]) == (INF_CAP, 0)
+    for u, c in enumerate(graph.display_constraints):
+        assert net.supply[u] == c
+        assert [(net.capacity[arc], net.cost[arc]) for arc in out_of[u]
+                if net.head[arc] == sink] == [(c, 0)]
+    assert net.supply[sink] == -sum(graph.display_constraints)
+
+
+def test_tdiv_network_structure(three_item_graph, rng):
     graph, ut, ic, th = three_item_graph
-    net, rmap = build_tdiv_network(graph, ut, ic, th, DivParams(1, 0), SCALE)
-    # user + 3 items + sink + 2 (n,n') pairs + 3 (m,m') pairs
-    assert net.node_count == 1 + 3 + 1 + 2 * 2 + 2 * 3
-    assert len(rmap.edge_arc) == 3
-    assert len(rmap.user_cat_bonus) == 2
-    assert len(rmap.item_type_bonus) == 3
-    assert len(rmap.slack_arc) == 1
-    # bonus arc capacities equal the thresholds
-    for (u, a), arc in rmap.user_cat_bonus.items():
-        assert net.capacity[arc] == th.rho(u, a)
-    for (j, b), arc in rmap.item_type_bonus.items():
-        assert net.capacity[arc] == th.lam(j, b)
-    assert sum(net.supply) == 0
-    assert net.supply[0] == 2
+    params = DivParams(1, 0.5)
+    net, edge_arc = build_tdiv_network(graph, ut, ic, th, params, SCALE)
+    # 1 user + sink + 2 (user, category) + 3 (item, type) nodes
+    assert net.node_count == 1 + 1 + 2 + 3
+    assert net.arc_count == 2 * 2 + 2 * 3 + 3 + 1
+    _check_network_shape(graph, ut, ic, th, params, net, edge_arc)
+    for _ in range(100):
+        graph, ut, ic, th, params = random_instance(rng)
+        net, edge_arc = build_tdiv_network(graph, ut, ic, th, params, SCALE)
+        _check_network_shape(graph, ut, ic, th, params, net, edge_arc)
 
 
 def test_tdiv_zero_thresholds_reduce_to_pure_relevance(three_item_graph):
@@ -145,7 +181,7 @@ def test_under_full_user_allowed():
 def test_flow_exactness_randomized(rng):
     for i in range(120):
         graph, ut, ic, th, params = random_instance(rng)
-        sol, net, res, rmap = solve_tdiv_detailed(graph, ut, ic, th, params, SCALE)
+        sol, net, res, edge_arc = solve_tdiv_detailed(graph, ut, ic, th, params, SCALE)
         obj = eval_objective(sol, th, params)
         _, best = brute_force_optimum(graph, ut, ic, th, params)
         assert abs(obj - best) <= 2 * graph.num_edges / SCALE
@@ -153,8 +189,20 @@ def test_flow_exactness_randomized(rng):
         assert abs(-res.total_cost / SCALE - obj) <= graph.num_edges / SCALE
         for u in range(graph.num_users):
             assert len(sol.selected[u]) <= graph.display_constraints[u]
-        for arc in rmap.edge_arc.values():
+        for arc in edge_arc:
             assert res.flow[arc] in (0, 1)
+
+
+def test_flow_optimum_pinned_at_ten_thousand_edges():
+    # disjoint movielens_shaped with 40 users x 250 candidates
+    graph, ut, ic = movielens_shaped(num_users=40, overlapping_cats=False, seed=7)
+    th = ThresholdTable.uniform(graph, ut, ic, rho=2, lam=2)
+    params = DivParams(4.0, 0.2)
+    sol, net, res, _ = solve_tdiv_detailed(graph, ut, ic, th, params)
+    assert graph.num_edges == 10_000
+    assert res.total_cost == -3565240266
+    assert abs(eval_objective(sol, th, params) - 3565.240266) <= graph.num_edges / SCALE
+    assert validate_flow(net, res)
 
 
 def test_all_ones_thresholds_recover_unthresholded_objective(rng):

@@ -1,7 +1,7 @@
 """Brute-force reference optimizer used as ground truth in tests.
 
 The objective is recomputed here with fresh counting loops, independent of
-the incremental degree accounting in graph.Solution, so that agreement
+the vectorized degree count in graph.eval_objective, so that agreement
 between this module and the production solvers is evidence rather than
 tautology.
 """
@@ -100,6 +100,5 @@ def brute_force_optimum(
 
     recurse(0, [])
     sol = Solution(graph, user_types, item_cats)
-    for eidx in best_set:
-        sol.add_edge(eidx)
+    sol.add_edges(best_set)
     return sol, best_obj

@@ -6,18 +6,21 @@ Solution are immutable after construction.
 
 A RecGraph stores its edges as three read-only numpy columns indexed by
 edge: ``edge_user`` and ``edge_item`` (int32) and ``edge_rel`` (float64).
-Each user's and each item's edges are indexed by CSR (compressed sparse
-rows): ``user_order[user_offsets[u]:user_offsets[u + 1]]`` lists user u's
-edge indices in increasing order, and likewise for items.  Code that
-touches many edges reads the columns whole (``.tolist()`` or numpy
-operations).  ``graph.edges``, ``graph.user_edges`` and ``graph.item_edges``
-are read-only views that build small Python records on demand, for tests
-and reference oracles.
+Each user's edges are indexed by CSR (compressed sparse rows):
+``user_order[user_offsets[u]:user_offsets[u + 1]]`` lists user u's edge
+indices in increasing order.  Code that touches many edges reads the
+columns whole (``.tolist()`` or numpy operations).  ``graph.edges`` and
+``graph.user_edges`` are read-only views that build small Python records
+on demand, for tests and reference oracles.
+
+A Solution is its selection H, each user's selected edge indices; the
+group degrees TUDiv and TIDiv threshold are counted from H where read.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -61,8 +64,8 @@ class _EdgeView(Sequence):
 
 
 class _Adjacency(Sequence):
-    """``graph.user_edges`` / ``graph.item_edges``: entry i is the tuple of
-    entity i's edge indices, read from a CSR order and offsets."""
+    """``graph.user_edges``: entry u is the tuple of user u's edge indices,
+    read from the CSR order and offsets."""
 
     def __init__(self, order: np.ndarray, offsets: np.ndarray):
         self._order = order
@@ -74,12 +77,6 @@ class _Adjacency(Sequence):
     def __getitem__(self, index: int) -> tuple[int, ...]:
         i = range(len(self))[index]
         return tuple(self._order[self._offsets[i]:self._offsets[i + 1]].tolist())
-
-
-def _csr(ends: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(order, offsets) grouping edge indices by endpoint, each group in
-    increasing edge order."""
-    return _frozen(np.argsort(ends, kind="stable")), _frozen(csr_offsets(ends, size))
 
 
 def csr_offsets(ids: np.ndarray, size: int) -> np.ndarray:
@@ -136,11 +133,10 @@ class RecGraph:
         self.display_constraints = list(display_constraints)
         users, items, rels = (np.asarray(col) for col in columns)
         self.edge_user, self.edge_item, self.edge_rel = self._validated(users, items, rels)
-        self.user_order, self.user_offsets = _csr(self.edge_user, self.num_users)
-        self.item_order, self.item_offsets = _csr(self.edge_item, self.num_items)
+        self.user_order = _frozen(np.argsort(self.edge_user, kind="stable"))
+        self.user_offsets = _frozen(csr_offsets(self.edge_user, self.num_users))
         self.edges = _EdgeView(self)
         self.user_edges = _Adjacency(self.user_order, self.user_offsets)
-        self.item_edges = _Adjacency(self.item_order, self.item_offsets)
 
     def _validated(self, users: np.ndarray, items: np.ndarray, rels: np.ndarray):
         """The columns as read-only int32/int32/float64 copies.  The error
@@ -306,6 +302,16 @@ def _distinct_pairs(rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int]]
     return list(zip(rows[first].tolist(), cols[first].tolist()))
 
 
+def unique_pairs(owners: np.ndarray, groups: np.ndarray, **unique_args) -> tuple:
+    """np.unique over the (owners[k], groups[k]) pairs, keyed by
+    ``owner * width + group`` with width one past the largest group: an
+    iterator over the distinct (owner, group) tuples in increasing order,
+    then the arrays np.unique returns for ``unique_args``."""
+    width = int(groups.max()) + 1 if len(groups) else 1
+    keys, *rest = np.unique(owners.astype(np.int64) * width + groups, **unique_args)
+    return (zip((keys // width).tolist(), (keys % width).tolist()), *rest)
+
+
 @dataclass(frozen=True)
 class DivParams:
     """Trade-off weights for the two diversity terms."""
@@ -321,18 +327,15 @@ class DivParams:
 
 @dataclass
 class Solution:
-    """A selected subgraph with incremental group-degree accounting.
-
-    ``user_group_degree[(i, a)]`` counts user i's selected items in category
-    a; ``item_group_degree[(j, b)]`` counts item j's selected users of type b.
-    """
+    """A selected subgraph H: ``selected[u]`` lists user u's selected edge
+    indices in increasing order.  Degrees per (user, category) and per
+    (item, type) pair are not stored; eval_objective and the metrics count
+    them from the selection."""
 
     graph: RecGraph
     user_types: Grouping
     item_cats: Grouping
     selected: list[list[int]] = field(default_factory=list)
-    user_group_degree: dict[tuple[int, int], int] = field(default_factory=dict)
-    item_group_degree: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.selected:
@@ -346,15 +349,13 @@ class Solution:
         self.add_edges([edge_index])
 
     def add_edges(self, edge_indices) -> None:
-        """Select each edge in turn, as repeated add_edge calls would, with
-        one read of the graph's columns for the whole batch."""
+        """Select each edge in turn, as repeated add_edge calls would: an edge
+        already selected or past its user's display constraint raises, and
+        the edges before it stay selected."""
         edge_indices = list(edge_indices)
         graph = self.graph
         users = graph.edge_user[edge_indices].tolist()
-        items = graph.edge_item[edge_indices].tolist()
-        ugd = self.user_group_degree
-        igd = self.item_group_degree
-        for edge_index, u, v in zip(edge_indices, users, items):
+        for edge_index, u in zip(edge_indices, users):
             if edge_index in self._selected_set:
                 raise DuplicateEdgeError(f"edge {edge_index} already selected")
             lst = self.selected[u]
@@ -363,18 +364,15 @@ class Solution:
                     f"user {u} is at its display constraint "
                     f"({graph.display_constraints[u]})"
                 )
-            lst.append(edge_index)
-            lst.sort()
+            insort(lst, edge_index)
             self._selected_set.add(edge_index)
-            for a in self.item_cats.groups_of(v):
-                ugd[(u, a)] = ugd.get((u, a), 0) + 1
-            for b in self.user_types.groups_of(u):
-                igd[(v, b)] = igd.get((v, b), 0) + 1
 
     def edge_indices(self) -> list[int]:
         return sorted(self._selected_set)
 
     def relevance(self) -> float:
+        # summed in the set's iteration order, which follows the order the
+        # edges were added: the last bits of the total depend on it
         chosen = np.fromiter(self._selected_set, dtype=np.int64,
                              count=len(self._selected_set))
         return sum(self.graph.edge_rel[chosen].tolist())
@@ -412,13 +410,22 @@ def new_solution(
 
 
 def eval_objective(sol: Solution, thresholds: ThresholdTable, params: DivParams) -> float:
-    """beta*TUDiv(H) + mu*TIDiv(H) + rel(H), from the solution's incremental
-    degree maps.  The metrics module recomputes the same quantity from
-    scratch; agreement between the two is checked by the property tests."""
-    tu = sum(
-        min(thresholds.rho(u, a), d) for (u, a), d in sol.user_group_degree.items()
-    )
-    ti = sum(
-        min(thresholds.lam(j, b), d) for (j, b), d in sol.item_group_degree.items()
-    )
+    """beta*TUDiv(H) + mu*TIDiv(H) + rel(H), with the degrees of H counted
+    in one vectorized pass over the selected edges.  The metrics module
+    recomputes the same quantity with plain loops; agreement between the
+    two is checked by the property tests."""
+    chosen = np.fromiter(sol._selected_set, dtype=np.int64, count=sol.num_selected())
+    users, items = sol.graph.edge_user[chosen], sol.graph.edge_item[chosen]
+    tu = _capped_degree_sum(users, items, sol.item_cats, thresholds.user_category)
+    ti = _capped_degree_sum(items, users, sol.user_types, thresholds.item_type)
     return params.beta * tu + params.mu * ti + sol.relevance()
+
+
+def _capped_degree_sum(owners: np.ndarray, members: np.ndarray, grouping: Grouping,
+                       table: dict[tuple[int, int], int]) -> int:
+    """Sum over (owner, group) pairs of min(threshold, degree), where a
+    pair's degree counts the k with ``owners[k] == owner`` and ``group`` in
+    ``grouping.groups_of(members[k])``."""
+    at, groups = grouping.expand(members)
+    pairs, degrees = unique_pairs(owners[at], groups, return_counts=True)
+    return sum(min(table.get(pair, 0), d) for pair, d in zip(pairs, degrees.tolist()))

@@ -28,8 +28,9 @@ float semantics and edge-index tie-breaking.
 
 Every incident (user, category) and (item, type) pair has a dense id.
 Degrees, thresholds, each edge's pairs and each pair's pending edges (those
-a saturation lowers) are flat integer arrays indexed by it; the solution's
-degree maps are filled once, at the end.
+a saturation lowers) are flat integer arrays indexed by it.  The solution
+is built once, at the end, from the selected edges in the order they were
+popped.
 
 Cost: O(1) per key decrease; O(deg(u)) for the argmax each time user u's
 entry surfaces (once per pop plus once per selection), not O(log deg(u));
@@ -46,23 +47,27 @@ import numpy as np
 
 from .errors import DuplicateEdgeError
 from .graph import (DivParams, Grouping, RecGraph, Solution, ThresholdTable, csr_offsets,
-                    new_solution)
+                    new_solution, unique_pairs)
 
 
 def marginal_gain(
     sol: Solution, edge_index: int, thresholds: ThresholdTable, params: DivParams
 ) -> float:
-    """Objective gain of adding one unused edge to the current solution."""
+    """Objective gain of adding one unused edge to the current solution,
+    with the edge's pair degrees counted from ``sol.selected``."""
     if sol.is_selected(edge_index):
         raise DuplicateEdgeError(f"edge {edge_index} already selected")
     e = sol.graph.edges[edge_index]
+    chosen = [sol.graph.edges[x] for lst in sol.selected for x in lst]
     ucats = 0
     for a in sol.item_cats.groups_of(e.item):
-        if sol.user_group_degree.get((e.user, a), 0) < thresholds.rho(e.user, a):
+        degree = sum(x.user == e.user and a in sol.item_cats.groups_of(x.item) for x in chosen)
+        if degree < thresholds.rho(e.user, a):
             ucats += 1
     itypes = 0
     for b in sol.user_types.groups_of(e.user):
-        if sol.item_group_degree.get((e.item, b), 0) < thresholds.lam(e.item, b):
+        degree = sum(x.item == e.item and b in sol.user_types.groups_of(x.user) for x in chosen)
+        if degree < thresholds.lam(e.item, b):
             itypes += 1
     return e.relevance + params.beta * ucats + params.mu * itypes
 
@@ -114,7 +119,7 @@ def greedy_solve(
     it_pair, it_first, it_deg, it_thr, it_pend, it_pend_first = (
         it.pair, it.first, it.degree, it.threshold, it.pending, it.pending_first)
 
-    sol = new_solution(graph, user_types, item_cats)
+    picked = []
     remaining = list(graph.display_constraints)
     neg_inf = float("-inf")
     mask = (1 << 64) - 1
@@ -149,8 +154,7 @@ def greedy_solve(
         if not remaining[u]:
             # a full user's edges take no more decreases
             key_view[offsets[u]:offsets[u + 1]] = neg_inf
-        sol.selected[u].append(eidx)
-        sol._selected_set.add(eidx)
+        picked.append(eidx)
         for k in uc_pair[uc_first[p]:uc_first[p + 1]]:
             d = uc_deg[k] + 1
             uc_deg[k] = d
@@ -173,10 +177,8 @@ def greedy_solve(
             nb = user_best(u)
             if nb != -1:
                 heappush(gheap, nb)
-    for lst in sol.selected:
-        lst.sort()
-    sol.user_group_degree.update(uc.degrees())
-    sol.item_group_degree.update(it.degrees())
+    sol = new_solution(graph, user_types, item_cats)
+    sol.add_edges(picked)
     if collect_stats:
         # each decrease took one off a live count
         decreases = live_total - _total(ucnt) - _total(icnt)
@@ -209,31 +211,18 @@ class _PairIndex:
 
     def __init__(self, position: np.ndarray, owner: np.ndarray, group: np.ndarray,
                  table: dict[tuple[int, int], int], num_positions: int):
-        self.width = int(group.max()) + 1 if len(group) else 1
-        self.keys, pair = np.unique(owner.astype(np.int64) * self.width + group,
-                                    return_inverse=True)
-        threshold = np.fromiter((table.get(p, 0) for p in self._pairs(self.keys)),
-                                dtype=np.int64, count=len(self.keys))
+        pairs, pair = unique_pairs(owner, group, return_inverse=True)
+        threshold = np.fromiter((table.get(p, 0) for p in pairs), dtype=np.int64)
         self.pair = _compact(pair, "i")
         self.first = _compact(csr_offsets(position, num_positions), "i")
         self.threshold = _compact(threshold, "q")
-        self.degree = array("q", [0]) * len(self.keys)
+        self.degree = array("q", [0]) * len(threshold)
         live = threshold[pair] > 0
         position, pair = position[live], pair[live]
         self.live_count = _compact(np.bincount(position, minlength=num_positions), "i")
         # sorted by (pair, position); the keys are distinct, so no stable sort
         self.pending = _compact(np.sort(pair * num_positions + position) % num_positions, "i")
-        self.pending_first = _compact(csr_offsets(pair, len(self.keys)), "i")
-
-    def _pairs(self, keys: np.ndarray):
-        """The (owner, group) tuple of each pair key."""
-        return zip((keys // self.width).tolist(), (keys % self.width).tolist())
-
-    def degrees(self) -> dict[tuple[int, int], int]:
-        """{(owner, group): degree} for every pair of nonzero degree."""
-        degree = np.frombuffer(self.degree, dtype=np.int64)
-        hit = np.flatnonzero(degree)
-        return dict(zip(self._pairs(self.keys[hit]), degree[hit].tolist()))
+        self.pending_first = _compact(csr_offsets(pair, len(threshold)), "i")
 
 
 def naive_greedy(

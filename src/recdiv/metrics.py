@@ -238,7 +238,8 @@ def err_ia(
 ) -> float:
     """Intent-aware expected reciprocal rank, averaged over users.  The
     per-category relevance of an item is its normalized relevance masked by
-    category membership."""
+    category membership.  A user's terms are summed in the order of its
+    category probabilities, then in rank order."""
     if not lists:
         return 0.0
     total = 0.0
@@ -247,14 +248,17 @@ def err_ia(
             items = items[:k]
         probs = intent.category_probs[u]
         rels = intent.norm_rel[u]
+        hits: dict[int, list[tuple[int, float]]] = {}
+        for rank, item in enumerate(items, start=1):
+            for a in item_cats.groups_of(item):
+                if a in probs:
+                    hits.setdefault(a, []).append((rank, rels.get(item, 0.0)))
         user_score = 0.0
         for a, p in probs.items():
             remaining = 1.0
-            for rank, item in enumerate(items, start=1):
-                if a in item_cats.groups_of(item):
-                    r = rels.get(item, 0.0)
-                    user_score += p * remaining * r / rank
-                    remaining *= 1.0 - r
+            for rank, r in hits.get(a, ()):
+                user_score += p * remaining * r / rank
+                remaining *= 1.0 - r
         total += user_score
     return total / len(lists)
 

@@ -4,7 +4,8 @@ These are the reference oracles the fast versions in ``recdiv.baselines``
 and ``recdiv.metrics`` are checked against, item for item and bit for bit:
 MMR recomputes every candidate's distance to every pick at every pick
 (O(c^2 * n) per user), xQuAD rescans every candidate's score at every
-pick, and the intent profile and ILD loop over items and pairs.
+pick, the intent profile and ILD loop over items and pairs, and ERR-IA
+scans every listed item for every intent category.
 """
 
 from __future__ import annotations
@@ -140,4 +141,25 @@ def loop_ild(lists, item_cats, k: int | None = None) -> float:
                         item_cats.groups_of(items[x]), item_cats.groups_of(items[y])
                     )
         total += pair_sum / (c * (c - 1))
+    return total / len(lists)
+
+
+def loop_err_ia(lists, intent: IntentProfile, item_cats, k: int | None = None) -> float:
+    if not lists:
+        return 0.0
+    total = 0.0
+    for u, items in enumerate(lists):
+        if k is not None:
+            items = items[:k]
+        probs = intent.category_probs[u]
+        rels = intent.norm_rel[u]
+        user_score = 0.0
+        for a, p in probs.items():
+            remaining = 1.0
+            for rank, item in enumerate(items, start=1):
+                if a in item_cats.groups_of(item):
+                    r = rels.get(item, 0.0)
+                    user_score += p * remaining * r / rank
+                    remaining *= 1.0 - r
+        total += user_score
     return total / len(lists)

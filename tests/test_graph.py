@@ -46,9 +46,6 @@ def test_adjacency_round_trip():
     for u, lst in enumerate(g.user_edges):
         for e in lst:
             assert g.edges[e].user == u
-    for v, lst in enumerate(g.item_edges):
-        for e in lst:
-            assert g.edges[e].item == v
     assert sum(len(lst) for lst in g.user_edges) == g.num_edges
 
 
@@ -91,22 +88,31 @@ def test_new_solution_is_empty(three_item_graph):
 
 
 def test_add_edge_updates_degrees(three_item_graph):
+    # thresholds above every degree make TUDiv and TIDiv read the degrees:
+    # only_v1 has the pairs (u1, A) and (v1, T), every has all pairs
     graph, ut, ic, _ = three_item_graph
+    only_v1 = ThresholdTable({(0, 0): 9}, {(0, 0): 9})
+    every = ThresholdTable({(0, 0): 9, (0, 1): 9}, {(v, 0): 9 for v in range(3)})
     sol = new_solution(graph, ut, ic)
     sol.add_edge(0)
-    assert sol.user_group_degree == {(0, 0): 1}
-    assert sol.item_group_degree == {(0, 0): 1}
+    for th in (only_v1, every):
+        assert (tudiv(sol, ic, th), tidiv(sol, ut, th)) == (1.0, 1.0)
+        assert eval_objective(sol, th, DivParams(1, 0)) == 1.0 + sol.relevance()
+        assert eval_objective(sol, th, DivParams(0, 1)) == 1.0 + sol.relevance()
     sol.add_edge(1)  # second item in category A
-    assert sol.user_group_degree == {(0, 0): 2}
+    assert tudiv(sol, ic, only_v1) == tudiv(sol, ic, every) == 2.0
+    assert eval_objective(sol, only_v1, DivParams(1, 0)) == 2.0 + sol.relevance()
 
 
 def test_add_edge_overlapping_membership_counts_all_groups():
     graph = RecGraph(["u"], [1], ["v"], [(0, 0, 0.1)])
     ut = Grouping("user", ["T"], [[0]])
     ic = Grouping("item", ["A", "B"], [[0, 1]])
+    th = ThresholdTable({(0, 0): 1, (0, 1): 1})
     sol = new_solution(graph, ut, ic)
     sol.add_edge(0)
-    assert sol.user_group_degree == {(0, 0): 1, (0, 1): 1}
+    assert tudiv(sol, ic, th) == 2.0
+    assert eval_objective(sol, th, DivParams(1, 0)) == 2.0 + 0.1
 
 
 def test_add_edge_errors(three_item_graph):
@@ -118,6 +124,32 @@ def test_add_edge_errors(three_item_graph):
     sol.add_edge(1)
     with pytest.raises(CapacityError):
         sol.add_edge(2)
+
+
+def test_add_edges_batch_sorts_lists_and_stops_at_the_bad_edge():
+    # u0 owns edges 0, 2, 3 (c = 3); u1 owns edges 1, 4, 5 (c = 2)
+    graph = RecGraph(["u0", "u1"], [3, 2], ["v0", "v1", "v2", "v3"],
+                     [(0, 0, 0.1), (1, 0, 0.2), (0, 1, 0.3), (0, 2, 0.4), (1, 3, 0.5),
+                      (1, 1, 0.6)])
+    sol = new_solution(graph)
+    sol.add_edges([3, 4, 0, 1])
+    assert sol.selected == [[0, 3], [1, 4]]
+    with pytest.raises(DuplicateEdgeError):
+        sol.add_edges([2, 0, 5])  # 0 is already selected
+    assert sol.selected == [[0, 2, 3], [1, 4]]
+    assert not sol.is_selected(5)
+
+    sol = new_solution(graph)
+    with pytest.raises(DuplicateEdgeError):
+        sol.add_edges([5, 2, 5, 0])  # repeated within the batch
+    assert sol.selected == [[2], [5]]
+    assert sol.edge_indices() == [2, 5]
+
+    sol = new_solution(graph)
+    with pytest.raises(CapacityError):
+        sol.add_edges([5, 3, 4, 1, 0])  # 1 is u1's third edge
+    assert sol.selected == [[3], [4, 5]]
+    assert sol.num_selected() == 3
 
 
 def test_eval_objective_example(three_item_graph):
@@ -160,8 +192,10 @@ def test_incremental_degrees_match_recount_randomized(rng):
             if len(sol.selected[u]) < graph.display_constraints[u]:
                 sol.add_edge(e)
         uc, it = _recount_degrees(sol)
-        assert sol.user_group_degree == uc
-        assert sol.item_group_degree == it
+        expected = (params.beta * sum(min(th.rho(u, a), d) for (u, a), d in uc.items())
+                    + params.mu * sum(min(th.lam(j, b), d) for (j, b), d in it.items())
+                    + sol.relevance())
+        assert eval_objective(sol, th, params) == expected
         for u in range(graph.num_users):
             assert len(sol.selected[u]) <= graph.display_constraints[u]
 
@@ -225,9 +259,6 @@ def test_graph_views_match_columns(rng):
         assert graph.edges[-1] == graph.edges[graph.num_edges - 1]
         assert list(graph.user_edges) == [
             tuple(i for i in range(len(users)) if users[i] == u) for u in range(graph.num_users)
-        ]
-        assert list(graph.item_edges) == [
-            tuple(i for i in range(len(items)) if items[i] == v) for v in range(graph.num_items)
         ]
         with pytest.raises(IndexError):
             graph.edges[graph.num_edges]

@@ -224,8 +224,6 @@ def test_greedy_matches_naive_on_shuffled_tied_edges(rng):
         slow = naive_greedy(graph, ut, ic, th, params)
         assert fast.edge_indices() == slow.edge_indices()
         assert fast.selected == slow.selected
-        assert fast.user_group_degree == slow.user_group_degree
-        assert fast.item_group_degree == slow.item_group_degree
 
 
 def _digest(obj) -> str:
@@ -234,25 +232,20 @@ def _digest(obj) -> str:
 
 @pytest.mark.parametrize("seed, pops, decrease_keys, objective, digests", [
     (3, 5459, 68274, 30146.863944999997, (
-        "24e992b9a456d0d0c28396745b8b7f81d3804782f50ac211130bdddcf218f419",
-        "c34022121ddeccb435d2db2407e9c092fcd89b40ff05ad98f3b7c226a49bd9f0",
-        "23c32043b213a47552177f8336245a2563ee339a48b8dac3437f6988ea172335")),
+        "24e992b9a456d0d0c28396745b8b7f81d3804782f50ac211130bdddcf218f419",)),
     (4, 5474, 68383, 30167.081907, (
-        "d13b0b5060ada6c5ddd1a587a3d8b2f154ff2d70840cc349c669e6afe9b1d686",
-        "9a4a69fa1e6a186613546d1e52855a1f31a152f6e2eb51a20cff8b60100b80ca",
-        "c1a3c0f72779052ea4d67bba744e143c98d249e49d4f03b59bd68af26e10fe24")),
+        "d13b0b5060ada6c5ddd1a587a3d8b2f154ff2d70840cc349c669e6afe9b1d686",)),
 ])
 def test_greedy_counters_and_output_pinned(seed, pops, decrease_keys, objective, digests):
-    # values from the per-user-heap greedy: the work counters, the selection,
-    # both degree maps and the objective (whose last bits follow the order
-    # edges enter the selected set) must repeat exactly
+    # values from the per-user-heap greedy: the work counters, the selection
+    # and the objective (whose last bits follow the order edges enter the
+    # selected set) must repeat exactly
     graph, ut, ic = movielens_shaped(num_users=200, seed=seed)
     th = ThresholdTable.uniform(graph, ut, ic, rho=2, lam=2)
     params = DivParams(4, 0.2)
     sol, stats = greedy_solve(graph, ut, ic, th, params, collect_stats=True)
     assert stats == {"pops": pops, "decrease_keys": decrease_keys}
-    assert (_digest(sol.selected), _digest(sorted(sol.user_group_degree.items())),
-            _digest(sorted(sol.item_group_degree.items()))) == digests
+    assert (_digest(sol.selected),) == digests
     assert eval_objective(sol, th, params) == objective
 
 
@@ -260,7 +253,7 @@ def test_greedy_ignores_threshold_entries_no_pair_reaches(rng):
     # entries for an entity or group outside the grouping, and for group ids
     # past the grouping's width (whose pair keys owner*width + group would
     # alias another owner's pair), must neither change the selection nor
-    # reach the degree maps; the shuffled instances also leave entities
+    # reach the objective; the shuffled instances also leave entities
     # without a group
     for i in range(120):
         graph, ut, ic, th, params = (_shuffled_tied_instance(rng) if i % 3 == 0
@@ -277,6 +270,4 @@ def test_greedy_ignores_threshold_entries_no_pair_reaches(rng):
         fast = greedy_solve(graph, ut, ic, wide, params)
         slow = naive_greedy(graph, ut, ic, wide, params)
         assert fast.selected == slow.selected
-        assert fast.user_group_degree == slow.user_group_degree
-        assert fast.item_group_degree == slow.item_group_degree
         assert eval_objective(fast, wide, params) == eval_objective(fast, th, params)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from recdiv.baselines import mmr
+from recdiv.baselines import mmr, top_k
 from recdiv.errors import GraphError, GroupingError
 from recdiv.graph import DivParams, Grouping, RecGraph, ThresholdTable, new_solution
 from recdiv.metrics import (
@@ -25,9 +25,9 @@ from recdiv.metrics import (
     userdiv,
     _cosine_distance,
 )
-from recdiv.synth import random_instance
+from recdiv.synth import movielens_shaped, random_instance
 
-from loop_oracles import edge_case_instance, loop_ild, loop_intent_profile
+from loop_oracles import edge_case_instance, loop_err_ia, loop_ild, loop_intent_profile
 
 
 def _one_user_solution(cats, thresholds=None):
@@ -181,8 +181,18 @@ def _assert_matches_loop_oracles(graph, ic, lists):
     assert _profile_bits(intent) == _profile_bits(oracle)
     for k in (None, 2):
         assert err_ia(lists, intent, ic, k).hex() == err_ia(lists, oracle, ic, k).hex()
+        assert err_ia(lists, intent, ic, k).hex() == loop_err_ia(lists, intent, ic, k).hex()
         assert ild(lists, ic, k).hex() == loop_ild(lists, ic, k).hex()
     return intent
+
+
+def test_err_ia_matches_loop_oracle_on_top_k_lists():
+    # the random and edge-case instances go through _assert_matches_loop_oracles
+    graph, _, ic = movielens_shaped(num_users=500, seed=3)
+    lists = top_k(graph).items
+    intent = IntentProfile.from_graph(graph, ic)
+    for k in (None, 5):
+        assert err_ia(lists, intent, ic, k).hex() == loop_err_ia(lists, intent, ic, k).hex()
 
 
 def test_intent_profile_and_ild_match_loop_oracles(rng):

@@ -20,7 +20,7 @@ from . import data as dio
 from .baselines import mmr, top_k, xquad
 from .errors import DataFormatError, InfeasibleError, InstanceTooLargeError, RecdivError
 from .flownet import solve_tdiv
-from .graph import DivParams, RecGraph, Solution, ThresholdTable, new_solution
+from .graph import DivParams, Solution, ThresholdTable, new_solution
 from .greedy import greedy_solve
 from . import metrics as m
 
@@ -61,6 +61,9 @@ def _load_inputs(args, thresholds: str):
             args.thresholds, graph.user_ids, graph.item_ids,
             user_types.group_ids, item_cats.group_ids,
         )
+        skipped_rows["thresholds"] = table.skipped_rows
+        _warn_skipped(args.thresholds, table.skipped_rows,
+                      "user, item or group not in the candidates or groupings")
     elif thresholds == "empty":
         table = ThresholdTable()
     elif thresholds == "derive":
@@ -81,15 +84,6 @@ def _load_inputs(args, thresholds: str):
 def _warn_skipped(path, count: int, reason: str) -> None:
     if count:
         print(f"warning: {path}: {count} rows skipped ({reason})", file=sys.stderr)
-
-
-def _edge_ids(graph: RecGraph) -> dict[tuple[str, str], int]:
-    """The edge index of each candidate (user id, item id) pair."""
-    user_ids, item_ids = graph.user_ids, graph.item_ids
-    return {
-        (user_ids[u], item_ids[v]): e
-        for e, (u, v) in enumerate(zip(graph.edge_user.tolist(), graph.edge_item.tolist()))
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +211,8 @@ def _evaluate_solution(graph, user_types, item_cats, thresholds, args,
         report.div = m.div_edgewise(sol, user_types, item_cats,
                                     DivParams(args.beta, args.mu))
     if getattr(args, "test", None):
-        test = dio.load_ratings(args.test)
-        item_index = {iid: i for i, iid in enumerate(graph.item_ids)}
-        user_index = {uid: u for u, uid in enumerate(graph.user_ids)}
-        relevant: dict[int, set[int]] = {}
-        for user, item, rating in test.triples:
-            u = user_index.get(user)
-            if u is None:
-                continue
-            relevant.setdefault(u, set())
-            if rating >= args.relevance_cutoff and item in item_index:
-                relevant[u].add(item_index[item])
+        relevant = dio.relevant_items(dio.load_ratings(args.test), graph.user_ids,
+                                      graph.item_ids, args.relevance_cutoff)
         if relevant:
             report.precision = m.precision(
                 lists, relevant, graph.display_constraints, k
@@ -237,12 +222,13 @@ def _evaluate_solution(graph, user_types, item_cats, thresholds, args,
 
 def cmd_evaluate(args) -> int:
     graph, user_types, item_cats, thresholds, _ = _load_inputs(args, "optional")
-    edge_of = _edge_ids(graph)
+    find_edges = dio.edge_finder(graph)
     lists = dio.load_solution_lists(
-        args.solution, dict(zip(graph.user_ids, graph.display_constraints)), edge_of)
+        args.solution, dict(zip(graph.user_ids, graph.display_constraints)), find_edges)
+    users = [user for user, rows in lists.items() for _ in rows]
+    items = [item for rows in lists.values() for item, _rel in rows]
     sol = new_solution(graph, user_types, item_cats)
-    sol.add_edges(edge_of[(user, item)] for user, rows in lists.items() for item, _rel in rows)
-    del edge_of  # one entry per candidate edge: free it before the metrics run
+    sol.add_edges(find_edges(users, items).tolist())
     report = _evaluate_solution(graph, user_types, item_cats, thresholds, args, sol)
     prefix = args.output
     with open(f"{prefix}.json", "w", encoding="utf-8") as fh:

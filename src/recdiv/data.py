@@ -1,44 +1,81 @@
 """File ingestion, train/test splitting and threshold derivation.
 
-Formats (UTF-8, LF):
+Formats (UTF-8; LF, CRLF or CR line ends; blank lines are skipped):
 
 * Ratings: MovieLens ``user::item::rating[::timestamp]`` or CSV/TSV with
   columns user,item,rating (header detected); extra columns are discarded.
+  Each line is split on ``::`` if it has one, else on tabs if it has one,
+  else on commas.
 * Groupings: TSV ``entity_id<TAB>Group1|Group2|...``.
-* Candidates: TSV ``user_id<TAB>item_id<TAB>relevance``.
+* Candidates: TSV ``user_id<TAB>item_id<TAB>relevance`` (or comma-separated,
+  per line; header detected; extra columns discarded).
 * Thresholds: TSV ``side<TAB>entity_id<TAB>group_id<TAB>value`` with side
   in {user, item}.
 * Solutions: TSV ``user_id<TAB>item_id<TAB>relevance<TAB>method``.
 * Constraints: TSV ``user_id<TAB>display_constraint`` (a positive integer).
+
+Every loader reads its file through one block reader, ``_blocks``.  It
+reads about ``BLOCK_CHARS`` characters of whole lines at a time, counts
+each line's separators with ``str.count``, splits the block once and hands
+the loader the block's rows as columns of field strings, taken from the
+split by stride slicing: it makes no list or tuple per row, and keeps a
+row's line number only for error messages.  Loaders parse numbers with
+``map``, code ids with ``dict.fromkeys`` and check rows as arrays.
+
+An error names the first malformed line, ``path:line``, as a line-by-line
+reader would: within a line the checks run in a fixed order, and a line's
+fault wins over the faults of later lines.  A file that is not UTF-8 fails
+when the block holding the bad bytes is read, so for a file of one block
+that error wins over any data error.
+
+A ``RatingsDataset`` is three columns: user ids, item ids (lists of str)
+and the ratings (a float64 array), row i being one rating.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
+from itertools import chain, compress, filterfalse, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError, GraphError
-from .graph import Grouping, RecGraph, Solution, ThresholdTable
+from .graph import Grouping, RecGraph, Solution, ThresholdTable, _first, csr_offsets
+
+BLOCK_CHARS = 1 << 20  # characters of text read per block
+_WRITE_ROWS = 1 << 15  # rows formatted per write
+
+_TAB = ("\t",)
+_TAB_OR_COMMA = ("\t", ",")
+_RATING_SEPS = ("::", "\t", ",")
 
 
-@dataclass
+@dataclass(eq=False)
 class RatingsDataset:
-    """(user, item, rating) triples with no duplicate pairs."""
+    """Ratings as columns: row i rates item ``items[i]`` by user
+    ``users[i]`` with ``ratings[i]``; no (user, item) pair repeats."""
 
-    triples: list[tuple[str, str, float]]
+    users: list[str]
+    items: list[str]
+    ratings: np.ndarray
+
+    def __post_init__(self):
+        self.ratings = np.asarray(self.ratings, dtype=np.float64)
+        if not len(self.users) == len(self.items) == len(self.ratings):
+            raise DataFormatError("ratings columns must be of equal length")
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.ratings)
 
-    def by_user(self) -> dict[str, list[tuple[str, float]]]:
-        out: dict[str, list[tuple[str, float]]] = {}
-        for user, item, rating in self.triples:
-            out.setdefault(user, []).append((item, rating))
-        return out
+    def subset(self, mask: np.ndarray) -> "RatingsDataset":
+        """The rows where ``mask`` is true, in order."""
+        keep = mask.tolist()
+        return RatingsDataset(list(compress(self.users, keep)),
+                              list(compress(self.items, keep)), self.ratings[mask])
 
 
 @dataclass
@@ -54,101 +91,352 @@ class SplitSpec:
             raise DataFormatError(f"min_ratings must be >= 1, got {self.min_ratings}")
 
 
-def _split_tab(line: str) -> list[str]:
-    return line.split("\t")
+# ---------------------------------------------------------------------------
+# The block reader
+
+class _Block:
+    """One block's rows as ``columns`` of field strings; row r was read
+    from line ``lines[r]`` of ``path``."""
+
+    def __init__(self, path, columns: list[list[str]], lines: np.ndarray):
+        self.path = path
+        self.columns = columns
+        self.lines = lines
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def head(self, rows: int) -> "_Block":
+        return _Block(self.path, [col[:rows] for col in self.columns], self.lines[:rows])
+
+    def error(self, row: int, message: str, kind=DataFormatError) -> "_RowError":
+        return _RowError(row, kind(f"{self.path}:{self.lines[row]}: {message}"))
 
 
-def _split_tab_or_comma(line: str) -> list[str]:
-    return line.split("\t") if "\t" in line else line.split(",")
+class _RowError(Exception):
+    """A check failed first at row ``row`` of a block; ``error`` is the
+    exception to raise for it."""
+
+    def __init__(self, row: int, error: Exception):
+        super().__init__(row, error)
+        self.row = row
+        self.error = error
 
 
-def _split_ratings(line: str) -> list[str]:
-    return line.split("::") if "::" in line else _split_tab_or_comma(line)
+def _blocks(path, width: int, seps=_TAB, at_least: bool = False, header: bool = False):
+    """Yield the rows of ``path``'s non-blank lines as _Blocks of ``width``
+    columns.
 
-
-def _read_rows(path, width: int, split=_split_tab, at_least: bool = False,
-               header: bool = False):
-    """Yield ``(lineno, fields)`` for each non-empty line of ``path``.
-
-    A line must split into exactly ``width`` fields (at least ``width`` with
-    ``at_least``).  With ``header``, a first line whose field ``width - 1``
-    is not a number is taken as a column header and skipped."""
+    Each line is split on the first of ``seps`` it contains and must give
+    exactly ``width`` fields (at least ``width`` with ``at_least``; the
+    extra ones are dropped).  With ``header``, a first line whose field
+    ``width - 1`` is not a number is a column header and is skipped.  At a
+    line with the wrong number of fields, the rows before it are yielded
+    and then a DataFormatError naming the line is raised."""
     with open(path, encoding="utf-8") as fh:
+        first_line, rest = 1, ""
+        while True:
+            try:
+                text = rest + fh.read(BLOCK_CHARS)
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            end = len(text) - len(rest) < BLOCK_CHARS  # a short read ends the file
+            block, error, lines, rest = _split_block(path, text, end, first_line, width, seps,
+                                                     at_least, header and first_line == 1)
+            del text
+            if len(block):
+                yield block
+            del block  # the reader and its caller hold no block while the next is read
+            if error is not None:
+                raise error
+            first_line += lines
+            if end:
+                return
+
+
+def _split_block(path, text: str, end: bool, first_line: int, width: int, seps,
+                 at_least: bool, header: bool):
+    """The rows of the whole lines of ``text`` (numbered from
+    ``first_line``), the error of the first malformed line or None, the
+    number of whole lines, and the text after them.  The rows stop before
+    the malformed line.  With ``end``, the text ends the file and its
+    last line is whole."""
+    lines = text.split("\n")
+    # Unless the file ended, the last line may go on in the next block; if
+    # it did, a last line end leaves an empty string.
+    rest = "" if end else lines.pop()
+    if end and not lines[-1]:
+        lines.pop()
+    n = len(lines)
+    fields = np.ones(n, dtype=np.int64)
+    sep_of = np.full(n, -1, dtype=np.int64)  # index in seps of each line's separator
+    for k, sep in enumerate(seps):
+        if sep in text:
+            count = np.fromiter(map(str.count, lines, repeat(sep)), np.int64, n)
+            take = (sep_of < 0) & (count > 0)
+            fields[take] += count[take]
+            sep_of[take] = k
+    skip = (np.fromiter(map(operator.not_, lines), bool, n) if "" in lines
+            else np.zeros(n, dtype=bool))
+    used = np.unique(sep_of[sep_of >= 0]).tolist()
+    # Lines end at "\n", which no field holds, so each line's separators
+    # become "\n" too and one split of the text gives every field in turn
+    # (after the fields of the whole lines come those of ``rest``).
+    if len(used) > 1:
+        # lines split on different separators: each replaces its own (a line
+        # with none, at -1, holds no seps[-1] either)
+        line_seps = [seps[k] for k in sep_of.tolist()]
+        flat = "\n".join(map(str.replace, lines, line_seps, repeat("\n"))).split("\n")
+    elif used:
+        del lines  # its strings make room for the fields
+        flat = text.replace(seps[used[0]], "\n").split("\n")
+    else:
+        flat = lines
+    bad = (fields < width) if at_least else (fields != width)
+    stop = _first(bad & ~skip)
+    if header and stop > 0 and not skip[0]:
         try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n").rstrip("\r")
-                if not line:
-                    continue
-                fields = split(line)
-                if len(fields) != width and not (at_least and len(fields) > width):
-                    raise DataFormatError(
-                        f"{path}:{lineno}: expected {'>= ' * at_least}{width} fields, "
-                        f"got {len(fields)}"
-                    )
-                if header and lineno == 1:
-                    try:
-                        float(fields[width - 1])
-                    except ValueError:
-                        continue
-                yield lineno, fields
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            float(flat[width - 1])
+        except ValueError:
+            skip[0] = True
+    rows = np.flatnonzero(~skip[:stop])
+    starts = np.cumsum(fields) - fields  # each line's first field in flat
+    step = int(fields[rows[0]]) if len(rows) else width
+    if len(rows) and rows[-1] - rows[0] + 1 == len(rows) and (fields[rows] == step).all():
+        base = int(starts[rows[0]])
+        columns = [flat[base + j:base + len(rows) * step:step] for j in range(width)]
+    else:
+        columns = [list(map(flat.__getitem__, (starts[rows] + j).tolist()))
+                   for j in range(width)]
+    error = None
+    if stop < n:
+        error = DataFormatError(f"{path}:{first_line + stop}: expected {'>= ' * at_least}"
+                                f"{width} fields, got {int(fields[stop])}")
+    return _Block(path, columns, rows + first_line), error, n, rest
 
 
-def _parse_number(path, lineno: int, what: str, text: str, kind=float):
-    """``kind(text)``, or a DataFormatError naming ``path:lineno``."""
+def _convert_blocks(blocks, convert) -> tuple[list, Exception | None]:
+    """``convert(block)`` of each block, up to the first failed check, and
+    the exception of that check (None if every row passed).
+
+    ``convert`` runs a row's checks in their order for one row, each
+    raising _RowError at its first failing row, and changes no state
+    before its last check passed.  A failing block's rows before the
+    failure are converted again, so that a later check failing on an
+    earlier row still wins, and are returned with the others."""
+    parts = []
     try:
-        return kind(text)
-    except ValueError:
-        raise DataFormatError(
-            f"{path}:{lineno}: {what} {text!r} is not a valid {kind.__name__}"
-        ) from None
+        for block in blocks:
+            try:
+                parts.append(convert(block))
+            except _RowError as bad:
+                while True:
+                    try:
+                        parts.append(convert(block.head(bad.row)))
+                        return parts, bad.error
+                    except _RowError as earlier:
+                        bad = earlier
+            del block
+    except DataFormatError as exc:
+        return parts, exc
+    return parts, None
 
+
+def _numbers(block: _Block, texts: list[str], what: str, kind=float):
+    """``kind`` of each text (a float64 array for ``float``, else a list),
+    or _RowError at the first that is not a valid ``kind``."""
+    try:
+        if kind is float:
+            return np.fromiter(map(float, texts), np.float64, len(texts))
+        return list(map(kind, texts))
+    except ValueError:
+        pass
+    bad = _first(np.fromiter(map(_not_a, repeat(kind), texts), bool, len(texts)))
+    raise block.error(bad, f"{what} {texts[bad]!r} is not a valid {kind.__name__}")
+
+
+def _not_a(kind, text: str) -> bool:
+    try:
+        kind(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _codes(code: dict[str, int], names: list[str]) -> np.ndarray:
+    """The code of each name in ``code``, after numbering the names not in
+    it yet in order of first appearance."""
+    fresh = list(filterfalse(code.__contains__, dict.fromkeys(names)))
+    code.update(zip(fresh, range(len(code), len(code) + len(fresh))))
+    return np.fromiter(map(code.__getitem__, names), np.int64, len(names))
+
+
+def _indices(index: dict[str, int], names) -> np.ndarray:
+    """``index[name]`` of each name, -1 for names not in ``index``."""
+    names = list(names)
+    return np.fromiter(map(index.get, names, repeat(-1)), np.int64, len(names))
+
+
+def _positions(ids: list[str]) -> dict[str, int]:
+    return dict(zip(ids, range(len(ids))))
+
+
+def _earlier(keys: np.ndarray) -> np.ndarray:
+    """How many earlier entries of ``keys`` equal each one."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    earlier = np.empty(len(keys), dtype=np.int64)
+    earlier[order] = np.arange(len(keys)) - np.searchsorted(ordered, ordered)
+    return earlier
+
+
+def _concat(parts, column: int, dtype=np.int64) -> np.ndarray:
+    return np.concatenate([p[column] for p in parts] or [np.zeros(0, dtype=dtype)])
+
+
+def _sorted_rank(names: list[str]) -> np.ndarray:
+    """The rank of each name in sorted order."""
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return rank
+
+
+def _first_appearance(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys in order of first appearance."""
+    _, first = np.unique(keys, return_index=True)
+    return keys[np.sort(first)]
+
+
+# ---------------------------------------------------------------------------
+# Ratings and splitting
 
 def load_ratings(path: str | Path) -> RatingsDataset:
     """Parse a ratings file; '::', tab and comma delimiters are accepted and
-    a leading header row is skipped when the rating column is not numeric."""
-    triples: list[tuple[str, str, float]] = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, fields in _read_rows(path, 3, _split_ratings, at_least=True, header=True):
-        user, item = fields[0], fields[1]
-        rating = _parse_number(path, lineno, "rating", fields[2])
-        if (user, item) in seen:
-            raise DataFormatError(f"{path}:{lineno}: duplicate pair ({user},{item})")
-        seen.add((user, item))
-        triples.append((user, item, rating))
-    return RatingsDataset(triples)
+    a leading header row is skipped when the rating column is not numeric.
+    A rating must be a finite number, and a (user, item) pair may appear
+    only once."""
+    user_code: dict[str, int] = {}
+    item_code: dict[str, int] = {}
+
+    def convert(block):
+        users, items, texts = block.columns
+        ratings = _numbers(block, texts, "rating")
+        bad = _first(~np.isfinite(ratings))
+        if bad < len(ratings):
+            raise block.error(bad, f"rating {float(ratings[bad])} is not finite")
+        return (users, items, ratings, _codes(user_code, users), _codes(item_code, items),
+                block.lines)
+
+    parts, error = _convert_blocks(
+        _blocks(path, 3, _RATING_SEPS, at_least=True, header=True), convert)
+    users = list(chain.from_iterable(p[0] for p in parts))
+    items = list(chain.from_iterable(p[1] for p in parts))
+    dup = _first(_earlier(_concat(parts, 3) * len(item_code) + _concat(parts, 4)) > 0)
+    if dup < len(users):
+        raise DataFormatError(f"{path}:{_concat(parts, 5)[dup]}: duplicate pair "
+                              f"({users[dup]},{items[dup]})")
+    if error is not None:
+        raise error
+    return RatingsDataset(users, items, _concat(parts, 2, np.float64))
 
 
 def save_ratings(dataset: RatingsDataset, path: str | Path) -> None:
+    """Write ``user<TAB>item<TAB>rating`` lines, the rating in ``:g``
+    format; each distinct rating of a block of rows is formatted once."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for user, item, rating in dataset.triples:
-            fh.write(f"{user}\t{item}\t{rating:g}\n")
+        for start in range(0, len(dataset), _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            ratings = dataset.ratings[rows]
+            # distinct bit patterns, so that -0.0 and 0.0 format apart
+            _, first, which = np.unique(ratings.view(np.int64), return_index=True,
+                                        return_inverse=True)
+            ends = [f"{rating:g}\n" for rating in ratings[first].tolist()]
+            fh.write("".join(map("\t".join, zip(dataset.users[rows], dataset.items[rows],
+                                               map(ends.__getitem__, which.tolist())))))
 
+
+def split_folds(
+    ratings: RatingsDataset, spec: SplitSpec
+) -> list[tuple[RatingsDataset, RatingsDataset]]:
+    """Per-user random partition into ``folds`` buckets; fold f's test set is
+    bucket f restricted to users with more than ``min_ratings`` ratings.
+    Users in id order each shuffle the positions of their ratings in item
+    id order with one ``random.Random(seed)``; the rating at shuffled
+    position p goes to bucket p mod folds."""
+    rng = random.Random(spec.seed)
+    user_code: dict[str, int] = {}
+    item_code: dict[str, int] = {}
+    user = _codes(user_code, ratings.users)
+    item = _codes(item_code, ratings.items)
+    user = _sorted_rank(list(user_code))[user]  # users numbered in id order
+    order = np.lexsort((_sorted_rank(list(item_code))[item], user))
+    sizes = np.bincount(user, minlength=len(user_code))
+    shuffled = []
+    for size in sizes.tolist():
+        positions = list(range(size))
+        rng.shuffle(positions)
+        shuffled += positions
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    bucket_at = np.empty(len(ratings), dtype=np.int64)  # by (user id, item id) order
+    bucket_at[start + np.array(shuffled, dtype=np.int64)] = (
+        (np.arange(len(ratings)) - start) % spec.folds)
+    bucket = np.empty(len(ratings), dtype=np.int64)
+    bucket[order] = bucket_at
+    eligible = (sizes > spec.min_ratings)[user]
+    out = []
+    for fold in range(spec.folds):
+        test = (bucket == fold) & eligible
+        out.append((ratings.subset(~test), ratings.subset(test)))
+    return out
+
+
+def relevant_items(test: RatingsDataset, user_ids: list[str], item_ids: list[str],
+                   cutoff: float) -> dict[int, set[int]]:
+    """Per user of ``user_ids`` with a rating in ``test``, in order of its
+    first one, the indices of the ``item_ids`` it rated at least ``cutoff``
+    (the relevant items of precision)."""
+    user = _indices(_positions(user_ids), test.users)
+    item = _indices(_positions(item_ids), test.items)
+    relevant: dict[int, set[int]] = {u: set() for u in _first_appearance(user[user >= 0]).tolist()}
+    hit = (user >= 0) & (item >= 0) & (test.ratings >= cutoff)
+    order = np.argsort(user[hit], kind="stable")
+    user, item = user[hit][order], item[hit][order]
+    users, starts = np.unique(user, return_index=True)
+    for u, items in zip(users.tolist(), np.split(item, starts[1:])):
+        relevant[u].update(items.tolist())
+    return relevant
+
+
+# ---------------------------------------------------------------------------
+# Groupings and candidates
 
 def load_grouping(
     path: str | Path, side: str, entity_ids: list[str]
 ) -> tuple[Grouping, int]:
     """Grouping over ``entity_ids``; rows naming unknown entities are
-    skipped and counted.  Returns (grouping, skipped_row_count)."""
-    index_of = {eid: i for i, eid in enumerate(entity_ids)}
-    group_index: dict[str, int] = {}
-    group_ids: list[str] = []
-    membership: list[list[int]] = [[] for _ in entity_ids]
+    skipped and counted.  Groups are numbered in order of first appearance.
+    Returns (grouping, skipped_row_count)."""
+    index_of = _positions(entity_ids)
+    group_code: dict[str, int] = {}
+    parts = []
     skipped = 0
-    for _lineno, (eid, group_list) in _read_rows(path, 2):
-        if eid not in index_of:
-            skipped += 1
-            continue
-        groups = [g for g in group_list.split("|") if g]
-        for g in groups:
-            if g not in group_index:
-                group_index[g] = len(group_ids)
-                group_ids.append(g)
-            gi = group_index[g]
-            if gi not in membership[index_of[eid]]:
-                membership[index_of[eid]].append(gi)
-    return Grouping(side, group_ids, membership), skipped
+    for block in _blocks(path, 2):
+        entity = _indices(index_of, block.columns[0])
+        known = entity >= 0
+        skipped += len(entity) - int(known.sum())
+        lists = list(compress(block.columns[1], known.tolist()))
+        names = "|".join(lists).split("|") if lists else []
+        owner = np.repeat(entity[known], np.fromiter(map(str.count, lists, repeat("|")),
+                                                     np.int64, len(lists)) + 1)
+        named = np.fromiter(map(bool, names), bool, len(names))
+        parts.append((owner[named], _codes(group_code, list(compress(names, named.tolist())))))
+    owner, group = _concat(parts, 0), _concat(parts, 1)
+    width = max(len(group_code), 1)
+    owner, group = np.divmod(np.unique(owner * width + group), width)
+    offsets = csr_offsets(owner, len(entity_ids)).tolist()
+    flat = group.tolist()
+    membership = [flat[a:b] for a, b in zip(offsets, offsets[1:])]
+    return Grouping(side, list(group_code), membership), skipped
 
 
 def save_grouping(grouping: Grouping, entity_ids: list[str], path: str | Path) -> None:
@@ -156,33 +444,6 @@ def save_grouping(grouping: Grouping, entity_ids: list[str], path: str | Path) -
         for i, eid in enumerate(entity_ids):
             groups = "|".join(grouping.group_ids[g] for g in grouping.groups_of(i))
             fh.write(f"{eid}\t{groups}\n")
-
-
-def split_folds(
-    ratings: RatingsDataset, spec: SplitSpec
-) -> list[tuple[RatingsDataset, RatingsDataset]]:
-    """Per-user random partition into ``folds`` buckets; fold f's test set is
-    bucket f restricted to users with more than ``min_ratings`` ratings."""
-    rng = random.Random(spec.seed)
-    buckets: dict[tuple[str, str], int] = {}
-    per_user = ratings.by_user()
-    for user in sorted(per_user):
-        entries = sorted(per_user[user])
-        indices = list(range(len(entries)))
-        rng.shuffle(indices)
-        for pos, idx in enumerate(indices):
-            buckets[(user, entries[idx][0])] = pos % spec.folds
-    eligible = {u for u, entries in per_user.items() if len(entries) > spec.min_ratings}
-    out = []
-    for fold in range(spec.folds):
-        train, test = [], []
-        for user, item, rating in ratings.triples:
-            if buckets[(user, item)] == fold and user in eligible:
-                test.append((user, item, rating))
-            else:
-                train.append((user, item, rating))
-        out.append((RatingsDataset(train), RatingsDataset(test)))
-    return out
 
 
 def load_candidates(
@@ -199,49 +460,48 @@ def load_candidates(
     counts the rows of users missing from a per-user constraint map."""
     user_code: dict[str, int] = {}
     item_code: dict[str, int] = {}
-    users: list[int] = []
-    items: list[int] = []
-    rels: list[float] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, fields in _read_rows(path, 3, _split_tab_or_comma, at_least=True, header=True):
-        rel = _parse_number(path, lineno, "relevance", fields[2])
-        if not 0 <= rel < math.inf:
-            raise GraphError(f"{path}:{lineno}: relevance {rel} is negative or not finite")
-        pair = (user_code.setdefault(fields[0], len(user_code)),
-                item_code.setdefault(fields[1], len(item_code)))
-        if pair in seen:
-            raise DataFormatError(f"{path}:{lineno}: duplicate pair ({fields[0]},{fields[1]})")
-        seen.add(pair)
-        users.append(pair[0])
-        items.append(pair[1])
-        rels.append(rel)
 
+    def convert(block):
+        users, items, texts = block.columns
+        rel = _numbers(block, texts, "relevance")
+        bad = _first(~((rel >= 0) & (rel < math.inf)))
+        if bad < len(rel):
+            raise block.error(bad, f"relevance {float(rel[bad])} is negative or not finite",
+                              GraphError)
+        return _codes(user_code, users), _codes(item_code, items), rel, block.lines
+
+    parts, error = _convert_blocks(
+        _blocks(path, 3, _TAB_OR_COMMA, at_least=True, header=True), convert)
+    user, item, rel = _concat(parts, 0), _concat(parts, 1), _concat(parts, 2, np.float64)
     user_names = list(user_code)
+    item_names = list(item_code)
+    dup = _first(_earlier(user * len(item_names) + item) > 0)
+    if dup < len(user):
+        raise DataFormatError(f"{path}:{_concat(parts, 3)[dup]}: duplicate pair "
+                              f"({user_names[user[dup]]},{item_names[item[dup]]})")
+    if error is not None:
+        raise error
+
     if isinstance(display_constraint, dict):
         kept_user = np.array([u in display_constraint for u in user_names], dtype=bool)
         constraints = [display_constraint[u] for u in user_names if u in display_constraint]
     else:
         kept_user = np.ones(len(user_names), dtype=bool)
         constraints = [display_constraint] * len(user_names)
-    item_names = list(item_code)
-    item_rank = np.empty(len(item_names), dtype=np.int64)
-    item_rank[sorted(range(len(item_names)), key=item_names.__getitem__)] = np.arange(
-        len(item_names))
+    item_rank = _sorted_rank(item_names)
 
-    user = np.array(users, dtype=np.int64)
-    item = np.array(items, dtype=np.int64)
-    rel = np.array(rels, dtype=np.float64)
     row_kept = kept_user[user]
     skipped = int(len(user) - row_kept.sum())
     user, item, rel = user[row_kept], item[row_kept], rel[row_kept]
-    # Per user, best relevance first (ties by item id); keep top_n.
-    order = np.lexsort((item_rank[item], -rel, user))
-    user, item, rel = user[order], item[order], rel[order]
-    group_start = np.searchsorted(user, user)
-    kept = np.arange(len(user)) - group_start < top_n
-    user, item, rel = user[kept], item[kept], rel[kept]
-    # The kept edges of each user in item id order.
-    order = np.lexsort((item_rank[item], user))
+    if len(user) and np.bincount(user).max() > top_n:
+        # Per user, best relevance first (ties by item id); keep top_n.
+        order = np.lexsort((item_rank[item], -rel, user))
+        user, item, rel = user[order], item[order], rel[order]
+        group_start = np.searchsorted(user, user)
+        kept = np.arange(len(user)) - group_start < top_n
+        user, item, rel = user[kept], item[kept], rel[kept]
+    # The kept edges of each user in item id order (no two share a key).
+    order = np.argsort(user * len(item_names) + item_rank[item])
     user, item, rel = user[order], item[order], rel[order]
 
     new_user = np.cumsum(kept_user) - 1
@@ -281,6 +541,30 @@ def largest_remainder(counts: dict[int, float], target: int) -> dict[int, int]:
     return out
 
 
+def _group_counts(rows: np.ndarray, owner: np.ndarray, grouping: Grouping,
+                  members: np.ndarray):
+    """(owner, {group: count}) for each owner, in order of its first row,
+    counting ``grouping``'s groups of each row's member; groups are in
+    order of first appearance.  ``rows`` selects the rows that count."""
+    owner, members = owner[rows], members[rows]
+    position, group = grouping.expand(members)
+    width = max(grouping.num_groups, 1)
+    keys = owner[position] * width + group
+    pairs, first, count = np.unique(keys, return_index=True, return_counts=True)
+    by_first = np.argsort(first)
+    pairs, count = pairs[by_first], count[by_first]
+    owners = _first_appearance(owner)
+    rank = np.empty(int(owners.max()) + 1 if len(owners) else 0, dtype=np.int64)
+    rank[owners] = np.arange(len(owners))
+    pair_owner, pair_group = np.divmod(pairs, width)
+    order = np.argsort(rank[pair_owner], kind="stable")
+    pair_owner, pair_group, count = pair_owner[order], pair_group[order], count[order]
+    offsets = np.searchsorted(rank[pair_owner], np.arange(len(owners) + 1)).tolist()
+    groups, counts = pair_group.tolist(), count.tolist()
+    return [(o, dict(zip(groups[a:b], counts[a:b])))
+            for o, a, b in zip(owners.tolist(), offsets, offsets[1:])]
+
+
 def derive_user_thresholds(
     train: RatingsDataset,
     item_cats: Grouping,
@@ -294,28 +578,15 @@ def derive_user_thresholds(
     c_i times the global average number of categories per training item for
     overlapping ones.  Users with no categorized training items get all-zero
     thresholds."""
-    item_index = {iid: i for i, iid in enumerate(item_ids)}
-    user_index = {uid: u for u, uid in enumerate(user_ids)}
-    per_user_counts: dict[int, dict[int, int]] = {}
-    cat_total = 0
-    item_total = 0
-    for user, item, _rating in train.triples:
-        ii = item_index.get(item)
-        if ii is None:
-            continue
-        cats = item_cats.groups_of(ii)
-        item_total += 1
-        cat_total += len(cats)
-        u = user_index.get(user)
-        if u is None:
-            continue
-        counts = per_user_counts.setdefault(u, {})
-        for a in cats:
-            counts[a] = counts.get(a, 0) + 1
+    item = _indices(_positions(item_ids), train.items)
+    user = _indices(_positions(user_ids), train.users)
+    known = item >= 0
+    item_total = int(known.sum())
+    cat_total = len(item_cats.expand(item[known])[0])
     avg_cats = cat_total / item_total if item_total else 0.0
 
     table: dict[tuple[int, int], int] = {}
-    for u, counts in per_user_counts.items():
+    for u, counts in _group_counts(known & (user >= 0), user, item_cats, item):
         target = display_constraints[u]
         if overlapping:
             target = round(target * avg_cats)
@@ -337,21 +608,12 @@ def derive_item_thresholds(
     frequencies, summing to ``budget_fraction`` of the equal-promotion share
     round(f * sum(c_i) / |catalog|).  Items with no training interactions
     get all-zero thresholds."""
-    user_index = {uid: u for u, uid in enumerate(user_ids)}
-    item_index = {iid: i for i, iid in enumerate(item_ids)}
+    user = _indices(_positions(user_ids), train.users)
+    item = _indices(_positions(item_ids), train.items)
     budget = round(budget_fraction * sum(display_constraints) / len(item_ids)) if item_ids else 0
-    per_item_counts: dict[int, dict[int, int]] = {}
-    for user, item, _rating in train.triples:
-        u = user_index.get(user)
-        j = item_index.get(item)
-        if u is None or j is None:
-            continue
-        counts = per_item_counts.setdefault(j, {})
-        for b in user_types.groups_of(u):
-            counts[b] = counts.get(b, 0) + 1
     table: dict[tuple[int, int], int] = {}
     if budget > 0:
-        for j, counts in per_item_counts.items():
+        for j, counts in _group_counts((user >= 0) & (item >= 0), item, user_types, user):
             for b, lam in largest_remainder(counts, budget).items():
                 if lam > 0:
                     table[(j, b)] = lam
@@ -383,30 +645,54 @@ def load_thresholds(
     user_group_ids: list[str],
     item_group_ids: list[str],
 ) -> ThresholdTable:
-    """Threshold table from a thresholds file.  Rows naming an unknown
-    entity or group are skipped; a repeated (side, entity, group) is an error."""
-    uidx = {x: i for i, x in enumerate(user_ids)}
-    iidx = {x: i for i, x in enumerate(item_ids)}
-    ugidx = {x: i for i, x in enumerate(user_group_ids)}
-    igidx = {x: i for i, x in enumerate(item_group_ids)}
-    uc: dict[tuple[int, int], int] = {}
-    it: dict[tuple[int, int], int] = {}
-    sides = {"user": (uidx, igidx, uc), "item": (iidx, ugidx, it)}
-    seen: set[tuple[str, str, str]] = set()
-    for lineno, (side, eid, gid, value) in _read_rows(path, 4):
-        if side not in sides:
-            raise DataFormatError(f"{path}:{lineno}: unknown side {side!r}")
-        entities, groups, table = sides[side]
-        threshold = _parse_number(path, lineno, "threshold", value, int)
-        if threshold < 0:
-            raise DataFormatError(f"{path}:{lineno}: threshold {threshold} is negative")
-        key = (side, eid, gid)
-        if key in seen:
-            raise DataFormatError(f"{path}:{lineno}: {side} {eid} group {gid} listed twice")
-        seen.add(key)
-        if eid in entities and gid in groups:
-            table[(entities[eid], groups[gid])] = threshold
-    return ThresholdTable(uc, it)
+    """Threshold table from a thresholds file.  A repeated (side, entity,
+    group) is an error.  Rows naming an unknown entity or group are
+    skipped; the table's ``skipped_rows`` attribute counts them."""
+    entity_code: dict[str, int] = {}
+    group_code: dict[str, int] = {}
+
+    def convert(block):
+        sides, entities, groups, texts = block.columns
+        is_user = np.fromiter(map("user".__eq__, sides), bool, len(sides))
+        bad = _first(~is_user & ~np.fromiter(map("item".__eq__, sides), bool, len(sides)))
+        if bad < len(sides):
+            raise block.error(bad, f"unknown side {sides[bad]!r}")
+        values = _numbers(block, texts, "threshold", int)
+        bad = _first(np.fromiter(map((0).__gt__, values), bool, len(values)))
+        if bad < len(values):
+            raise block.error(bad, f"threshold {values[bad]} is negative")
+        return (is_user, _codes(entity_code, entities), _codes(group_code, groups), values,
+                block.lines)
+
+    parts, error = _convert_blocks(_blocks(path, 4), convert)
+    is_user = _concat(parts, 0, bool)
+    entity, group = _concat(parts, 1), _concat(parts, 2)
+    keys = (is_user * len(entity_code) + entity) * len(group_code) + group
+    dup = _first(_earlier(keys) > 0)
+    if dup < len(entity):
+        entity_names, group_names = list(entity_code), list(group_code)
+        side = "user" if is_user[dup] else "item"
+        raise DataFormatError(f"{path}:{_concat(parts, 4)[dup]}: {side} "
+                              f"{entity_names[entity[dup]]} group {group_names[group[dup]]} "
+                              "listed twice")
+    if error is not None:
+        raise error
+    values = list(chain.from_iterable(p[3] for p in parts))
+    tables = []
+    skipped = 0
+    for rows, entity_ids, group_ids in ((is_user, user_ids, item_group_ids),
+                                        (~is_user, item_ids, user_group_ids)):
+        # each name coded in the file, looked up once among this side's ids
+        ent = _indices(_positions(entity_ids), entity_code)[entity[rows]]
+        grp = _indices(_positions(group_ids), group_code)[group[rows]]
+        known = (ent >= 0) & (grp >= 0)
+        skipped += len(known) - int(known.sum())
+        keys = zip(ent[known].tolist(), grp[known].tolist())
+        side_values = list(compress(values, rows.tolist()))
+        tables.append(dict(zip(keys, compress(side_values, known.tolist()))))
+    table = ThresholdTable(*tables)
+    table.skipped_rows = skipped
+    return table
 
 
 def save_solution(sol: Solution, path: str | Path, method: str) -> None:
@@ -422,30 +708,73 @@ def save_solution(sol: Solution, path: str | Path, method: str) -> None:
                 )
 
 
+def edge_finder(graph: RecGraph):
+    """A function of (user ids, item ids) giving the index of each
+    (user, item) edge of ``graph``, or -1 where there is none."""
+    user_index, item_index = _positions(graph.user_ids), _positions(graph.item_ids)
+    keys = graph.edge_user.astype(np.int64) * graph.num_items + graph.edge_item
+    order = np.argsort(keys)
+    # a -1 key past the end, matched by no query, ends every search
+    keys, order = np.append(keys[order], -1), np.append(order, -1)
+
+    def find(users: list[str], items: list[str]) -> np.ndarray:
+        user, item = _indices(user_index, users), _indices(item_index, items)
+        query = np.where((user >= 0) & (item >= 0), user * graph.num_items + item, -2)
+        at = np.searchsorted(keys[:-1], query)
+        return np.where(keys[at] == query, order[at], -1)
+
+    return find
+
+
 def load_solution_lists(
     path: str | Path,
     limits: dict[str, int] | None = None,
-    candidates: dict[tuple[str, str], int] | None = None,
+    candidates=None,
 ) -> dict[str, list[tuple[str, float]]]:
     """Solution rows grouped per user id, in file order.  A repeated
-    (user, item) row is an error, and so is a row whose (user id, item id)
-    is not a key of ``candidates`` or that is past its user's entry in
+    (user, item) row is an error, and so is a row that ``candidates`` (an
+    ``edge_finder``) finds no edge for or that is past its user's entry in
     ``limits`` (display constraints by user id), when those are given."""
     out: dict[str, list[tuple[str, float]]] = {}
-    seen: set[tuple[str, str]] = set()
-    for lineno, (user, item, rel, _method) in _read_rows(path, 4):
-        if (user, item) in seen:
-            raise DataFormatError(f"{path}:{lineno}: user {user} item {item} listed twice")
-        if candidates is not None and (user, item) not in candidates:
-            raise DataFormatError(
-                f"{path}:{lineno}: user {user} item {item} is not a candidate edge")
-        seen.add((user, item))
-        rows = out.setdefault(user, [])
-        limit = limits.get(user) if limits is not None else None
-        if limit is not None and len(rows) >= limit:
-            raise DataFormatError(f"{path}:{lineno}: user {user} item {item} is past the "
-                                  f"user's display constraint ({limit})")
-        rows.append((item, _parse_number(path, lineno, "relevance", rel)))
+    user_code: dict[str, int] = {}
+    item_code: dict[str, int] = {}
+    seen = np.zeros(0, dtype=np.int64)  # (user, item) keys of the rows so far
+    listed = np.zeros(0, dtype=np.int64)  # rows so far per user code
+
+    def convert(block):
+        nonlocal seen, listed
+        users, items, texts, _methods = block.columns
+        user, item = _codes(user_code, users), _codes(item_code, items)
+        keys = user << 32 | item
+        bad = _first((_earlier(keys) > 0) | np.isin(keys, seen))
+        if bad < len(keys):
+            raise block.error(bad, f"user {users[bad]} item {items[bad]} listed twice")
+        if candidates is not None:
+            bad = _first(candidates(users, items) < 0)
+            if bad < len(keys):
+                raise block.error(bad, f"user {users[bad]} item {items[bad]} is not a "
+                                       "candidate edge")
+        before = np.pad(listed, (0, len(user_code) - len(listed)))
+        if limits is not None:
+            limit = np.array([limits.get(name, -1) for name in user_code], dtype=np.int64)
+            bad = _first((limit[user] >= 0) & (before[user] + _earlier(user) >= limit[user]))
+            if bad < len(keys):
+                raise block.error(bad, f"user {users[bad]} item {items[bad]} is past the "
+                                       f"user's display constraint ({limit[user[bad]]})")
+        rels = _numbers(block, texts, "relevance").tolist()
+        seen = np.concatenate([seen, keys])
+        listed = before + np.bincount(user, minlength=len(user_code))
+        # the rows grouped per user, in file order within each user
+        order = np.argsort(user, kind="stable").tolist()
+        rows = list(zip(map(items.__getitem__, order), map(rels.__getitem__, order)))
+        offsets = csr_offsets(user, len(user_code)).tolist()
+        names = list(user_code)
+        for code in _first_appearance(user).tolist():
+            out.setdefault(names[code], []).extend(rows[offsets[code]:offsets[code + 1]])
+
+    _, error = _convert_blocks(_blocks(path, 4), convert)
+    if error is not None:
+        raise error
     return out
 
 
@@ -453,10 +782,20 @@ def load_constraints(path: str | Path) -> dict[str, int]:
     """Per-user display constraints keyed by user id; a repeated user is an
     error."""
     out: dict[str, int] = {}
-    for lineno, (user, value) in _read_rows(path, 2):
-        if user in out:
-            raise DataFormatError(f"{path}:{lineno}: user {user} listed twice")
-        out[user] = _parse_number(path, lineno, "constraint", value, int)
-        if out[user] < 1:
-            raise DataFormatError(f"{path}:{lineno}: constraint {out[user]} is below 1")
+
+    def convert(block):
+        users, texts = block.columns
+        bad = _first((_earlier(_codes({}, users)) > 0)
+                     | np.fromiter(map(out.__contains__, users), bool, len(users)))
+        if bad < len(users):
+            raise block.error(bad, f"user {users[bad]} listed twice")
+        values = _numbers(block, texts, "constraint", int)
+        bad = _first(np.fromiter(map((1).__gt__, values), bool, len(values)))
+        if bad < len(values):
+            raise block.error(bad, f"constraint {values[bad]} is below 1")
+        out.update(zip(users, values))
+
+    _, error = _convert_blocks(_blocks(path, 2), convert)
+    if error is not None:
+        raise error
     return out

@@ -777,3 +777,23 @@ def test_evaluate_solution_past_display_constraint_is_data_error_with_line(workd
     code = _evaluate(workdir, "sol.tsv", "rep")
     _assert_data_error(capsys, code,
                        "sol.tsv:4: user u1 item v4 is past the user's display constraint (2)")
+
+
+def test_split_non_finite_rating_is_data_error_with_line(tmp_path, capsys):
+    (tmp_path / "r.dat").write_text("u1::v1::4::1\nu1::v2::nan::2\nu1::v3::inf::3\n")
+    code = main(["split", "--ratings", str(tmp_path / "r.dat"),
+                 "--output-dir", str(tmp_path / "folds")])
+    _assert_data_error(capsys, code, "r.dat:2: rating nan is not finite")
+    assert not (tmp_path / "folds").exists()
+
+
+def test_threshold_rows_of_unknown_ids_are_counted_and_reported(workdir, capsys):
+    (workdir / "th.tsv").write_text("user\tu9\tA\t3\nuser\tu1\tZ\t2\nuser\tu1\tA\t1\n")
+    capsys.readouterr()
+    assert _diversify(workdir, "greedy", "g.tsv", ["--thresholds", str(workdir / "th.tsv")]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: {workdir / 'th.tsv'}: 2 rows skipped "
+        "(user, item or group not in the candidates or groupings)\n")
+    log = json.loads((workdir / "g.tsv.log.json").read_text())
+    assert log["skipped_rows"] == {"candidates": 0, "categories": 0, "types": 0,
+                                   "thresholds": 2}

@@ -21,6 +21,16 @@ from recdiv.errors import DataFormatError, GraphError
 from recdiv.graph import Grouping, RecGraph, Solution, ThresholdTable
 
 
+def _dataset(triples):
+    """A RatingsDataset of (user, item, rating) rows."""
+    users, items, ratings = zip(*triples) if triples else ((), (), ())
+    return RatingsDataset(list(users), list(items), list(ratings))
+
+
+def _rows(ds):
+    return list(zip(ds.users, ds.items, ds.ratings.tolist()))
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -33,14 +43,14 @@ def _write(tmp_path, name, text):
 def test_load_ratings_double_colon(tmp_path):
     p = _write(tmp_path, "r.dat", "1::1193::5::978300760\n2::661::3::978302109\n")
     ds = load_ratings(p)
-    assert ds.triples == [("1", "1193", 5.0), ("2", "661", 3.0)]
+    assert _rows(ds) == [("1", "1193", 5.0), ("2", "661", 3.0)]
 
 
 def test_load_ratings_tsv_and_csv(tmp_path):
     tsv = _write(tmp_path, "r.tsv", "u1\tv1\t4.0\n")
-    assert load_ratings(tsv).triples == [("u1", "v1", 4.0)]
+    assert _rows(load_ratings(tsv)) == [("u1", "v1", 4.0)]
     csvf = _write(tmp_path, "r.csv", "user,item,rating\nu1,v1,4.5\n")
-    assert load_ratings(csvf).triples == [("u1", "v1", 4.5)]
+    assert _rows(load_ratings(csvf)) == [("u1", "v1", 4.5)]
 
 
 def test_load_ratings_errors(tmp_path):
@@ -56,10 +66,10 @@ def test_load_ratings_errors(tmp_path):
 
 
 def test_ratings_round_trip(tmp_path):
-    ds = RatingsDataset([("u1", "v1", 4.0), ("u2", "v9", 2.5)])
+    ds = _dataset([("u1", "v1", 4.0), ("u2", "v9", 2.5)])
     p = tmp_path / "out.tsv"
     save_ratings(ds, p)
-    assert load_ratings(p).triples == ds.triples
+    assert _rows(load_ratings(p)) == _rows(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -109,33 +119,33 @@ def test_split_spec_validation():
 
 def test_split_partitions_each_user_evenly():
     triples = [("u1", f"v{j}", 3.0) for j in range(5)]
-    ds = RatingsDataset(triples)
+    ds = _dataset(triples)
     folds = split_folds(ds, SplitSpec(folds=5, min_ratings=1, seed=3))
     assert len(folds) == 5
     for train, test in folds:
         assert len(test) == 1
         assert len(train) == 4
-        assert set(train.triples) | set(test.triples) == set(triples)
+        assert set(_rows(train)) | set(_rows(test)) == set(triples)
 
 
 def test_split_eligibility_rule():
     triples = [("u1", f"v{j}", 3.0) for j in range(10)]
-    ds = RatingsDataset(triples)
+    ds = _dataset(triples)
     for _train, test in split_folds(ds, SplitSpec(folds=5, min_ratings=50, seed=0)):
         assert len(test) == 0  # 10 ratings never exceeds the minimum of 50
 
 
 def test_split_deterministic():
     triples = [(f"u{i}", f"v{j}", 3.0) for i in range(4) for j in range(12)]
-    ds = RatingsDataset(triples)
+    ds = _dataset(triples)
     a = split_folds(ds, SplitSpec(folds=3, min_ratings=10, seed=42))
     b = split_folds(ds, SplitSpec(folds=3, min_ratings=10, seed=42))
-    assert [(t.triples, s.triples) for t, s in a] == [
-        (t.triples, s.triples) for t, s in b
+    assert [(_rows(t), _rows(s)) for t, s in a] == [
+        (_rows(t), _rows(s)) for t, s in b
     ]
     c = split_folds(ds, SplitSpec(folds=3, min_ratings=10, seed=43))
     assert any(
-        x[1].triples != y[1].triples for x, y in zip(a, c)
+        _rows(x[1]) != _rows(y[1]) for x, y in zip(a, c)
     )
 
 
@@ -196,7 +206,7 @@ def test_largest_remainder_preserves_target(rng):
 
 def test_derive_user_thresholds_disjoint():
     # u1 trained on categories {A:3, B:1}, c=4 -> rho(A)=3, rho(B)=1
-    train = RatingsDataset(
+    train = _dataset(
         [("u1", "v1", 4), ("u1", "v2", 4), ("u1", "v3", 4), ("u1", "v4", 4)]
     )
     ic = Grouping("item", ["A", "B"], [[0], [0], [0], [1]])
@@ -208,7 +218,7 @@ def test_derive_user_thresholds_disjoint():
 
 def test_derive_user_thresholds_overlapping_scales_target():
     # every item in both categories: avg cats/item = 2, so target = 2*c
-    train = RatingsDataset([("u1", "v1", 4), ("u1", "v2", 4)])
+    train = _dataset([("u1", "v1", 4), ("u1", "v2", 4)])
     ic = Grouping("item", ["A", "B"], [[0, 1], [0, 1]])
     th = derive_user_thresholds(
         train, ic, ["v1", "v2"], ["u1"], [2], overlapping=True
@@ -217,7 +227,7 @@ def test_derive_user_thresholds_overlapping_scales_target():
 
 
 def test_derive_user_thresholds_no_training_items():
-    train = RatingsDataset([])
+    train = _dataset([])
     ic = Grouping("item", ["A"], [[0]])
     th = derive_user_thresholds(train, ic, ["v1"], ["u1"], [3])
     assert th.user_category == {}
@@ -226,7 +236,7 @@ def test_derive_user_thresholds_no_training_items():
 def test_derive_item_thresholds_budget_trace():
     # sum(c)=10 over 2 items: equal share 5, budget = round(0.2*5) = 1;
     # v1's history types {X:3, Y:1} -> lam(X)=1, lam(Y)=0
-    train = RatingsDataset(
+    train = _dataset(
         [("u1", "v1", 4), ("u2", "v1", 4), ("u3", "v1", 4), ("u4", "v1", 4)]
     )
     ut = Grouping("user", ["X", "Y"], [[0], [0], [0], [1]])
@@ -357,3 +367,19 @@ def test_load_candidates_counts_skipped_rows(tmp_path):
     assert skipped == 2
     assert graph.user_ids == ["u1", "u3"] and graph.display_constraints == [1, 2]
     assert [(e.user, graph.item_ids[e.item]) for e in graph.edges] == [(0, "v1"), (1, "v2")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_ratings_rejects_non_finite_rating(tmp_path, value):
+    p = _write(tmp_path, "r.dat", f"u1::v1::4\nu1::v2::{value}::978300760\n")
+    with pytest.raises(DataFormatError, match=f"r.dat:2: rating {value} is not finite"):
+        load_ratings(p)
+
+
+def test_load_thresholds_counts_rows_of_unknown_ids(tmp_path):
+    p = _write(tmp_path, "th.tsv", "user\tu9\tA\t3\nuser\tu1\tZ\t2\n")
+    table = load_thresholds(p, ["u1"], [], [], ["A"])
+    assert (table.user_category, table.item_type, table.skipped_rows) == ({}, {}, 2)
+    p = _write(tmp_path, "th.tsv", "user\tu1\tA\t3\nitem\tv1\tX\t1\nitem\tv2\tX\t1\n")
+    table = load_thresholds(p, ["u1"], ["v1"], ["X"], ["A"])
+    assert table.skipped_rows == 1 and table.item_type == {(0, 0): 1}

@@ -222,13 +222,8 @@ def _evaluate_solution(graph, user_types, item_cats, thresholds, args,
 
 def cmd_evaluate(args) -> int:
     graph, user_types, item_cats, thresholds, _ = _load_inputs(args, "optional")
-    find_edges = dio.edge_finder(graph)
-    lists = dio.load_solution_lists(
-        args.solution, dict(zip(graph.user_ids, graph.display_constraints)), find_edges)
-    users = [user for user, rows in lists.items() for _ in rows]
-    items = [item for rows in lists.values() for item, _rel in rows]
     sol = new_solution(graph, user_types, item_cats)
-    sol.add_edges(find_edges(users, items).tolist())
+    sol.add_edges(dio.load_solution_lists(args.solution, graph).tolist())
     report = _evaluate_solution(graph, user_types, item_cats, thresholds, args, sol)
     prefix = args.output
     with open(f"{prefix}.json", "w", encoding="utf-8") as fh:

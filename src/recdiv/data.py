@@ -24,9 +24,15 @@ row's line number only for error messages.  Loaders parse numbers with
 
 An error names the first malformed line, ``path:line``, as a line-by-line
 reader would: within a line the checks run in a fixed order, and a line's
-fault wins over the faults of later lines.  A file that is not UTF-8 fails
-when the block holding the bad bytes is read, so for a file of one block
-that error wins over any data error.
+fault wins over the faults of later lines.  Each block records its first
+fault (``graph.FirstFault``) instead of raising it: a loader's checks run
+in turn, each on the rows before the block's ``stop``, the rows the
+earlier checks passed.  A line with the wrong number of fields, or text
+that is not UTF-8, is the fault of the block that holds it, and reading
+ends at the first block with a fault.  Checks across blocks, such as for
+repeated rows, run last on the rows kept, and then the load raises the
+first fault.  So for a file of one block that is not UTF-8, that error
+wins over any data error.
 
 A ``RatingsDataset`` is three columns: user ids, item ids (lists of str)
 and the ratings (a float64 array), row i being one rating.
@@ -44,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, GraphError
-from .graph import Grouping, RecGraph, Solution, ThresholdTable, _first, csr_offsets
+from .graph import FirstFault, Grouping, RecGraph, Solution, ThresholdTable, csr_offsets
 
 BLOCK_CHARS = 1 << 20  # characters of text read per block
 _WRITE_ROWS = 1 << 15  # rows formatted per write
@@ -94,73 +100,61 @@ class SplitSpec:
 # ---------------------------------------------------------------------------
 # The block reader
 
-class _Block:
+class _Block(FirstFault):
     """One block's rows as ``columns`` of field strings; row r was read
-    from line ``lines[r]`` of ``path``."""
+    from line ``lines[r]`` of ``path``.  A check's fault is recorded as a
+    ``path:line`` error."""
 
-    def __init__(self, path, columns: list[list[str]], lines: np.ndarray):
+    def __init__(self, path, columns: list[list[str]], lines: np.ndarray,
+                 error: Exception | None = None):
+        super().__init__(len(lines), error)
         self.path = path
         self.columns = columns
         self.lines = lines
 
-    def __len__(self) -> int:
-        return len(self.lines)
-
-    def head(self, rows: int) -> "_Block":
-        return _Block(self.path, [col[:rows] for col in self.columns], self.lines[:rows])
-
-    def error(self, row: int, message: str, kind=DataFormatError) -> "_RowError":
-        return _RowError(row, kind(f"{self.path}:{self.lines[row]}: {message}"))
-
-
-class _RowError(Exception):
-    """A check failed first at row ``row`` of a block; ``error`` is the
-    exception to raise for it."""
-
-    def __init__(self, row: int, error: Exception):
-        super().__init__(row, error)
-        self.row = row
-        self.error = error
+    def check(self, bad: np.ndarray, message, kind=DataFormatError) -> None:
+        """FirstFault.check with the error ``kind("path:line: "
+        + message(row))``."""
+        super().check(bad, lambda row: kind(f"{self.path}:{self.lines[row]}: {message(row)}"))
 
 
 def _blocks(path, width: int, seps=_TAB, at_least: bool = False, header: bool = False):
     """Yield the rows of ``path``'s non-blank lines as _Blocks of ``width``
-    columns.
+    columns, up to the first block with a fault.
 
     Each line is split on the first of ``seps`` it contains and must give
     exactly ``width`` fields (at least ``width`` with ``at_least``; the
     extra ones are dropped).  With ``header``, a first line whose field
-    ``width - 1`` is not a number is a column header and is skipped.  At a
-    line with the wrong number of fields, the rows before it are yielded
-    and then a DataFormatError naming the line is raised."""
+    ``width - 1`` is not a number is a column header and is skipped.  A
+    line with the wrong number of fields ends its block's rows and is the
+    block's fault, and so is text that is not UTF-8."""
     with open(path, encoding="utf-8") as fh:
         first_line, rest = 1, ""
         while True:
             try:
                 text = rest + fh.read(BLOCK_CHARS)
             except UnicodeDecodeError as exc:
-                raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-            end = len(text) - len(rest) < BLOCK_CHARS  # a short read ends the file
-            block, error, lines, rest = _split_block(path, text, end, first_line, width, seps,
-                                                     at_least, header and first_line == 1)
-            del text
-            if len(block):
-                yield block
-            del block  # the reader and its caller hold no block while the next is read
-            if error is not None:
-                raise error
-            first_line += lines
-            if end:
+                yield _Block(path, [[]] * width, np.zeros(0, dtype=np.int64),
+                             DataFormatError(f"{path}: not UTF-8 text ({exc.reason})"))
                 return
+            end = len(text) - len(rest) < BLOCK_CHARS  # a short read ends the file
+            block, lines, rest = _split_block(path, text, end, first_line, width, seps,
+                                              at_least, header and first_line == 1)
+            del text
+            yield block
+            if end or block.error is not None:
+                return
+            del block  # the reader and its caller hold no block while the next is read
+            first_line += lines
 
 
 def _split_block(path, text: str, end: bool, first_line: int, width: int, seps,
                  at_least: bool, header: bool):
-    """The rows of the whole lines of ``text`` (numbered from
-    ``first_line``), the error of the first malformed line or None, the
-    number of whole lines, and the text after them.  The rows stop before
-    the malformed line.  With ``end``, the text ends the file and its
-    last line is whole."""
+    """The _Block of the whole lines of ``text`` (numbered from
+    ``first_line``), the number of whole lines, and the text after them.
+    The rows stop before the first malformed line, which is the block's
+    fault.  With ``end``, the text ends the file and its last line is
+    whole."""
     lines = text.split("\n")
     # Unless the file ended, the last line may go on in the next block; if
     # it did, a last line end leaves an empty string.
@@ -193,7 +187,11 @@ def _split_block(path, text: str, end: bool, first_line: int, width: int, seps,
     else:
         flat = lines
     bad = (fields < width) if at_least else (fields != width)
-    stop = _first(bad & ~skip)
+    faults = FirstFault(n)
+    faults.check(bad & ~skip, lambda line: DataFormatError(
+        f"{path}:{first_line + line}: expected {'>= ' * at_least}{width} fields, "
+        f"got {int(fields[line])}"))
+    stop = faults.stop
     if header and stop > 0 and not skip[0]:
         try:
             float(flat[width - 1])
@@ -208,51 +206,36 @@ def _split_block(path, text: str, end: bool, first_line: int, width: int, seps,
     else:
         columns = [list(map(flat.__getitem__, (starts[rows] + j).tolist()))
                    for j in range(width)]
-    error = None
-    if stop < n:
-        error = DataFormatError(f"{path}:{first_line + stop}: expected {'>= ' * at_least}"
-                                f"{width} fields, got {int(fields[stop])}")
-    return _Block(path, columns, rows + first_line), error, n, rest
+    return _Block(path, columns, rows + first_line, faults.error), n, rest
 
 
-def _convert_blocks(blocks, convert) -> tuple[list, Exception | None]:
-    """``convert(block)`` of each block, up to the first failed check, and
-    the exception of that check (None if every row passed).
-
-    ``convert`` runs a row's checks in their order for one row, each
-    raising _RowError at its first failing row, and changes no state
-    before its last check passed.  A failing block's rows before the
-    failure are converted again, so that a later check failing on an
-    earlier row still wins, and are returned with the others."""
-    parts = []
-    try:
-        for block in blocks:
-            try:
-                parts.append(convert(block))
-            except _RowError as bad:
-                while True:
-                    try:
-                        parts.append(convert(block.head(bad.row)))
-                        return parts, bad.error
-                    except _RowError as earlier:
-                        bad = earlier
-            del block
-    except DataFormatError as exc:
-        return parts, exc
-    return parts, None
+def _read(path, convert, *layout) -> tuple[list, FirstFault]:
+    """``convert(block)`` of each block that ``_blocks(path, *layout)``
+    yields, and the file's faults: the rows before ``stop`` are the rows
+    the blocks kept, and ``error`` is the first block fault."""
+    parts, rows, error = [], 0, None
+    for block in _blocks(path, *layout):
+        parts.append(convert(block))
+        rows, error = rows + block.stop, block.error
+        del block  # the reader and its caller hold no block while the next is read
+    return parts, FirstFault(rows, error)
 
 
 def _numbers(block: _Block, texts: list[str], what: str, kind=float):
-    """``kind`` of each text (a float64 array for ``float``, else a list),
-    or _RowError at the first that is not a valid ``kind``."""
+    """``kind`` of the texts of the rows before ``block.stop`` (a float64
+    array for ``float``, else a list); the first that is not a valid
+    ``kind`` is a fault, and the texts before it are converted."""
+    if block.stop < len(texts):
+        texts = texts[:block.stop]
     try:
         if kind is float:
             return np.fromiter(map(float, texts), np.float64, len(texts))
         return list(map(kind, texts))
     except ValueError:
         pass
-    bad = _first(np.fromiter(map(_not_a, repeat(kind), texts), bool, len(texts)))
-    raise block.error(bad, f"{what} {texts[bad]!r} is not a valid {kind.__name__}")
+    block.check(np.fromiter(map(_not_a, repeat(kind), texts), bool, len(texts)),
+                lambda row: f"{what} {texts[row]!r} is not a valid {kind.__name__}")
+    return _numbers(block, texts, what, kind)
 
 
 def _not_a(kind, text: str) -> bool:
@@ -321,22 +304,20 @@ def load_ratings(path: str | Path) -> RatingsDataset:
     def convert(block):
         users, items, texts = block.columns
         ratings = _numbers(block, texts, "rating")
-        bad = _first(~np.isfinite(ratings))
-        if bad < len(ratings):
-            raise block.error(bad, f"rating {float(ratings[bad])} is not finite")
-        return (users, items, ratings, _codes(user_code, users), _codes(item_code, items),
-                block.lines)
+        block.check(~np.isfinite(ratings),
+                    lambda row: f"rating {float(ratings[row])} is not finite")
+        n = block.stop
+        users, items = users[:n], items[:n]
+        return (users, items, ratings[:n], _codes(user_code, users), _codes(item_code, items),
+                block.lines[:n])
 
-    parts, error = _convert_blocks(
-        _blocks(path, 3, _RATING_SEPS, at_least=True, header=True), convert)
+    parts, faults = _read(path, convert, 3, _RATING_SEPS, True, True)
     users = list(chain.from_iterable(p[0] for p in parts))
     items = list(chain.from_iterable(p[1] for p in parts))
-    dup = _first(_earlier(_concat(parts, 3) * len(item_code) + _concat(parts, 4)) > 0)
-    if dup < len(users):
-        raise DataFormatError(f"{path}:{_concat(parts, 5)[dup]}: duplicate pair "
-                              f"({users[dup]},{items[dup]})")
-    if error is not None:
-        raise error
+    faults.check(_earlier(_concat(parts, 3) * len(item_code) + _concat(parts, 4)) > 0,
+                 lambda row: DataFormatError(f"{path}:{_concat(parts, 5)[row]}: duplicate pair "
+                                             f"({users[row]},{items[row]})"))
+    faults.raise_first()
     return RatingsDataset(users, items, _concat(parts, 2, np.float64))
 
 
@@ -418,18 +399,21 @@ def load_grouping(
     Returns (grouping, skipped_row_count)."""
     index_of = _positions(entity_ids)
     group_code: dict[str, int] = {}
-    parts = []
-    skipped = 0
-    for block in _blocks(path, 2):
+
+    def convert(block):
         entity = _indices(index_of, block.columns[0])
         known = entity >= 0
-        skipped += len(entity) - int(known.sum())
         lists = list(compress(block.columns[1], known.tolist()))
         names = "|".join(lists).split("|") if lists else []
         owner = np.repeat(entity[known], np.fromiter(map(str.count, lists, repeat("|")),
                                                      np.int64, len(lists)) + 1)
         named = np.fromiter(map(bool, names), bool, len(names))
-        parts.append((owner[named], _codes(group_code, list(compress(names, named.tolist())))))
+        return (owner[named], _codes(group_code, list(compress(names, named.tolist()))),
+                len(entity) - int(known.sum()))
+
+    parts, faults = _read(path, convert, 2)
+    faults.raise_first()
+    skipped = sum(p[2] for p in parts)
     owner, group = _concat(parts, 0), _concat(parts, 1)
     width = max(len(group_code), 1)
     owner, group = np.divmod(np.unique(owner * width + group), width)
@@ -464,23 +448,21 @@ def load_candidates(
     def convert(block):
         users, items, texts = block.columns
         rel = _numbers(block, texts, "relevance")
-        bad = _first(~((rel >= 0) & (rel < math.inf)))
-        if bad < len(rel):
-            raise block.error(bad, f"relevance {float(rel[bad])} is negative or not finite",
-                              GraphError)
-        return _codes(user_code, users), _codes(item_code, items), rel, block.lines
+        block.check(~((rel >= 0) & (rel < math.inf)),
+                    lambda row: f"relevance {float(rel[row])} is negative or not finite",
+                    GraphError)
+        n = block.stop
+        return (_codes(user_code, users[:n]), _codes(item_code, items[:n]), rel[:n],
+                block.lines[:n])
 
-    parts, error = _convert_blocks(
-        _blocks(path, 3, _TAB_OR_COMMA, at_least=True, header=True), convert)
+    parts, faults = _read(path, convert, 3, _TAB_OR_COMMA, True, True)
     user, item, rel = _concat(parts, 0), _concat(parts, 1), _concat(parts, 2, np.float64)
     user_names = list(user_code)
     item_names = list(item_code)
-    dup = _first(_earlier(user * len(item_names) + item) > 0)
-    if dup < len(user):
-        raise DataFormatError(f"{path}:{_concat(parts, 3)[dup]}: duplicate pair "
-                              f"({user_names[user[dup]]},{item_names[item[dup]]})")
-    if error is not None:
-        raise error
+    faults.check(_earlier(user * len(item_names) + item) > 0,
+                 lambda row: DataFormatError(f"{path}:{_concat(parts, 3)[row]}: duplicate pair "
+                                             f"({user_names[user[row]]},{item_names[item[row]]})"))
+    faults.raise_first()
 
     if isinstance(display_constraint, dict):
         kept_user = np.array([u in display_constraint for u in user_names], dtype=bool)
@@ -654,29 +636,28 @@ def load_thresholds(
     def convert(block):
         sides, entities, groups, texts = block.columns
         is_user = np.fromiter(map("user".__eq__, sides), bool, len(sides))
-        bad = _first(~is_user & ~np.fromiter(map("item".__eq__, sides), bool, len(sides)))
-        if bad < len(sides):
-            raise block.error(bad, f"unknown side {sides[bad]!r}")
+        block.check(~is_user & ~np.fromiter(map("item".__eq__, sides), bool, len(sides)),
+                    lambda row: f"unknown side {sides[row]!r}")
         values = _numbers(block, texts, "threshold", int)
-        bad = _first(np.fromiter(map((0).__gt__, values), bool, len(values)))
-        if bad < len(values):
-            raise block.error(bad, f"threshold {values[bad]} is negative")
-        return (is_user, _codes(entity_code, entities), _codes(group_code, groups), values,
-                block.lines)
+        block.check(np.fromiter(map((0).__gt__, values), bool, len(values)),
+                    lambda row: f"threshold {values[row]} is negative")
+        n = block.stop
+        return (is_user[:n], _codes(entity_code, entities[:n]), _codes(group_code, groups[:n]),
+                values[:n], block.lines[:n])
 
-    parts, error = _convert_blocks(_blocks(path, 4), convert)
+    parts, faults = _read(path, convert, 4)
     is_user = _concat(parts, 0, bool)
     entity, group = _concat(parts, 1), _concat(parts, 2)
-    keys = (is_user * len(entity_code) + entity) * len(group_code) + group
-    dup = _first(_earlier(keys) > 0)
-    if dup < len(entity):
-        entity_names, group_names = list(entity_code), list(group_code)
-        side = "user" if is_user[dup] else "item"
-        raise DataFormatError(f"{path}:{_concat(parts, 4)[dup]}: {side} "
-                              f"{entity_names[entity[dup]]} group {group_names[group[dup]]} "
-                              "listed twice")
-    if error is not None:
-        raise error
+
+    def listed_twice(row):
+        side = "user" if is_user[row] else "item"
+        return DataFormatError(f"{path}:{_concat(parts, 4)[row]}: {side} "
+                               f"{list(entity_code)[entity[row]]} group "
+                               f"{list(group_code)[group[row]]} listed twice")
+
+    faults.check(_earlier((is_user * len(entity_code) + entity) * len(group_code) + group) > 0,
+                 listed_twice)
+    faults.raise_first()
     values = list(chain.from_iterable(p[3] for p in parts))
     tables = []
     skipped = 0
@@ -708,7 +689,7 @@ def save_solution(sol: Solution, path: str | Path, method: str) -> None:
                 )
 
 
-def edge_finder(graph: RecGraph):
+def _edge_finder(graph: RecGraph):
     """A function of (user ids, item ids) giving the index of each
     (user, item) edge of ``graph``, or -1 where there is none."""
     user_index, item_index = _positions(graph.user_ids), _positions(graph.item_ids)
@@ -726,56 +707,40 @@ def edge_finder(graph: RecGraph):
     return find
 
 
-def load_solution_lists(
-    path: str | Path,
-    limits: dict[str, int] | None = None,
-    candidates=None,
-) -> dict[str, list[tuple[str, float]]]:
-    """Solution rows grouped per user id, in file order.  A repeated
-    (user, item) row is an error, and so is a row that ``candidates`` (an
-    ``edge_finder``) finds no edge for or that is past its user's entry in
-    ``limits`` (display constraints by user id), when those are given."""
-    out: dict[str, list[tuple[str, float]]] = {}
-    user_code: dict[str, int] = {}
-    item_code: dict[str, int] = {}
-    seen = np.zeros(0, dtype=np.int64)  # (user, item) keys of the rows so far
-    listed = np.zeros(0, dtype=np.int64)  # rows so far per user code
+def load_solution_lists(path: str | Path, graph: RecGraph) -> np.ndarray:
+    """The edges of ``graph`` that a solution file lists: users in order of
+    their first row, each user's rows in file order.  A row that is not a
+    candidate edge, repeats an earlier row or is past its user's display
+    constraint is an error, and so is a relevance that is not a number."""
+    find = _edge_finder(graph)
+    taken = np.zeros(graph.num_edges, dtype=bool)
+    listed = np.zeros(graph.num_users, dtype=np.int64)  # rows so far per user
+    limit = np.array(graph.display_constraints, dtype=np.int64)
 
     def convert(block):
-        nonlocal seen, listed
         users, items, texts, _methods = block.columns
-        user, item = _codes(user_code, users), _codes(item_code, items)
-        keys = user << 32 | item
-        bad = _first((_earlier(keys) > 0) | np.isin(keys, seen))
-        if bad < len(keys):
-            raise block.error(bad, f"user {users[bad]} item {items[bad]} listed twice")
-        if candidates is not None:
-            bad = _first(candidates(users, items) < 0)
-            if bad < len(keys):
-                raise block.error(bad, f"user {users[bad]} item {items[bad]} is not a "
-                                       "candidate edge")
-        before = np.pad(listed, (0, len(user_code) - len(listed)))
-        if limits is not None:
-            limit = np.array([limits.get(name, -1) for name in user_code], dtype=np.int64)
-            bad = _first((limit[user] >= 0) & (before[user] + _earlier(user) >= limit[user]))
-            if bad < len(keys):
-                raise block.error(bad, f"user {users[bad]} item {items[bad]} is past the "
-                                       f"user's display constraint ({limit[user[bad]]})")
-        rels = _numbers(block, texts, "relevance").tolist()
-        seen = np.concatenate([seen, keys])
-        listed = before + np.bincount(user, minlength=len(user_code))
-        # the rows grouped per user, in file order within each user
-        order = np.argsort(user, kind="stable").tolist()
-        rows = list(zip(map(items.__getitem__, order), map(rels.__getitem__, order)))
-        offsets = csr_offsets(user, len(user_code)).tolist()
-        names = list(user_code)
-        for code in _first_appearance(user).tolist():
-            out.setdefault(names[code], []).extend(rows[offsets[code]:offsets[code + 1]])
+        edge = find(users, items)
+        block.check(edge < 0, lambda row: f"user {users[row]} item {items[row]} is not a "
+                                          "candidate edge")
+        edge = edge[:block.stop]
+        block.check(taken[edge] | (_earlier(edge) > 0),
+                    lambda row: f"user {users[row]} item {items[row]} listed twice")
+        user = graph.edge_user[edge[:block.stop]]
+        block.check(listed[user] + _earlier(user) >= limit[user],
+                    lambda row: f"user {users[row]} item {items[row]} is past the user's "
+                                f"display constraint ({limit[user[row]]})")
+        _numbers(block, texts, "relevance")
+        edge, user = edge[:block.stop], user[:block.stop]
+        taken[edge] = True
+        listed[:] += np.bincount(user, minlength=len(listed))
+        return edge, user
 
-    _, error = _convert_blocks(_blocks(path, 4), convert)
-    if error is not None:
-        raise error
-    return out
+    parts, faults = _read(path, convert, 4)
+    faults.raise_first()
+    edge, user = _concat(parts, 0), _concat(parts, 1)
+    # each row keyed by its user's first row; the stable sort keeps file order
+    _, first_row, inverse = np.unique(user, return_index=True, return_inverse=True)
+    return edge[np.argsort(first_row[inverse], kind="stable")]
 
 
 def load_constraints(path: str | Path) -> dict[str, int]:
@@ -785,17 +750,14 @@ def load_constraints(path: str | Path) -> dict[str, int]:
 
     def convert(block):
         users, texts = block.columns
-        bad = _first((_earlier(_codes({}, users)) > 0)
-                     | np.fromiter(map(out.__contains__, users), bool, len(users)))
-        if bad < len(users):
-            raise block.error(bad, f"user {users[bad]} listed twice")
+        block.check((_earlier(_codes({}, users)) > 0)
+                    | np.fromiter(map(out.__contains__, users), bool, len(users)),
+                    lambda row: f"user {users[row]} listed twice")
         values = _numbers(block, texts, "constraint", int)
-        bad = _first(np.fromiter(map((1).__gt__, values), bool, len(values)))
-        if bad < len(values):
-            raise block.error(bad, f"constraint {values[bad]} is below 1")
-        out.update(zip(users, values))
+        block.check(np.fromiter(map((1).__gt__, values), bool, len(values)),
+                    lambda row: f"constraint {values[row]} is below 1")
+        out.update(zip(users, values[:block.stop]))
 
-    _, error = _convert_blocks(_blocks(path, 2), convert)
-    if error is not None:
-        raise error
+    _, faults = _read(path, convert, 2)
+    faults.raise_first()
     return out

@@ -99,10 +99,29 @@ def _columns_of(edges: list[tuple[int, int, float]]) -> tuple:
     return np.array(users), np.array(items), np.array(rels)
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first true entry, or len(mask)."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if len(hits) else len(mask)
+class FirstFault:
+    """The first fault of rows checked in order, as checking one row at a
+    time would find it: a row's fault wins over the faults of later rows,
+    and within a row the earlier check wins.  The rows before ``stop``
+    passed every check so far; ``error`` is the exception of the fault at
+    row ``stop``, or None."""
+
+    def __init__(self, rows: int, error: Exception | None = None):
+        self.stop = rows
+        self.error = error
+
+    def check(self, bad: np.ndarray, make_error) -> None:
+        """If ``bad`` marks a row before ``stop``, the first one becomes
+        the fault, with the exception ``make_error(row)``; later checks
+        see only the rows before it."""
+        hits = np.flatnonzero(bad[:self.stop])
+        if len(hits):
+            self.stop = int(hits[0])
+            self.error = make_error(self.stop)
+
+    def raise_first(self) -> None:
+        if self.error is not None:
+            raise self.error
 
 
 class RecGraph:
@@ -149,27 +168,21 @@ class RecGraph:
             if not np.issubdtype(col.dtype, np.integer):
                 raise GraphError(f"edge endpoints must be integers, got {col.dtype}")
         rels = rels.astype(np.float64)
-        n = len(rels)
-        bad_end = _first((users < 0) | (users >= self.num_users)
-                         | (items < 0) | (items >= self.num_items))
-        keys = users[:bad_end].astype(np.int64) * self.num_items + items[:bad_end]
+        faults = FirstFault(len(rels))
+        faults.check((users < 0) | (users >= self.num_users) | (items < 0)
+                     | (items >= self.num_items),
+                     lambda e: GraphError(f"edge ({int(users[e])},{int(items[e])}) "
+                                          "references unknown endpoint"))
+        keys = users[:faults.stop].astype(np.int64) * self.num_items + items[:faults.stop]
         _, first_seen = np.unique(keys, return_index=True)
-        dup = n
-        if len(first_seen) < len(keys):
+        if len(first_seen) < len(keys):  # no mask on the fault-free path: it costs memory
             repeated = np.ones(len(keys), dtype=bool)
             repeated[first_seen] = False
-            dup = _first(repeated)
-        bad_rel = _first(~np.isfinite(rels) | (rels < 0))
-        if bad_end < n and bad_end <= min(dup, bad_rel):
-            u, v = int(users[bad_end]), int(items[bad_end])
-            raise GraphError(f"edge ({u},{v}) references unknown endpoint")
-        if dup < n and dup <= bad_rel:
-            u, v = int(users[dup]), int(items[dup])
-            raise DuplicateEdgeError(f"duplicate candidate edge ({u},{v})")
-        if bad_rel < n:
-            raise GraphError(
-                f"relevance must be finite and >= 0, got {float(rels[bad_rel])}"
-            )
+            faults.check(repeated, lambda e: DuplicateEdgeError(
+                f"duplicate candidate edge ({int(users[e])},{int(items[e])})"))
+        faults.check(~np.isfinite(rels) | (rels < 0), lambda e: GraphError(
+            f"relevance must be finite and >= 0, got {float(rels[e])}"))
+        faults.raise_first()
         return (_frozen(users.astype(np.int32)), _frozen(items.astype(np.int32)),
                 _frozen(rels))
 
@@ -375,7 +388,7 @@ class Solution:
         # edges were added: the last bits of the total depend on it
         chosen = np.fromiter(self._selected_set, dtype=np.int64,
                              count=len(self._selected_set))
-        return sum(self.graph.edge_rel[chosen].tolist())
+        return sum(self.graph.edge_rel[chosen].tolist(), 0.0)
 
     def num_selected(self) -> int:
         return len(self._selected_set)

@@ -315,32 +315,3 @@ def to_dimacs(net: FlowNetwork) -> str:
             f"a {net.tail[k] + 1} {net.head[k] + 1} 0 {net.capacity[k]} {net.cost[k]}"
         )
     return "\n".join(lines) + "\n"
-
-
-def from_dimacs(text: str) -> FlowNetwork:
-    net: FlowNetwork | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "min":
-                raise GraphError(f"bad DIMACS problem line {lineno}: {raw!r}")
-            net = FlowNetwork(int(parts[2]))
-        elif parts[0] == "n":
-            if net is None:
-                raise GraphError("DIMACS node line before problem line")
-            net.set_supply(int(parts[1]) - 1, int(parts[2]))
-        elif parts[0] == "a":
-            if net is None:
-                raise GraphError("DIMACS arc line before problem line")
-            tail, head, low, capacity, cost = parts[1:6]
-            if int(low) != 0:
-                raise GraphError("nonzero lower bounds are not supported")
-            net.add_arc(int(tail) - 1, int(head) - 1, int(capacity), int(cost))
-        else:
-            raise GraphError(f"unrecognized DIMACS line {lineno}: {raw!r}")
-    if net is None:
-        raise GraphError("empty DIMACS input")
-    return net

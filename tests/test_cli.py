@@ -797,3 +797,16 @@ def test_threshold_rows_of_unknown_ids_are_counted_and_reported(workdir, capsys)
     log = json.loads((workdir / "g.tsv.log.json").read_text())
     assert log["skipped_rows"] == {"candidates": 0, "categories": 0, "types": 0,
                                    "thresholds": 2}
+
+
+def test_empty_selection_reports_float_relevance(workdir):
+    (workdir / "header_only.tsv").write_text("user\titem\trelevance\n")
+    (workdir / "empty.tsv").write_text("")
+    assert main(["diversify", "--candidates", str(workdir / "header_only.tsv"),
+                 "--categories", str(workdir / "cats.tsv"), "--types", str(workdir / "types.tsv"),
+                 "--method", "top", "--output", str(workdir / "top.tsv")]) == 0
+    rel = json.loads((workdir / "top.tsv.log.json").read_text())["rel"]
+    assert _evaluate(workdir, "empty.tsv", "rep") == 0
+    relevance_sum = json.loads((workdir / "rep.json").read_text())["relevance_sum"]
+    for value in (rel, relevance_sum):
+        assert type(value) is float and value == 0.0

@@ -1,5 +1,8 @@
+import weakref
+
 import pytest
 
+from recdiv import data
 from recdiv.data import (
     RatingsDataset,
     SplitSpec,
@@ -19,6 +22,7 @@ from recdiv.data import (
 )
 from recdiv.errors import DataFormatError, GraphError
 from recdiv.graph import Grouping, RecGraph, Solution, ThresholdTable
+from test_data_oracles import CORPUS, LOADERS
 
 
 def _dataset(triples):
@@ -273,8 +277,7 @@ def test_solution_round_trip(tmp_path):
     sol.add_edge(1)
     p = tmp_path / "sol.tsv"
     save_solution(sol, p, "greedy")
-    lists = load_solution_lists(p)
-    assert lists == {"u1": [("v1", 0.9), ("v2", 0.25)]}
+    assert load_solution_lists(p, graph).tolist() == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +298,24 @@ def test_load_thresholds_rejects_non_integer_value(tmp_path):
 
 def test_load_solution_lists_rejects_non_number_relevance(tmp_path):
     p = _write(tmp_path, "sol.tsv", "u1\tv1\t0.9\tgreedy\nu1\tv2\t?\tgreedy\n")
+    graph = RecGraph(["u1"], [2], ["v1", "v2"], [(0, 0, 0.9), (0, 1, 0.8)])
     with pytest.raises(DataFormatError, match="sol.tsv:2"):
-        load_solution_lists(p)
+        load_solution_lists(p, graph)
 
 
 def test_load_solution_lists_rejects_repeated_row_and_rows_past_limit(tmp_path):
+    def graph(limit):
+        return RecGraph(["u2", "u1"], [1, limit], ["v1", "v2"],
+                        [(0, 0, 0.5), (1, 0, 0.9), (1, 1, 0.8)])
+
     p = _write(tmp_path, "sol.tsv", "u1\tv1\t0.9\tgreedy\nu1\tv1\t0.9\tgreedy\n")
     with pytest.raises(DataFormatError, match="sol.tsv:2: user u1 item v1 listed twice"):
-        load_solution_lists(p)
+        load_solution_lists(p, graph(2))
     p = _write(tmp_path, "sol.tsv", "u1\tv1\t0.9\tg\nu2\tv1\t0.5\tg\nu1\tv2\t0.8\tg\n")
-    assert load_solution_lists(p, {"u1": 2, "u2": 1})["u1"] == [("v1", 0.9), ("v2", 0.8)]
-    assert load_solution_lists(p, {"u2": 1}) == load_solution_lists(p)
+    # users in order of their first row, each user's rows in file order
+    assert load_solution_lists(p, graph(2)).tolist() == [1, 2, 0]
     with pytest.raises(DataFormatError, match=r"sol.tsv:3: user u1 item v2 .*\(1\)"):
-        load_solution_lists(p, {"u1": 1, "u2": 1})
+        load_solution_lists(p, graph(1))
 
 
 def test_load_constraints(tmp_path):
@@ -383,3 +391,26 @@ def test_load_thresholds_counts_rows_of_unknown_ids(tmp_path):
     p = _write(tmp_path, "th.tsv", "user\tu1\tA\t3\nitem\tv1\tX\t1\nitem\tv2\tX\t1\n")
     table = load_thresholds(p, ["u1"], ["v1"], ["X"], ["A"])
     assert table.skipped_rows == 1 and table.item_type == {(0, 0): 1}
+
+
+def test_no_block_is_held_while_the_next_is_read(tmp_path, monkeypatch):
+    """Every loader lets go of a block before the reader splits the next,
+    so a load holds one block of rows at a time."""
+    monkeypatch.setattr(data, "BLOCK_CHARS", 7)
+    split, blocks = data._split_block, []
+
+    def split_block(*args):
+        assert [ref for ref in blocks if ref() is not None] == []
+        block, *rest = split(*args)
+        blocks.append(weakref.ref(block))
+        return (block, *rest)
+
+    monkeypatch.setattr(data, "_split_block", split_block)
+    for name, (load, *_) in LOADERS.items():
+        if name == "solution_no_candidates":  # fails at its first row
+            continue
+        for text in CORPUS[name]:
+            blocks.clear()
+            path = _write(tmp_path, "input.txt", text)
+            load(path)
+            assert len(blocks) > 2, name

@@ -29,6 +29,12 @@ def _oracle_edges(graph):
     return {(graph.user_ids[e.user], graph.item_ids[e.item]): e.index for e in graph.edges}
 
 
+def _solution_edges(lists):
+    """The oracle's rows per user as the edge indices of ``_graph()``."""
+    edges = _oracle_edges(_graph())
+    return [edges[(user, item)] for user, rows in lists.items() for item, _rel in rows]
+
+
 def _ratings(ds):
     return list(zip(ds.users, ds.items, ds.ratings.tolist()))
 
@@ -64,13 +70,14 @@ LOADERS = {
                    lambda p: oracle.loop_load_thresholds(p, USERS, ITEMS, ["X", "Y"],
                                                          ["A", "B"]),
                    _table_state, _table_state),
-    "solution": (lambda p: data.load_solution_lists(p, {"u1": 2, "u2": 2, "u3": 1},
-                                                    data.edge_finder(_graph())),
+    "solution": (lambda p: data.load_solution_lists(p, _graph()),
                  lambda p: oracle.loop_load_solution_lists(p, {"u1": 2, "u2": 2, "u3": 1},
                                                            _oracle_edges(_graph())),
-                 lambda r: list(r.items()), lambda r: list(r.items())),
-    "solution_unchecked": (data.load_solution_lists, oracle.loop_load_solution_lists,
-                           lambda r: list(r.items()), lambda r: list(r.items())),
+                 lambda r: r.tolist(), _solution_edges),
+    # a candidate file with no rows
+    "solution_no_candidates": (lambda p: data.load_solution_lists(p, RecGraph([], [], [])),
+                               lambda p: oracle.loop_load_solution_lists(p, {}, {}),
+                               lambda r: r.tolist(), _solution_edges),
     "constraints": (data.load_constraints, oracle.loop_load_constraints,
                     lambda r: list(r.items()), lambda r: list(r.items())),
 }
@@ -83,7 +90,7 @@ CORPUS = {
     "grouping": [CATS, TYPES],
     "thresholds": [THRESHOLDS],
     "solution": [SOLUTION],
-    "solution_unchecked": [SOLUTION],
+    "solution_no_candidates": [SOLUTION],
     "constraints": [CONSTRAINTS],
 }
 
@@ -153,6 +160,11 @@ HAND_CASES = {
         "", SOLUTION, "u1\tv1\t0.9\tg\nu1\tv1\t0.9\tg\n", "u1\tv4\t0.9\tg\n",
         "u1\tv1\t0.9\tg\nu1\tv2\t0.9\tg\nu1\tv4\tx\tg\n", "u3\tv2\t0.9\tg\nu3\tv2\tx\tg\n",
         "u1\tv1\tx\tg\nu9\tv1\t1\tg\n", "u1\tv1\t0.9\tg\nu2\tv1\t0.9\n",
+        # a repeated row that is no candidate edge fails where it first appears
+        "u1\tv1\t0.9\tg\nu1\tv4\t0.9\tg\nu1\tv4\t0.9\tg\n",
+        # a repeated row that is also past its user's limit (u3 takes 1)
+        "u3\tv2\t0.6\tg\nu3\tv2\t0.6\tg\n",
+        "u1\tv1\t0.9\tg\nu1\tv2\t0.8\tg\nu1\tv1\t0.9\tg\n",
     ],
     "constraints": [
         "", CONSTRAINTS, "u1\t2\nu1\tx\n", "u1\tx\nu1\t2\n", "u1\t0\n", "u1\t2\nu2\n",
@@ -167,7 +179,7 @@ def test_hand_cases_match_the_loop_loaders(tmp_path, loader):
         _assert_same(tmp_path, loader, payload)
         if loader in ("candidates", "solution"):
             _assert_same(tmp_path, loader + ("_per_user" if loader == "candidates"
-                                             else "_unchecked"), payload)
+                                             else "_no_candidates"), payload)
 
 
 def _large_candidates(rows: int) -> list[str]:

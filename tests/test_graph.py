@@ -8,6 +8,7 @@ import pytest
 from recdiv.errors import CapacityError, DuplicateEdgeError, GraphError, GroupingError
 from recdiv.graph import (
     DivParams,
+    FirstFault,
     Grouping,
     RecGraph,
     ThresholdTable,
@@ -237,6 +238,30 @@ def test_graph_reports_the_first_bad_edge_in_index_order():
         RecGraph(["u"], [1], ["v0", "v1"], [(0, 0, 0.1), (0, 0, 0.2), (0, 1, -1.0)])
     with pytest.raises(GraphError, match="relevance"):
         RecGraph(["u"], [1], ["v0", "v1"], [(0, 1, -1.0), (0, 0, 0.1), (0, 0, 0.2)])
+
+
+def test_first_fault_keeps_the_first_row_and_within_it_the_earlier_check():
+    made = []
+
+    def error(name):
+        def make(row):
+            made.append((name, row))
+            return ValueError(f"{name} at {row}")
+        return make
+
+    faults = FirstFault(6)
+    faults.check(np.array([0, 0, 0, 1, 0, 1], dtype=bool), error("a"))
+    faults.check(np.array([0, 0, 0, 1, 1, 0], dtype=bool), error("b"))  # row 3 again
+    assert (faults.stop, str(faults.error)) == (3, "a at 3")
+    # a later check sees only the rows before stop, and may mark fewer rows
+    faults.check(np.array([0, 0, 0, 1, 1, 1], dtype=bool), error("c"))
+    faults.check(np.array([0, 1], dtype=bool), error("d"))
+    faults.check(np.array([1, 1], dtype=bool), error("e"))
+    assert (faults.stop, str(faults.error)) == (0, "e at 0")
+    assert made == [("a", 3), ("d", 1), ("e", 0)]
+    with pytest.raises(ValueError, match="e at 0"):
+        faults.raise_first()
+    FirstFault(3).raise_first()  # no fault: nothing to raise
 
 
 def test_graph_duplicate_among_many_edges_is_duplicate_error():

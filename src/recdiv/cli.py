@@ -45,6 +45,7 @@ def _load_inputs(args, thresholds: str):
     skipped_rows = {"candidates": skipped}
     _warn_skipped(args.candidates, skipped, "user not in --constraint-file")
     user_types = item_cats = table = None
+    thresholds_path = getattr(args, "thresholds", None)  # derive-thresholds has none
     if args.categories:
         item_cats, skipped_rows["categories"] = dio.load_grouping(
             args.categories, "item", graph.item_ids)
@@ -56,13 +57,13 @@ def _load_inputs(args, thresholds: str):
     if user_types is None or item_cats is None:
         if thresholds != "optional":
             raise RecdivError("--categories and --types are required")
-    elif args.thresholds:
+    elif thresholds_path:
         table = dio.load_thresholds(
-            args.thresholds, graph.user_ids, graph.item_ids,
+            thresholds_path, graph.user_ids, graph.item_ids,
             user_types.group_ids, item_cats.group_ids,
         )
         skipped_rows["thresholds"] = table.skipped_rows
-        _warn_skipped(args.thresholds, table.skipped_rows,
+        _warn_skipped(thresholds_path, table.skipped_rows,
                       "user, item or group not in the candidates or groupings")
     elif thresholds == "empty":
         table = ThresholdTable()
@@ -184,17 +185,17 @@ def cmd_diversify(args) -> int:
 
 
 def _evaluate_solution(graph, user_types, item_cats, thresholds, args,
-                       sol: Solution) -> m.MetricsReport:
-    k = args.cutoff
-    lists = sol.ranked_lists(k)
-    report = m.MetricsReport(cutoff=k or 0)
+                       sol: Solution, params: DivParams) -> m.MetricsReport:
+    """The report of ``sol``, its lists cut at ``args.cutoff``."""
+    lists = sol.ranked_lists(args.cutoff)
+    report = m.MetricsReport(cutoff=args.cutoff or 0)
     report.relevance_sum = sol.relevance()
-    report.aggregate_diversity = m.aggregate_diversity(lists, graph.num_items, k)
-    report.gini = m.gini(lists, graph.num_items, k)
+    report.aggregate_diversity = m.aggregate_diversity(lists, graph.num_items)
+    report.gini = m.gini(lists, graph.num_items)
     if item_cats is not None:
-        report.ild = m.ild(lists, item_cats, k)
+        report.ild = m.ild(lists, item_cats)
         intent = m.IntentProfile.from_graph(graph, item_cats)
-        report.err_ia = m.err_ia(lists, intent, item_cats, k)
+        report.err_ia = m.err_ia(lists, intent, item_cats)
         report.userdiv = m.userdiv(sol, item_cats)
         if thresholds is not None:
             report.tudiv = m.tudiv(sol, item_cats, thresholds)
@@ -208,15 +209,12 @@ def _evaluate_solution(graph, user_types, item_cats, thresholds, args,
         and user_types.disjoint
         and item_cats.disjoint
     ):
-        report.div = m.div_edgewise(sol, user_types, item_cats,
-                                    DivParams(args.beta, args.mu))
+        report.div = m.div_edgewise(sol, user_types, item_cats, params)
     if getattr(args, "test", None):
         relevant = dio.relevant_items(dio.load_ratings(args.test), graph.user_ids,
                                       graph.item_ids, args.relevance_cutoff)
         if relevant:
-            report.precision = m.precision(
-                lists, relevant, graph.display_constraints, k
-            )
+            report.precision = m.precision(lists, relevant, graph.display_constraints)
     return report
 
 
@@ -224,7 +222,8 @@ def cmd_evaluate(args) -> int:
     graph, user_types, item_cats, thresholds, _ = _load_inputs(args, "optional")
     sol = new_solution(graph, user_types, item_cats)
     sol.add_edges(dio.load_solution_lists(args.solution, graph).tolist())
-    report = _evaluate_solution(graph, user_types, item_cats, thresholds, args, sol)
+    report = _evaluate_solution(graph, user_types, item_cats, thresholds, args, sol,
+                                DivParams(args.beta, args.mu))
     prefix = args.output
     with open(f"{prefix}.json", "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
@@ -290,14 +289,14 @@ def _grid_point(payload):
     sol, info = _run_method(
         graph, user_types, item_cats, thresholds, args, args.method, beta, mu, lam
     )
-    args.beta, args.mu = beta, mu
-    report = _evaluate_solution(graph, user_types, item_cats, thresholds, args, sol)
+    report = _evaluate_solution(graph, user_types, item_cats, thresholds, args, sol,
+                                DivParams(beta, mu))
     return beta, mu, lam, info, report
 
 
 def cmd_gridsearch(args) -> int:
     if args.method in ("mmr", "xquad"):
-        settings = [(args, 0.0, 0.0, lam) for lam in args.lambda_grid]
+        settings = [(args, args.beta, args.mu, lam) for lam in args.lambda_grid]
     else:
         settings = [
             (args, beta, mu, 0.0) for beta in args.beta_grid for mu in args.mu_grid
@@ -399,7 +398,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("derive-thresholds", help="derive diversity thresholds from training data")
     _add_graph_args(p)
     p.add_argument("--train", required=True)
-    p.add_argument("--thresholds", help=argparse.SUPPRESS, default=None)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_derive_thresholds)
 

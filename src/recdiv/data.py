@@ -14,13 +14,18 @@ Formats (UTF-8; LF, CRLF or CR line ends; blank lines are skipped):
 * Solutions: TSV ``user_id<TAB>item_id<TAB>relevance<TAB>method``.
 * Constraints: TSV ``user_id<TAB>display_constraint`` (a positive integer).
 
-Every loader reads its file through one block reader, ``_blocks``.  It
+Every loader reads its file through one block reader, ``_read``.  It
 reads about ``BLOCK_CHARS`` characters of whole lines at a time, counts
 each line's separators with ``str.count``, splits the block once and hands
 the loader the block's rows as columns of field strings, taken from the
 split by stride slicing: it makes no list or tuple per row, and keeps a
 row's line number only for error messages.  Loaders parse numbers with
 ``map``, code ids with ``dict.fromkeys`` and check rows as arrays.
+
+Ratings and candidates are triple files, ``user, item, number`` rows
+that may carry extra columns and a header line.  Both read through
+``_read_triples``, which parses and checks the number, codes the ids and
+rejects a repeated (user, item) pair.
 
 An error names the first malformed line, ``path:line``, as a line-by-line
 reader would: within a line the checks run in a fixed order, and a line's
@@ -50,7 +55,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, GraphError
-from .graph import FirstFault, Grouping, RecGraph, Solution, ThresholdTable, csr_offsets
+from .graph import (FirstFault, Grouping, RecGraph, Solution, ThresholdTable, csr_offsets,
+                    first_rows)
 
 BLOCK_CHARS = 1 << 20  # characters of text read per block
 _WRITE_ROWS = 1 << 15  # rows formatted per write
@@ -118,38 +124,8 @@ class _Block(FirstFault):
         super().check(bad, lambda row: kind(f"{self.path}:{self.lines[row]}: {message(row)}"))
 
 
-def _blocks(path, width: int, seps=_TAB, at_least: bool = False, header: bool = False):
-    """Yield the rows of ``path``'s non-blank lines as _Blocks of ``width``
-    columns, up to the first block with a fault.
-
-    Each line is split on the first of ``seps`` it contains and must give
-    exactly ``width`` fields (at least ``width`` with ``at_least``; the
-    extra ones are dropped).  With ``header``, a first line whose field
-    ``width - 1`` is not a number is a column header and is skipped.  A
-    line with the wrong number of fields ends its block's rows and is the
-    block's fault, and so is text that is not UTF-8."""
-    with open(path, encoding="utf-8") as fh:
-        first_line, rest = 1, ""
-        while True:
-            try:
-                text = rest + fh.read(BLOCK_CHARS)
-            except UnicodeDecodeError as exc:
-                yield _Block(path, [[]] * width, np.zeros(0, dtype=np.int64),
-                             DataFormatError(f"{path}: not UTF-8 text ({exc.reason})"))
-                return
-            end = len(text) - len(rest) < BLOCK_CHARS  # a short read ends the file
-            block, lines, rest = _split_block(path, text, end, first_line, width, seps,
-                                              at_least, header and first_line == 1)
-            del text
-            yield block
-            if end or block.error is not None:
-                return
-            del block  # the reader and its caller hold no block while the next is read
-            first_line += lines
-
-
 def _split_block(path, text: str, end: bool, first_line: int, width: int, seps,
-                 at_least: bool, header: bool):
+                 triples: bool):
     """The _Block of the whole lines of ``text`` (numbered from
     ``first_line``), the number of whole lines, and the text after them.
     The rows stop before the first malformed line, which is the block's
@@ -186,13 +162,13 @@ def _split_block(path, text: str, end: bool, first_line: int, width: int, seps,
         flat = text.replace(seps[used[0]], "\n").split("\n")
     else:
         flat = lines
-    bad = (fields < width) if at_least else (fields != width)
+    bad = (fields < width) if triples else (fields != width)
     faults = FirstFault(n)
     faults.check(bad & ~skip, lambda line: DataFormatError(
-        f"{path}:{first_line + line}: expected {'>= ' * at_least}{width} fields, "
+        f"{path}:{first_line + line}: expected {'>= ' * triples}{width} fields, "
         f"got {int(fields[line])}"))
     stop = faults.stop
-    if header and stop > 0 and not skip[0]:
+    if triples and first_line == 1 and stop > 0 and not skip[0]:
         try:
             float(flat[width - 1])
         except ValueError:
@@ -209,15 +185,38 @@ def _split_block(path, text: str, end: bool, first_line: int, width: int, seps,
     return _Block(path, columns, rows + first_line, faults.error), n, rest
 
 
-def _read(path, convert, *layout) -> tuple[list, FirstFault]:
-    """``convert(block)`` of each block that ``_blocks(path, *layout)``
-    yields, and the file's faults: the rows before ``stop`` are the rows
-    the blocks kept, and ``error`` is the first block fault."""
+def _read(path, convert, width: int, seps=_TAB, triples: bool = False
+          ) -> tuple[list, FirstFault]:
+    """``convert(block)`` of each _Block of ``width`` columns that
+    ``path``'s non-blank lines give, up to the first block with a fault,
+    and the file's faults: the rows before ``stop`` are the rows the blocks
+    kept, and ``error`` is the first block fault.
+
+    Each line is split on the first of ``seps`` it contains and must give
+    exactly ``width`` fields.  In ``triples`` files a line may give more
+    (the extra ones are dropped), and a first line whose field
+    ``width - 1`` is not a number is a column header and is skipped.  A
+    line with the wrong number of fields ends its block's rows and is the
+    block's fault, and so is text that is not UTF-8."""
     parts, rows, error = [], 0, None
-    for block in _blocks(path, *layout):
-        parts.append(convert(block))
-        rows, error = rows + block.stop, block.error
-        del block  # the reader and its caller hold no block while the next is read
+    with open(path, encoding="utf-8") as fh:
+        first_line, rest = 1, ""
+        while error is None:
+            try:
+                text = rest + fh.read(BLOCK_CHARS)
+            except UnicodeDecodeError as exc:
+                error = DataFormatError(f"{path}: not UTF-8 text ({exc.reason})")
+                break
+            end = len(text) - len(rest) < BLOCK_CHARS  # a short read ends the file
+            block, lines, rest = _split_block(path, text, end, first_line, width, seps,
+                                              triples)
+            del text
+            parts.append(convert(block))
+            rows, error = rows + block.stop, block.error
+            del block  # no block is held while the next is read
+            if end:
+                break
+            first_line += lines
     return parts, FirstFault(rows, error)
 
 
@@ -284,41 +283,44 @@ def _sorted_rank(names: list[str]) -> np.ndarray:
     return rank
 
 
-def _first_appearance(keys: np.ndarray) -> np.ndarray:
-    """The distinct keys in order of first appearance."""
-    _, first = np.unique(keys, return_index=True)
-    return keys[np.sort(first)]
-
-
 # ---------------------------------------------------------------------------
 # Ratings and splitting
+
+def _read_triples(path, seps, what: str, valid, fault: str, kind):
+    """The rows of a ``user, item, number`` file as user codes, item codes
+    and numbers, with the user and item names in code order.  A number for
+    which ``valid`` of the numbers is false is a fault, ``kind("path:line:
+    <what> <number> <fault>")``, and so is a repeated (user, item) pair."""
+    user_code: dict[str, int] = {}
+    item_code: dict[str, int] = {}
+
+    def convert(block):
+        users, items, texts = block.columns
+        numbers = _numbers(block, texts, what)
+        block.check(~valid(numbers), lambda row: f"{what} {float(numbers[row])} {fault}", kind)
+        n = block.stop
+        return (_codes(user_code, users[:n]), _codes(item_code, items[:n]), numbers[:n],
+                block.lines[:n])
+
+    parts, faults = _read(path, convert, 3, seps, True)
+    user, item = _concat(parts, 0), _concat(parts, 1)
+    user_names, item_names = list(user_code), list(item_code)
+    faults.check(_earlier(user * len(item_names) + item) > 0,
+                 lambda row: DataFormatError(f"{path}:{_concat(parts, 3)[row]}: duplicate pair "
+                                             f"({user_names[user[row]]},{item_names[item[row]]})"))
+    faults.raise_first()
+    return user, item, _concat(parts, 2, np.float64), user_names, item_names
+
 
 def load_ratings(path: str | Path) -> RatingsDataset:
     """Parse a ratings file; '::', tab and comma delimiters are accepted and
     a leading header row is skipped when the rating column is not numeric.
     A rating must be a finite number, and a (user, item) pair may appear
     only once."""
-    user_code: dict[str, int] = {}
-    item_code: dict[str, int] = {}
-
-    def convert(block):
-        users, items, texts = block.columns
-        ratings = _numbers(block, texts, "rating")
-        block.check(~np.isfinite(ratings),
-                    lambda row: f"rating {float(ratings[row])} is not finite")
-        n = block.stop
-        users, items = users[:n], items[:n]
-        return (users, items, ratings[:n], _codes(user_code, users), _codes(item_code, items),
-                block.lines[:n])
-
-    parts, faults = _read(path, convert, 3, _RATING_SEPS, True, True)
-    users = list(chain.from_iterable(p[0] for p in parts))
-    items = list(chain.from_iterable(p[1] for p in parts))
-    faults.check(_earlier(_concat(parts, 3) * len(item_code) + _concat(parts, 4)) > 0,
-                 lambda row: DataFormatError(f"{path}:{_concat(parts, 5)[row]}: duplicate pair "
-                                             f"({users[row]},{items[row]})"))
-    faults.raise_first()
-    return RatingsDataset(users, items, _concat(parts, 2, np.float64))
+    user, item, ratings, user_names, item_names = _read_triples(
+        path, _RATING_SEPS, "rating", np.isfinite, "is not finite", DataFormatError)
+    return RatingsDataset(list(map(user_names.__getitem__, user.tolist())),
+                          list(map(item_names.__getitem__, item.tolist())), ratings)
 
 
 def save_ratings(dataset: RatingsDataset, path: str | Path) -> None:
@@ -378,7 +380,8 @@ def relevant_items(test: RatingsDataset, user_ids: list[str], item_ids: list[str
     (the relevant items of precision)."""
     user = _indices(_positions(user_ids), test.users)
     item = _indices(_positions(item_ids), test.items)
-    relevant: dict[int, set[int]] = {u: set() for u in _first_appearance(user[user >= 0]).tolist()}
+    known = user[user >= 0]
+    relevant: dict[int, set[int]] = {u: set() for u in known[first_rows(known)].tolist()}
     hit = (user >= 0) & (item >= 0) & (test.ratings >= cutoff)
     order = np.argsort(user[hit], kind="stable")
     user, item = user[hit][order], item[hit][order]
@@ -442,27 +445,9 @@ def load_candidates(
     edges.  ``display_constraint`` is either a uniform value or a
     per-user-id map.  Returns (graph, skipped_row_count) where skipped
     counts the rows of users missing from a per-user constraint map."""
-    user_code: dict[str, int] = {}
-    item_code: dict[str, int] = {}
-
-    def convert(block):
-        users, items, texts = block.columns
-        rel = _numbers(block, texts, "relevance")
-        block.check(~((rel >= 0) & (rel < math.inf)),
-                    lambda row: f"relevance {float(rel[row])} is negative or not finite",
-                    GraphError)
-        n = block.stop
-        return (_codes(user_code, users[:n]), _codes(item_code, items[:n]), rel[:n],
-                block.lines[:n])
-
-    parts, faults = _read(path, convert, 3, _TAB_OR_COMMA, True, True)
-    user, item, rel = _concat(parts, 0), _concat(parts, 1), _concat(parts, 2, np.float64)
-    user_names = list(user_code)
-    item_names = list(item_code)
-    faults.check(_earlier(user * len(item_names) + item) > 0,
-                 lambda row: DataFormatError(f"{path}:{_concat(parts, 3)[row]}: duplicate pair "
-                                             f"({user_names[user[row]]},{item_names[item[row]]})"))
-    faults.raise_first()
+    user, item, rel, user_names, item_names = _read_triples(
+        path, _TAB_OR_COMMA, "relevance", lambda rel: (rel >= 0) & (rel < math.inf),
+        "is negative or not finite", GraphError)
 
     if isinstance(display_constraint, dict):
         kept_user = np.array([u in display_constraint for u in user_names], dtype=bool)
@@ -487,8 +472,7 @@ def load_candidates(
     user, item, rel = user[order], item[order], rel[order]
 
     new_user = np.cumsum(kept_user) - 1
-    _, first_use = np.unique(item, return_index=True)
-    first_use.sort()
+    first_use = first_rows(item)
     new_item = np.empty(len(item_names), dtype=np.int64)
     new_item[item[first_use]] = np.arange(len(first_use))
     graph = RecGraph(
@@ -523,30 +507,6 @@ def largest_remainder(counts: dict[int, float], target: int) -> dict[int, int]:
     return out
 
 
-def _group_counts(rows: np.ndarray, owner: np.ndarray, grouping: Grouping,
-                  members: np.ndarray):
-    """(owner, {group: count}) for each owner, in order of its first row,
-    counting ``grouping``'s groups of each row's member; groups are in
-    order of first appearance.  ``rows`` selects the rows that count."""
-    owner, members = owner[rows], members[rows]
-    position, group = grouping.expand(members)
-    width = max(grouping.num_groups, 1)
-    keys = owner[position] * width + group
-    pairs, first, count = np.unique(keys, return_index=True, return_counts=True)
-    by_first = np.argsort(first)
-    pairs, count = pairs[by_first], count[by_first]
-    owners = _first_appearance(owner)
-    rank = np.empty(int(owners.max()) + 1 if len(owners) else 0, dtype=np.int64)
-    rank[owners] = np.arange(len(owners))
-    pair_owner, pair_group = np.divmod(pairs, width)
-    order = np.argsort(rank[pair_owner], kind="stable")
-    pair_owner, pair_group, count = pair_owner[order], pair_group[order], count[order]
-    offsets = np.searchsorted(rank[pair_owner], np.arange(len(owners) + 1)).tolist()
-    groups, counts = pair_group.tolist(), count.tolist()
-    return [(o, dict(zip(groups[a:b], counts[a:b])))
-            for o, a, b in zip(owners.tolist(), offsets, offsets[1:])]
-
-
 def derive_user_thresholds(
     train: RatingsDataset,
     item_cats: Grouping,
@@ -567,8 +527,9 @@ def derive_user_thresholds(
     cat_total = len(item_cats.expand(item[known])[0])
     avg_cats = cat_total / item_total if item_total else 0.0
 
+    rows = known & (user >= 0)
     table: dict[tuple[int, int], int] = {}
-    for u, counts in _group_counts(known & (user >= 0), user, item_cats, item):
+    for u, counts in item_cats.tally(user[rows], item[rows]).items():
         target = display_constraints[u]
         if overlapping:
             target = round(target * avg_cats)
@@ -595,7 +556,8 @@ def derive_item_thresholds(
     budget = round(budget_fraction * sum(display_constraints) / len(item_ids)) if item_ids else 0
     table: dict[tuple[int, int], int] = {}
     if budget > 0:
-        for j, counts in _group_counts((user >= 0) & (item >= 0), item, user_types, user):
+        rows = (user >= 0) & (item >= 0)
+        for j, counts in user_types.tally(item[rows], user[rows]).items():
             for b, lam in largest_remainder(counts, budget).items():
                 if lam > 0:
                     table[(j, b)] = lam

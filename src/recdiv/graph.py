@@ -87,6 +87,15 @@ def csr_offsets(ids: np.ndarray, size: int) -> np.ndarray:
     return offsets
 
 
+def first_rows(keys: np.ndarray) -> np.ndarray:
+    """The row of each distinct key's first appearance, in increasing
+    order: ``keys[first_rows(keys)]`` lists the distinct keys in order of
+    first appearance."""
+    _, first = np.unique(keys, return_index=True)
+    first.sort()
+    return first
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -259,6 +268,24 @@ class Grouping:
         skip = np.repeat(start - (np.cumsum(count) - count), count)
         return position, self._flat[skip + np.arange(len(position))]
 
+    def tally(self, owners: np.ndarray, members: np.ndarray) -> dict[int, dict[int, int]]:
+        """Each owner's {group: count} over the rows, counting the groups of
+        each row's member: owners in order of their first row (rows whose
+        member has no group included), groups in order of first
+        appearance."""
+        owners = np.asarray(owners, dtype=np.int64)
+        position, group = self.expand(members)
+        width = max(self.num_groups, 1)
+        _, first, count = np.unique(owners[position] * width + group, return_index=True,
+                                    return_counts=True)
+        order = np.argsort(first)
+        first, count = first[order], count[order]
+        counts: dict[int, dict[int, int]] = {o: {} for o in owners[first_rows(owners)].tolist()}
+        for o, g, c in zip(owners[position[first]].tolist(), group[first].tolist(),
+                           count.tolist()):
+            counts[o][g] = c
+        return counts
+
     @classmethod
     def empty(cls, side: str, num_entities: int) -> "Grouping":
         return cls(side, [], [[] for _ in range(num_entities)])
@@ -310,8 +337,7 @@ class ThresholdTable:
 def _distinct_pairs(rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int]]:
     """The distinct (rows[k], cols[k]) pairs in order of first occurrence."""
     width = int(cols.max()) + 1 if len(cols) else 1
-    _, first = np.unique(rows.astype(np.int64) * width + cols, return_index=True)
-    first.sort()
+    first = first_rows(rows.astype(np.int64) * width + cols)
     return list(zip(rows[first].tolist(), cols[first].tolist()))
 
 

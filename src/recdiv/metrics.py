@@ -20,12 +20,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import GraphError, GroupingError
-from .graph import DivParams, Grouping, Solution, ThresholdTable, csr_offsets
+from .graph import DivParams, Grouping, Solution, ThresholdTable
 
 Lists = list[list[int]]
 
@@ -146,17 +146,15 @@ class CategoryClasses:
         return [class_of[min(item, last)] for item in items]
 
 
-def ild(lists: Lists, item_cats: Grouping, k: int | None = None) -> float:
+def ild(lists: Lists, item_cats: Grouping) -> float:
     """Mean over users of the average pairwise category distance within the
-    user's (truncated) list.  Users with fewer than two items contribute 0."""
+    user's list.  Users with fewer than two items contribute 0."""
     if not lists:
         return 0.0
     table = CategoryClasses(item_cats)
     dist = table.dist
     total = 0.0
     for items in lists:
-        if k is not None:
-            items = items[:k]
         c = len(items)
         if c < 2:
             continue
@@ -211,31 +209,16 @@ class IntentProfile:
         norm = (rel - lo) / span if span > 0 else np.ones(len(rel))
         order = graph.user_order
         items = graph.edge_item[order]
-        norm_rel = _dicts(items.tolist(), norm[order].tolist(), graph.user_offsets.tolist())
-
-        # distinct (user, category) pairs over the user-ordered edges, in
-        # order of first occurrence, with their counts
-        position, cats = item_cats.expand(items)
-        users = graph.edge_user[order][position].astype(np.int64)
-        _, first, counts = np.unique(users * max(item_cats.num_groups, 1) + cats,
-                                     return_index=True, return_counts=True)
-        by_first = np.argsort(first)
-        first, counts = first[by_first], counts[by_first]
-        share = counts / np.bincount(users, minlength=graph.num_users)[users[first]]
-        probs = _dicts(cats[first].tolist(), share.tolist(),
-                       csr_offsets(users[first], graph.num_users).tolist())
+        keys, values, bounds = items.tolist(), norm[order].tolist(), graph.user_offsets.tolist()
+        norm_rel = [dict(zip(keys[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
+        probs: list[dict[int, float]] = [{} for _ in range(graph.num_users)]
+        for u, counts in item_cats.tally(graph.edge_user[order], items).items():
+            total = sum(counts.values())
+            probs[u] = {a: count / total for a, count in counts.items()}
         return cls(probs, norm_rel)
 
 
-def _dicts(keys: list, values: list, bounds: list[int]) -> list[dict]:
-    """One dict per consecutive pair of bounds, over that slice of keys and
-    values."""
-    return [dict(zip(keys[lo:hi], values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def err_ia(
-    lists: Lists, intent: IntentProfile, item_cats: Grouping, k: int | None = None
-) -> float:
+def err_ia(lists: Lists, intent: IntentProfile, item_cats: Grouping) -> float:
     """Intent-aware expected reciprocal rank, averaged over users.  The
     per-category relevance of an item is its normalized relevance masked by
     category membership.  A user's terms are summed in the order of its
@@ -244,8 +227,6 @@ def err_ia(
         return 0.0
     total = 0.0
     for u, items in enumerate(lists):
-        if k is not None:
-            items = items[:k]
         probs = intent.category_probs[u]
         rels = intent.norm_rel[u]
         hits: dict[int, list[tuple[int, float]]] = {}
@@ -280,46 +261,36 @@ def gini_index(degrees: list[int]) -> float:
     return 1.0 - (r + 1 - 2.0 * weighted / total) / r
 
 
-def _item_degrees(lists: Lists, catalog_size: int, k: int | None) -> list[int]:
+def _item_degrees(lists: Lists, catalog_size: int) -> list[int]:
     degrees = [0] * catalog_size
     for items in lists:
-        if k is not None:
-            items = items[:k]
         for item in items:
             degrees[item] += 1
     return degrees
 
 
-def gini(lists: Lists, catalog_size: int, k: int | None = None) -> float:
-    return gini_index(_item_degrees(lists, catalog_size, k))
+def gini(lists: Lists, catalog_size: int) -> float:
+    return gini_index(_item_degrees(lists, catalog_size))
 
 
-def aggregate_diversity(lists: Lists, catalog_size: int, k: int | None = None) -> float:
+def aggregate_diversity(lists: Lists, catalog_size: int) -> float:
     """Fraction of catalog items recommended to at least one user."""
     if catalog_size == 0:
         return 0.0
     seen: set[int] = set()
     for items in lists:
-        if k is not None:
-            items = items[:k]
         seen.update(items)
     return len(seen) / catalog_size
 
 
-def precision(
-    lists: Lists,
-    relevant: dict[int, set[int]],
-    constraints: list[int],
-    k: int | None = None,
-) -> float:
+def precision(lists: Lists, relevant: dict[int, set[int]], constraints: list[int]) -> float:
     """Mean over test users of |list ∩ relevant| / c_i; test users are the
     keys of ``relevant``."""
     if not relevant:
         raise GraphError("precision requires at least one test user")
     total = 0.0
     for u, t_set in relevant.items():
-        items = lists[u][:k] if k is not None else lists[u]
-        total += len(set(items) & t_set) / constraints[u]
+        total += len(set(lists[u]) & t_set) / constraints[u]
     return total / len(relevant)
 
 
@@ -357,20 +328,16 @@ class MetricsReport:
     aggregate_diversity: float | None = None
     gini: float | None = None
     relevance_sum: float | None = None
-    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload.update(payload.pop("extra"))
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def csv_header(self) -> list[str]:
-        return ["cutoff"] + REPORT_FIELDS + sorted(self.extra)
+        return ["cutoff"] + REPORT_FIELDS
 
     def to_csv_row(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         row = [self.cutoff] + [getattr(self, f) for f in REPORT_FIELDS]
-        row += [self.extra[key] for key in sorted(self.extra)]
         writer.writerow(["" if v is None else v for v in row])
         return buf.getvalue().strip("\r\n")

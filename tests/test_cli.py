@@ -150,6 +150,23 @@ def test_derive_thresholds(workdir):
     assert all(total == 2 for total in per_user.values())
 
 
+def test_derive_thresholds_ignores_a_config_thresholds_file(workdir):
+    """derive-thresholds defines no --thresholds, so a shared config's
+    thresholds file does not replace the derived table."""
+    assert _derive(workdir, "plain.tsv") == 0
+    (workdir / "mine.tsv").write_text("user\tu1\tA\t7\n")
+    (workdir / "config.json").write_text(json.dumps({"thresholds": str(workdir / "mine.tsv")}))
+    assert main(["--config", str(workdir / "config.json"), "derive-thresholds",
+                 *_graph_args(workdir), "--output", str(workdir / "config.tsv")]) == 0
+    assert (workdir / "config.tsv").read_bytes() == (workdir / "plain.tsv").read_bytes()
+
+
+def test_derive_thresholds_with_thresholds_flag_is_usage_error(tmp_path, capsys):
+    _usage_error_before_reading(capsys, [
+        "derive-thresholds", *_missing_inputs(tmp_path), "--thresholds", "mine.tsv",
+        "--output", str(tmp_path / "th.tsv")], "--thresholds")
+
+
 # ---------------------------------------------------------------------------
 # diversify
 
@@ -313,6 +330,26 @@ def test_gridsearch_lambda_grid_parallel(workdir):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["lambda"] for r in rows] == ["0.0", "0.5", "1.0"]
+
+
+def test_gridsearch_scores_rerankers_with_the_given_weights(workdir):
+    """A reranker grid row scores its solution with --beta and --mu, as
+    diversify logs it and evaluate reports it."""
+    assert _derive(workdir) == 0
+    weights = ["--beta", "4", "--mu", "1", "--thresholds", str(workdir / "th.tsv")]
+    assert main(["gridsearch", *_graph_args(workdir), "--method", "mmr", "--lambda-grid", "0.5",
+                 *weights, "--output", str(workdir / "grid.csv")]) == 0
+    assert _diversify(workdir, "mmr", "mmr.tsv", ["--lambda", "0.5", *weights]) == 0
+    assert _evaluate(workdir, "mmr.tsv", "rep", [
+        "--categories", str(workdir / "cats.tsv"), "--types", str(workdir / "types.tsv"),
+        *weights]) == 0
+    with open(workdir / "grid.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    log = json.loads((workdir / "mmr.tsv.log.json").read_text())
+    report = json.loads((workdir / "rep.json").read_text())
+    assert (row["beta"], row["mu"]) == ("4.0", "1.0")
+    assert float(row["objective"]) == log["objective"]
+    assert float(row["div"]) == report["div"]
 
 
 def test_report_merges_json(workdir):

@@ -9,7 +9,7 @@ import pytest
 
 import loop_oracles as oracle
 from recdiv import data
-from recdiv.graph import RecGraph
+from recdiv.graph import Grouping, RecGraph
 from recdiv.synth import movielens_shaped
 from test_cli import CANDIDATES, CATS, TEST_RATINGS, TRAIN, TYPES, _mutate
 
@@ -252,6 +252,26 @@ def test_split_derive_and_save_match_the_loops(tmp_path, seed):
         want = oracle.loop_derive_item_thresholds(triples, user_types, *args,
                                                   budget_fraction=fraction)
         assert list(got.item_type.items()) == list(want.item_type.items())
+
+
+def test_derived_thresholds_list_owners_by_first_row():
+    """Owners are listed in order of their first training row, rows whose
+    member has no group included.  u1's first row is an uncategorized item,
+    and a categorized row of u2 comes before u1's first categorized row; v1's
+    first row is by u3, who has no type, and a typed row of v2 comes before
+    v1's first typed row."""
+    triples = [("u1", "v3", 4.0), ("u3", "v1", 3.0), ("u2", "v2", 5.0), ("u2", "v1", 2.0),
+               ("u1", "v1", 1.0)]
+    ds = data.RatingsDataset(*map(list, zip(*triples)))
+    users, items, constraints = ["u1", "u2", "u3"], ["v1", "v2", "v3"], [2, 2, 2]
+    item_cats = Grouping("item", ["A", "B"], [[0], [1], []])
+    user_types = Grouping("user", ["X", "Y"], [[0], [1], []])
+    got = data.derive_user_thresholds(ds, item_cats, items, users, constraints)
+    want = oracle.loop_derive_user_thresholds(triples, item_cats, items, users, constraints)
+    assert list(got.user_category.items()) == list(want.user_category.items())
+    got = data.derive_item_thresholds(ds, user_types, users, items, constraints, 1.0)
+    want = oracle.loop_derive_item_thresholds(triples, user_types, users, items, constraints, 1.0)
+    assert list(got.item_type.items()) == list(want.item_type.items())
 
 
 def test_save_ratings_matches_the_loop_on_signed_zeros_and_extremes(tmp_path):

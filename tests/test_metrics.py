@@ -132,9 +132,18 @@ def test_ild_empty_category_vector_distance_one():
     assert ild([[0, 1]], ic) == pytest.approx(1.0)
 
 
+def _lists_cut_at(k):
+    """One user's items 0, 1, 2, ranked by relevance and cut at k, as the
+    evaluation cuts every list before its metrics read it."""
+    graph = RecGraph(["u"], [3], ["v1", "v2", "v3"], [(0, 0, 0.9), (0, 1, 0.8), (0, 2, 0.7)])
+    sol = new_solution(graph)
+    sol.add_edges([0, 1, 2])
+    return sol.ranked_lists(k)
+
+
 def test_ild_cutoff():
     ic = Grouping("item", ["A", "B"], [[0], [0], [1]])
-    assert ild([[0, 1, 2]], ic, k=2) == 0.0
+    assert ild(_lists_cut_at(2), ic) == 0.0
 
 
 def test_err_ia_fixtures():
@@ -180,9 +189,10 @@ def _assert_matches_loop_oracles(graph, ic, lists):
     oracle = loop_intent_profile(graph, ic)
     assert _profile_bits(intent) == _profile_bits(oracle)
     for k in (None, 2):
-        assert err_ia(lists, intent, ic, k).hex() == err_ia(lists, oracle, ic, k).hex()
-        assert err_ia(lists, intent, ic, k).hex() == loop_err_ia(lists, intent, ic, k).hex()
-        assert ild(lists, ic, k).hex() == loop_ild(lists, ic, k).hex()
+        cut = [items[:k] for items in lists]
+        assert err_ia(cut, intent, ic).hex() == err_ia(cut, oracle, ic).hex()
+        assert err_ia(cut, intent, ic).hex() == loop_err_ia(lists, intent, ic, k).hex()
+        assert ild(cut, ic).hex() == loop_ild(lists, ic, k).hex()
     return intent
 
 
@@ -192,7 +202,8 @@ def test_err_ia_matches_loop_oracle_on_top_k_lists():
     lists = top_k(graph).items
     intent = IntentProfile.from_graph(graph, ic)
     for k in (None, 5):
-        assert err_ia(lists, intent, ic, k).hex() == loop_err_ia(lists, intent, ic, k).hex()
+        cut = [items[:k] for items in lists]
+        assert err_ia(cut, intent, ic).hex() == loop_err_ia(lists, intent, ic, k).hex()
 
 
 def test_intent_profile_and_ild_match_loop_oracles(rng):
@@ -268,7 +279,7 @@ def test_precision_fixtures():
 
 
 def test_precision_cutoff():
-    assert precision([[0, 1, 2]], {0: {2}}, [3], k=2) == 0.0
+    assert precision(_lists_cut_at(2), {0: {2}}, [3]) == 0.0
 
 
 def test_metrics_permutation_invariance(rng):
@@ -281,10 +292,9 @@ def test_metrics_permutation_invariance(rng):
 
 
 def test_report_round_trip():
-    rep = MetricsReport(cutoff=10, precision=0.5, gini=0.9, extra={"method": "top"})
+    rep = MetricsReport(cutoff=10, precision=0.5, gini=0.9)
     payload = json.loads(rep.to_json())
     assert payload["precision"] == 0.5
-    assert payload["method"] == "top"
     assert payload["err_ia"] is None
     header = rep.csv_header()
     row = rep.to_csv_row().split(",")

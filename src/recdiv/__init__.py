@@ -14,7 +14,6 @@ from .errors import (
     GraphError,
     GroupingError,
     InfeasibleError,
-    InstanceTooLargeError,
     NegativeCycleError,
     RecdivError,
 )
@@ -28,14 +27,8 @@ from .graph import (
     new_solution,
 )
 from .mincostflow import FlowNetwork, FlowResult, solve_min_cost_flow, validate_flow
-from .flownet import (
-    build_tdiv_network,
-    build_userdiv_network,
-    solve_tdiv,
-    solve_tdiv_detailed,
-)
-from .greedy import greedy_solve, marginal_gain, naive_greedy
-from .exhaustive import brute_force_optimum
+from .flownet import build_tdiv_network, solve_tdiv, solve_tdiv_detailed
+from .greedy import greedy_solve
 from .baselines import RankedLists, mmr, top_k, xquad
 from .metrics import IntentProfile, MetricsReport
 
@@ -50,7 +43,6 @@ __all__ = [
     "Grouping",
     "GroupingError",
     "InfeasibleError",
-    "InstanceTooLargeError",
     "IntentProfile",
     "MetricsReport",
     "NegativeCycleError",
@@ -59,14 +51,10 @@ __all__ = [
     "RecdivError",
     "Solution",
     "ThresholdTable",
-    "brute_force_optimum",
     "build_tdiv_network",
-    "build_userdiv_network",
     "eval_objective",
     "greedy_solve",
-    "marginal_gain",
     "mmr",
-    "naive_greedy",
     "new_solution",
     "solve_min_cost_flow",
     "solve_tdiv",

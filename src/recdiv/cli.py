@@ -1,9 +1,8 @@
 """Command-line front end: split, derive-thresholds, diversify, evaluate,
 gridsearch, report.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 infeasible or
-enumeration/size limits.  An optional JSON config file supplies defaults;
-explicit flags override it.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 infeasible.  An
+optional JSON config file supplies defaults; explicit flags override it.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from pathlib import Path
 
 from . import data as dio
 from .baselines import mmr, top_k, xquad
-from .errors import DataFormatError, InfeasibleError, InstanceTooLargeError, RecdivError
+from .errors import DataFormatError, InfeasibleError, RecdivError
 from .flownet import solve_tdiv
 from .graph import DivParams, Solution, ThresholdTable, new_solution
 from .greedy import greedy_solve
@@ -457,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
             subparsers[args.command].set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (InfeasibleError, InstanceTooLargeError) as exc:
+    except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (RecdivError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:

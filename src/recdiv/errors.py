@@ -32,7 +32,3 @@ class InfeasibleError(RecdivError):
 
 class DataFormatError(RecdivError):
     """An input file could not be parsed."""
-
-
-class InstanceTooLargeError(RecdivError):
-    """Brute-force enumeration guard tripped."""

@@ -23,10 +23,6 @@ node: their type nodes feed the sink directly.
 Gadgets are created in edge index order, bonus arc first.  The solver
 prices arcs in insertion order, so this order fixes which of several tied
 optima is returned.
-
-The UserDiv reduction (one unit per distinct category a user's selection
-hits) is this network specialized: zero relevance, a single user type,
-every rho = 1 and lambda = 0, beta = 1 and mu = 0.
 """
 
 from __future__ import annotations
@@ -101,22 +97,6 @@ def build_tdiv_network(
         net.add_arc(u, sink, c, 0)
     net.set_supply(sink, -sum(graph.display_constraints))
     return net, edge_arc
-
-
-def build_userdiv_network(
-    graph: RecGraph,
-    item_cats: Grouping,
-    cost_scale: int = DEFAULT_COST_SCALE,
-) -> tuple[FlowNetwork, list[int]]:
-    """Reduction rewarding only distinct categories per user: the TDiv
-    network specialized as the module docstring says, so each
-    (user, category) gadget grants a single -1 (scaled) bonus unit."""
-    flat = RecGraph(graph.user_ids, graph.display_constraints, graph.item_ids,
-                    columns=(graph.edge_user, graph.edge_item, np.zeros(graph.num_edges)))
-    one_type = Grouping("user", ["all"], [[0]] * graph.num_users)
-    thresholds = ThresholdTable.uniform(flat, one_type, item_cats, rho=1, lam=0)
-    return build_tdiv_network(flat, one_type, item_cats, thresholds, DivParams(1, 0),
-                              cost_scale)
 
 
 def decode_solution(

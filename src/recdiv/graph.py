@@ -381,9 +381,6 @@ class Solution:
             self.selected = [[] for _ in range(self.graph.num_users)]
         self._selected_set: set[int] = {e for lst in self.selected for e in lst}
 
-    def is_selected(self, edge_index: int) -> bool:
-        return edge_index in self._selected_set
-
     def add_edge(self, edge_index: int) -> None:
         self.add_edges([edge_index])
 

@@ -45,31 +45,8 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .errors import DuplicateEdgeError
 from .graph import (DivParams, Grouping, RecGraph, Solution, ThresholdTable, csr_offsets,
                     new_solution, unique_pairs)
-
-
-def marginal_gain(
-    sol: Solution, edge_index: int, thresholds: ThresholdTable, params: DivParams
-) -> float:
-    """Objective gain of adding one unused edge to the current solution,
-    with the edge's pair degrees counted from ``sol.selected``."""
-    if sol.is_selected(edge_index):
-        raise DuplicateEdgeError(f"edge {edge_index} already selected")
-    e = sol.graph.edges[edge_index]
-    chosen = [sol.graph.edges[x] for lst in sol.selected for x in lst]
-    ucats = 0
-    for a in sol.item_cats.groups_of(e.item):
-        degree = sum(x.user == e.user and a in sol.item_cats.groups_of(x.item) for x in chosen)
-        if degree < thresholds.rho(e.user, a):
-            ucats += 1
-    itypes = 0
-    for b in sol.user_types.groups_of(e.user):
-        degree = sum(x.item == e.item and b in sol.user_types.groups_of(x.user) for x in chosen)
-        if degree < thresholds.lam(e.item, b):
-            itypes += 1
-    return e.relevance + params.beta * ucats + params.mu * itypes
 
 
 def greedy_solve(
@@ -224,31 +201,3 @@ class _PairIndex:
         self.pending = _compact(np.sort(pair * num_positions + position) % num_positions, "i")
         self.pending_first = _compact(csr_offsets(pair, len(threshold)), "i")
 
-
-def naive_greedy(
-    graph: RecGraph,
-    user_types: Grouping,
-    item_cats: Grouping,
-    thresholds: ThresholdTable,
-    params: DivParams,
-) -> Solution:
-    """Literal quadratic greedy: full argmax scan per round, tie-break by
-    lowest edge index.  Reference implementation for equivalence tests."""
-    sol = new_solution(graph, user_types, item_cats)
-    remaining = list(graph.display_constraints)
-    unused = [e.index for e in graph.edges]
-    while True:
-        best = -1
-        best_gain = float("-inf")
-        for eidx in unused:
-            if remaining[graph.edges[eidx].user] == 0:
-                continue
-            gain = marginal_gain(sol, eidx, thresholds, params)
-            if gain > best_gain:
-                best, best_gain = eidx, gain
-        if best == -1:
-            break
-        remaining[graph.edges[best].user] -= 1
-        sol.add_edge(best)
-        unused.remove(best)
-    return sol

@@ -1,72 +1,15 @@
-"""Synthetic instance generators for tests and demos.
+"""Synthetic candidate graph for tests, demos and the benchmark.
 
-Small random instances exercise the solvers against brute force; the
-MovieLens-shaped generator produces a skewed, popularity-biased candidate
-graph whose top-relevance lists are deliberately un-diverse, so that
-diversification has visible room to act.
+The MovieLens-shaped generator produces a skewed, popularity-biased
+candidate graph whose top-relevance lists are deliberately un-diverse, so
+that diversification has visible room to act.
 """
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
-from .graph import DivParams, Grouping, RecGraph, ThresholdTable
-
-
-def random_instance(
-    rng: random.Random,
-    max_users: int = 5,
-    max_items: int = 7,
-    max_constraint: int = 3,
-    max_threshold: int = 2,
-    overlapping: bool = False,
-    beta_mu_choices: tuple[float, ...] = (0.0, 0.5, 1.0, 4.0),
-) -> tuple[RecGraph, Grouping, Grouping, ThresholdTable, DivParams]:
-    """Small random instance with full group membership on both sides."""
-    nu = rng.randint(1, max_users)
-    ni = rng.randint(1, max_items)
-    ncat = rng.randint(1, 3)
-    ntype = rng.randint(1, 3)
-    edges = []
-    for u in range(nu):
-        for v in range(ni):
-            if rng.random() < 0.6:
-                edges.append((u, v, round(rng.random(), 6)))
-    if not edges:
-        edges.append((0, 0, round(rng.random(), 6)))
-    graph = RecGraph(
-        [f"u{i}" for i in range(nu)],
-        [rng.randint(1, max_constraint) for _ in range(nu)],
-        [f"v{j}" for j in range(ni)],
-        edges,
-    )
-
-    def memberships(n: int, ngroups: int) -> list[list[int]]:
-        out = []
-        for _ in range(n):
-            if overlapping:
-                size = rng.randint(1, ngroups)
-                out.append(sorted(rng.sample(range(ngroups), size)))
-            else:
-                out.append([rng.randrange(ngroups)])
-        return out
-
-    user_types = Grouping("user", [f"T{b}" for b in range(ntype)], memberships(nu, ntype))
-    item_cats = Grouping("item", [f"C{a}" for a in range(ncat)], memberships(ni, ncat))
-    uc = {
-        (u, a): rng.randint(0, max_threshold)
-        for u in range(nu)
-        for a in range(ncat)
-    }
-    it = {
-        (j, b): rng.randint(0, max_threshold)
-        for j in range(ni)
-        for b in range(ntype)
-    }
-    params = DivParams(rng.choice(beta_mu_choices), rng.choice(beta_mu_choices))
-    return graph, user_types, item_cats, ThresholdTable(uc, it), params
+from .graph import Grouping, RecGraph
 
 
 def movielens_shaped(

@@ -28,7 +28,8 @@ from recdiv.data import SplitSpec, largest_remainder
 from recdiv.errors import DataFormatError, GraphError
 from recdiv.graph import Grouping, RecGraph, ThresholdTable
 from recdiv.metrics import IntentProfile, _cosine_distance
-from recdiv.synth import random_instance
+
+from oracles import random_instance
 
 
 def edge_case_instance(rng, overlapping: bool) -> tuple[RecGraph, Grouping]:

@@ -11,8 +11,6 @@ import time
 import pytest
 
 from recdiv.baselines import mmr, top_k, xquad
-from recdiv.errors import InstanceTooLargeError
-from recdiv.exhaustive import brute_force_optimum, objective_from_scratch
 from recdiv.flownet import DEFAULT_COST_SCALE, solve_tdiv_detailed
 from recdiv.graph import DivParams, ThresholdTable, eval_objective, new_solution
 from recdiv.greedy import greedy_solve
@@ -29,7 +27,10 @@ from recdiv.metrics import (
     tudiv,
     userdiv,
 )
-from recdiv.synth import movielens_shaped, random_instance
+from recdiv.synth import movielens_shaped
+
+from oracles import (InstanceTooLargeError, brute_force_optimum, naive_greedy,
+                     objective_from_scratch, random_instance)
 
 NUM_EXACT_INSTANCES = 500
 NUM_OVERLAP_INSTANCES = 500
@@ -122,8 +123,6 @@ def test_3_greedy_bound(disjoint_suite, overlap_suite):
 
 
 def test_4_heap_greedy_equivalence():
-    from recdiv.greedy import naive_greedy
-
     rng = random.Random(13)
     ok = True
     count = 500

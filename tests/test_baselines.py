@@ -4,9 +4,10 @@ from recdiv.baselines import mmr, top_k, xquad
 from recdiv.errors import GraphError
 from recdiv.graph import Grouping, RecGraph
 from recdiv.metrics import IntentProfile
-from recdiv.synth import movielens_shaped, random_instance
+from recdiv.synth import movielens_shaped
 
 from loop_oracles import edge_case_instance, loop_mmr, loop_xquad
+from oracles import random_instance
 
 
 def test_top_k_sorts_and_truncates(three_item_graph):

@@ -1,9 +1,9 @@
 import pytest
 
-from recdiv.errors import InstanceTooLargeError
-from recdiv.exhaustive import brute_force_optimum, objective_from_scratch
 from recdiv.graph import DivParams, Grouping, RecGraph, ThresholdTable, eval_objective
-from recdiv.synth import random_instance
+
+from oracles import (InstanceTooLargeError, brute_force_optimum, objective_from_scratch,
+                     random_instance)
 
 
 def test_objective_from_scratch_fixture(three_item_graph):

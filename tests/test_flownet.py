@@ -3,13 +3,7 @@ import random
 import pytest
 
 from recdiv.errors import GraphError, GroupingError
-from recdiv.exhaustive import brute_force_optimum
-from recdiv.flownet import (
-    build_tdiv_network,
-    build_userdiv_network,
-    solve_tdiv,
-    solve_tdiv_detailed,
-)
+from recdiv.flownet import build_tdiv_network, solve_tdiv, solve_tdiv_detailed
 from recdiv.graph import (
     DivParams,
     Grouping,
@@ -18,7 +12,9 @@ from recdiv.graph import (
     eval_objective,
 )
 from recdiv.mincostflow import INF_CAP, solve_min_cost_flow, validate_flow
-from recdiv.synth import movielens_shaped, random_instance
+from recdiv.synth import movielens_shaped
+
+from oracles import brute_force_optimum, build_userdiv_network, random_instance
 
 SCALE = 10**6
 

@@ -3,7 +3,6 @@ import hashlib
 import pytest
 
 from recdiv.errors import DuplicateEdgeError
-from recdiv.exhaustive import brute_force_optimum, objective_from_scratch
 from recdiv.graph import (
     DivParams,
     Grouping,
@@ -12,8 +11,11 @@ from recdiv.graph import (
     eval_objective,
     new_solution,
 )
-from recdiv.greedy import greedy_solve, marginal_gain, naive_greedy
-from recdiv.synth import movielens_shaped, random_instance
+from recdiv.greedy import greedy_solve
+from recdiv.synth import movielens_shaped
+
+from oracles import (brute_force_optimum, marginal_gain, naive_greedy, objective_from_scratch,
+                     random_instance)
 
 
 def test_marginal_gain_two_cats_one_type():

@@ -25,9 +25,10 @@ from recdiv.metrics import (
     userdiv,
     _cosine_distance,
 )
-from recdiv.synth import movielens_shaped, random_instance
+from recdiv.synth import movielens_shaped
 
 from loop_oracles import edge_case_instance, loop_err_ia, loop_ild, loop_intent_profile
+from oracles import random_instance
 
 
 def _one_user_solution(cats, thresholds=None):

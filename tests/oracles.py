@@ -10,7 +10,6 @@ tautology.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from itertools import combinations
 from math import comb
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from recdiv.errors import DuplicateEdgeError, RecdivError
 from recdiv.flownet import DEFAULT_COST_SCALE, build_tdiv_network
-from recdiv.graph import (DivParams, Edge, Grouping, RecGraph, Solution, ThresholdTable,
+from recdiv.graph import (DivParams, Grouping, RecGraph, Solution, ThresholdTable,
                           new_solution)
 from recdiv.mincostflow import FlowNetwork
 
@@ -39,22 +38,11 @@ def objective_from_scratch(
 ) -> float:
     """beta*TUDiv + mu*TIDiv + rel of an explicit edge set, via plain
     dictionaries rebuilt on every call."""
-    return _objective(graph.edges, user_types, item_cats, thresholds, params, edge_set)
-
-
-def _objective(
-    edges: Sequence[Edge],
-    user_types: Grouping,
-    item_cats: Grouping,
-    thresholds: ThresholdTable,
-    params: DivParams,
-    edge_set: tuple[int, ...] | list[int],
-) -> float:
     user_cat: dict[tuple[int, int], int] = {}
     item_type: dict[tuple[int, int], int] = {}
     rel = 0.0
     for eidx in edge_set:
-        e = edges[eidx]
+        e = graph.edges[eidx]
         rel += e.relevance
         for a in item_cats.groups_of(e.item):
             user_cat[(e.user, a)] = user_cat.get((e.user, a), 0) + 1
@@ -74,8 +62,18 @@ def brute_force_optimum(
 ) -> tuple[Solution, float]:
     """Enumerate every per-user edge subset of size <= c_i (all sizes, since
     under-full users are legal) and return the maximum-objective selection.
-    Ties go to the lexicographically smallest sorted edge-index set."""
-    per_user_choices: list[list[tuple[int, ...]]] = []
+    Ties go to the lexicographically smallest sorted edge-index set.
+
+    A (user, category) pair's degree comes from one user's edges only, so
+    each subset's capped TUDiv share is counted once, before the search.
+    The depth-first search over users carries the (item, type) degrees, the
+    integer TIDiv they give and the relevance, summed edge by edge in user
+    order, so a leaf is scored as ``beta*tu + mu*ti + rel`` without a
+    recount."""
+    edges = list(graph.edges)
+    pair_id: dict[tuple[int, int], int] = {}  # (item, type) -> dense id
+    # per user: (subset, its TUDiv share, its relevances, its (item, type) pairs)
+    per_user_choices: list[list[tuple[tuple[int, ...], int, list[float], list[int]]]] = []
     total = 1
     for u in range(graph.num_users):
         incident = graph.user_edges[u]
@@ -86,30 +84,53 @@ def brute_force_optimum(
             raise InstanceTooLargeError(
                 f"enumeration would exceed {ENUMERATION_GUARD} combinations"
             )
+        pairs_of = {e: [pair_id.setdefault((edges[e].item, b), len(pair_id))
+                        for b in user_types.groups_of(u)] for e in incident}
         choices = []
         for size in range(min(c, len(incident)) + 1):
-            choices.extend(combinations(incident, size))
+            for subset in combinations(incident, size):
+                user_cat: dict[int, int] = {}
+                for e in subset:
+                    for a in item_cats.groups_of(edges[e].item):
+                        user_cat[a] = user_cat.get(a, 0) + 1
+                tu = sum(min(thresholds.rho(u, a), d) for a, d in user_cat.items())
+                rels = [edges[e].relevance for e in subset]
+                pairs = [p for e in subset for p in pairs_of[e]]
+                choices.append((subset, tu, rels, pairs))
         per_user_choices.append(choices)
 
+    beta, mu = params.beta, params.mu
+    lam = [thresholds.lam(j, b) for j, b in pair_id]
+    degree = [0] * len(lam)
     best_obj = float("-inf")
     best_set: tuple[int, ...] = ()
-    edges = list(graph.edges)  # records built once, not once per subset
 
-    def recurse(u: int, chosen: list[int]) -> None:
+    def recurse(u: int, chosen: list[int], tu: int, ti: int, rel: float) -> None:
         nonlocal best_obj, best_set
         if u == graph.num_users:
-            obj = _objective(edges, user_types, item_cats, thresholds, params, chosen)
-            key = tuple(sorted(chosen))
-            if obj > best_obj or (obj == best_obj and key < best_set):
-                best_obj = obj
-                best_set = key
+            obj = beta * tu + mu * ti + rel
+            if obj >= best_obj:
+                key = tuple(sorted(chosen))
+                if obj > best_obj or key < best_set:
+                    best_obj = obj
+                    best_set = key
             return
-        for subset in per_user_choices[u]:
+        for subset, tu_u, rels, pairs in per_user_choices[u]:
+            ti_u = ti
+            for p in pairs:
+                if degree[p] < lam[p]:
+                    ti_u += 1
+                degree[p] += 1
+            rel_u = rel
+            for r in rels:
+                rel_u += r
             chosen.extend(subset)
-            recurse(u + 1, chosen)
+            recurse(u + 1, chosen, tu + tu_u, ti_u, rel_u)
             del chosen[len(chosen) - len(subset):]
+            for p in pairs:
+                degree[p] -= 1
 
-    recurse(0, [])
+    recurse(0, [], 0, 0, 0.0)
     sol = Solution(graph, user_types, item_cats)
     sol.add_edges(best_set)
     return sol, best_obj

@@ -71,8 +71,7 @@ def _load_inputs(args, thresholds: str):
             raise RecdivError("either --thresholds or --train is required")
         train = dio.load_ratings(args.train)
         user_tab = dio.derive_user_thresholds(
-            train, item_cats, graph.item_ids, graph.user_ids,
-            graph.display_constraints, overlapping=not item_cats.disjoint,
+            train, item_cats, graph.item_ids, graph.user_ids, graph.display_constraints,
         )
         item_tab = dio.derive_item_thresholds(
             train, user_types, graph.user_ids, graph.item_ids, graph.display_constraints,

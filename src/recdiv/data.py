@@ -513,13 +513,12 @@ def derive_user_thresholds(
     item_ids: list[str],
     user_ids: list[str],
     display_constraints: list[int],
-    overlapping: bool = False,
 ) -> ThresholdTable:
     """Per-user category thresholds proportional to training-set category
-    frequencies.  The per-user target sum is c_i for disjoint categories, or
-    c_i times the global average number of categories per training item for
-    overlapping ones.  Users with no categorized training items get all-zero
-    thresholds."""
+    frequencies.  The per-user target sum is c_i when ``item_cats`` is
+    disjoint, or c_i times the global average number of categories per
+    training item when its categories overlap.  Users with no categorized
+    training items get all-zero thresholds."""
     item = _indices(_positions(item_ids), train.items)
     user = _indices(_positions(user_ids), train.users)
     known = item >= 0
@@ -531,7 +530,7 @@ def derive_user_thresholds(
     table: dict[tuple[int, int], int] = {}
     for u, counts in item_cats.tally(user[rows], item[rows]).items():
         target = display_constraints[u]
-        if overlapping:
+        if not item_cats.disjoint:
             target = round(target * avg_cats)
         for a, rho in largest_remainder(counts, target).items():
             if rho > 0:

@@ -224,9 +224,7 @@ def test_derive_user_thresholds_overlapping_scales_target():
     # every item in both categories: avg cats/item = 2, so target = 2*c
     train = _dataset([("u1", "v1", 4), ("u1", "v2", 4)])
     ic = Grouping("item", ["A", "B"], [[0, 1], [0, 1]])
-    th = derive_user_thresholds(
-        train, ic, ["v1", "v2"], ["u1"], [2], overlapping=True
-    )
+    th = derive_user_thresholds(train, ic, ["v1", "v2"], ["u1"], [2])
     assert th.rho(0, 0) + th.rho(0, 1) == 4
 
 

@@ -241,11 +241,10 @@ def test_split_derive_and_save_match_the_loops(tmp_path, seed):
         oracle.loop_save_ratings(loop_test, tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
     args = (graph.item_ids, graph.user_ids, graph.display_constraints)
-    for overlapping in (False, True):
-        got = data.derive_user_thresholds(ds, item_cats, *args, overlapping=overlapping)
-        want = oracle.loop_derive_user_thresholds(triples, item_cats, *args,
-                                                  overlapping=overlapping)
-        assert list(got.user_category.items()) == list(want.user_category.items())
+    got = data.derive_user_thresholds(ds, item_cats, *args)
+    want = oracle.loop_derive_user_thresholds(triples, item_cats, *args,
+                                              overlapping=not item_cats.disjoint)
+    assert list(got.user_category.items()) == list(want.user_category.items())
     args = (graph.user_ids, graph.item_ids, graph.display_constraints)
     for fraction in (0.2, 3.0):
         got = data.derive_item_thresholds(ds, user_types, *args, budget_fraction=fraction)

@@ -235,10 +235,14 @@ class Grouping:
                     raise GroupingError(f"entity {ent} references unknown group {g}")
             self.membership.append(sorted(groups))
         self.disjoint = all(len(m) <= 1 for m in self.membership)
-        self._offsets = np.zeros(len(self.membership) + 1, dtype=np.int64)
-        np.cumsum([len(m) for m in self.membership], out=self._offsets[1:])
-        self._flat = np.fromiter((g for m in self.membership for g in m), dtype=np.int64,
-                                 count=int(self._offsets[-1]))
+        # entity i's groups are _flat[_start[i]:_start[i] + _size[i]]; the
+        # extra last entry stands for every entity past the list, with none
+        sizes = [len(m) for m in self.membership] + [0]
+        self._size = np.array(sizes, dtype=np.int32)
+        self._start = np.zeros(len(sizes), dtype=_index_dtype(sum(sizes)))
+        np.cumsum(sizes[:-1], out=self._start[1:])
+        self._flat = np.fromiter((g for m in self.membership for g in m), dtype=np.int32,
+                                 count=int(self._start[-1]))
 
     @property
     def num_groups(self) -> int:
@@ -259,14 +263,29 @@ class Grouping:
     def expand(self, entities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every (position, group) pair with ``group`` in
         ``groups_of(entities[position])``, as two arrays ordered by position,
-        then group: the vectorized form of a loop over ``groups_of``."""
-        entities = np.asarray(entities, dtype=np.int64)
-        n = len(self.membership)  # entities past the list have no groups
-        start = self._offsets[np.minimum(entities, n)]
-        count = self._offsets[np.minimum(entities + 1, n)] - start
-        position = np.repeat(np.arange(len(entities)), count)
-        skip = np.repeat(start - (np.cumsum(count) - count), count)
-        return position, self._flat[skip + np.arange(len(position))]
+        then group: the vectorized form of a loop over ``groups_of``.  The
+        groups are int32; the positions are int32 unless there are too many
+        entities or pairs for it, and then int64."""
+        entities = np.asarray(entities)
+        # entities past the list share its extra last entry, which has no groups
+        entity = np.minimum(entities, len(self.membership),
+                            out=np.empty(len(entities), dtype=np.int32), casting="unsafe")
+        count = self._size[entity]
+        start = self._start[entity]
+        del entity
+        total = int(count.sum(dtype=np.int64))
+        index = _index_dtype(max(len(entities), total, len(self._flat)))
+        # pair k of position p reads _flat[start[p] + k - (first pair of p)]
+        skip = np.cumsum(count, dtype=index)
+        skip -= count
+        np.subtract(start, skip, out=skip)
+        del start
+        at = np.repeat(skip, count)
+        del skip
+        at += np.arange(total, dtype=index)
+        group = self._flat[at]
+        del at
+        return np.repeat(np.arange(len(entities), dtype=index), count), group
 
     def tally(self, owners: np.ndarray, members: np.ndarray) -> dict[int, dict[int, int]]:
         """Each owner's {group: count} over the rows, counting the groups of
@@ -334,21 +353,55 @@ class ThresholdTable:
         return cls(uc, it)
 
 
+def _index_dtype(largest: int) -> type:
+    """int32 if it holds every value up to ``largest``, else int64."""
+    return np.int32 if largest < 2**31 else np.int64
+
+
+def _pair_keys(owners: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """The cell ``owners[k] * width + groups[k]`` of each (owner, group) pair in
+    a dense owner-by-group table, with ``width`` one past the largest group,
+    and that width and the table's size.  Cells increase with (owner, group).
+    The table has a cell for every owner up to the largest and every group,
+    so it is small when the owners are users or items and the groups are
+    categories or types."""
+    width = int(groups.max()) + 1 if len(groups) else 1
+    size = (int(owners.max()) + 1) * width if len(owners) else 0
+    key = owners.astype(_index_dtype(size))
+    key *= width
+    key += groups
+    return key, width, size
+
+
 def _distinct_pairs(rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int]]:
     """The distinct (rows[k], cols[k]) pairs in order of first occurrence."""
-    width = int(cols.max()) + 1 if len(cols) else 1
-    first = first_rows(rows.astype(np.int64) * width + cols)
+    key, _, size = _pair_keys(rows, cols)
+    n = len(key)
+    index = _index_dtype(n)
+    first = np.full(size, n, dtype=index)  # each cell's first row, n where none
+    np.minimum.at(first, key, np.arange(n, dtype=index))
+    del key
+    first = first[first < n]
+    first.sort()
     return list(zip(rows[first].tolist(), cols[first].tolist()))
 
 
-def unique_pairs(owners: np.ndarray, groups: np.ndarray, **unique_args) -> tuple:
-    """np.unique over the (owners[k], groups[k]) pairs, keyed by
-    ``owner * width + group`` with width one past the largest group: an
-    iterator over the distinct (owner, group) tuples in increasing order,
-    then the arrays np.unique returns for ``unique_args``."""
-    width = int(groups.max()) + 1 if len(groups) else 1
-    keys, *rest = np.unique(owners.astype(np.int64) * width + groups, **unique_args)
-    return (zip((keys // width).tolist(), (keys % width).tolist()), *rest)
+def pair_ids(owners: np.ndarray, groups: np.ndarray) -> tuple:
+    """Dense ids of the distinct (owners[k], groups[k]) pairs, numbered in
+    increasing (owner, group) order: an iterator over the distinct (owner,
+    group) tuples in id order, and each row's pair id.  A pair's id is the
+    number of occupied cells before its own in the dense owner-by-group
+    table, so no sort is needed."""
+    key, width, size = _pair_keys(owners, groups)
+    occupied = np.zeros(size, dtype=bool)
+    occupied[key] = True
+    cells = np.flatnonzero(occupied)
+    ids = np.cumsum(occupied, dtype=key.dtype)
+    del occupied
+    pair = ids[key]
+    del key, ids
+    pair -= 1
+    return zip((cells // width).tolist(), (cells % width).tolist()), pair
 
 
 @dataclass(frozen=True)
@@ -464,5 +517,5 @@ def _capped_degree_sum(owners: np.ndarray, members: np.ndarray, grouping: Groupi
     pair's degree counts the k with ``owners[k] == owner`` and ``group`` in
     ``grouping.groups_of(members[k])``."""
     at, groups = grouping.expand(members)
-    pairs, degrees = unique_pairs(owners[at], groups, return_counts=True)
-    return sum(min(table.get(pair, 0), d) for pair, d in zip(pairs, degrees.tolist()))
+    pairs, pair = pair_ids(owners[at], groups)
+    return sum(min(table.get(p, 0), d) for p, d in zip(pairs, np.bincount(pair).tolist()))

@@ -46,7 +46,7 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 
 from .graph import (DivParams, Grouping, RecGraph, Solution, ThresholdTable, csr_offsets,
-                    new_solution, unique_pairs)
+                    new_solution, pair_ids)
 
 
 def greedy_solve(
@@ -188,16 +188,17 @@ class _PairIndex:
 
     def __init__(self, position: np.ndarray, owner: np.ndarray, group: np.ndarray,
                  table: dict[tuple[int, int], int], num_positions: int):
-        pairs, pair = unique_pairs(owner, group, return_inverse=True)
+        pairs, pair = pair_ids(owner, group)
+        del owner, group
         threshold = np.fromiter((table.get(p, 0) for p in pairs), dtype=np.int64)
         self.pair = _compact(pair, "i")
         self.first = _compact(csr_offsets(position, num_positions), "i")
         self.threshold = _compact(threshold, "q")
         self.degree = array("q", [0]) * len(threshold)
-        live = threshold[pair] > 0
+        live = (threshold > 0)[pair]
         position, pair = position[live], pair[live]
+        del live
         self.live_count = _compact(np.bincount(position, minlength=num_positions), "i")
-        # sorted by (pair, position); the keys are distinct, so no stable sort
-        self.pending = _compact(np.sort(pair * num_positions + position) % num_positions, "i")
+        # positions increase, so a stable sort by pair lists each pair's in order
+        self.pending = _compact(position[np.argsort(pair, kind="stable")], "i")
         self.pending_first = _compact(csr_offsets(pair, len(threshold)), "i")
-

@@ -33,24 +33,28 @@ Lists = list[list[int]]
 # ---------------------------------------------------------------------------
 # Diversity objectives on solutions
 
+def _selected_items(sol: Solution) -> Lists:
+    """Each user's selected items, in the order of its selected edges; only
+    the selected edges' entries of the item column are read."""
+    item = sol.graph.edge_item
+    return [item[lst].tolist() for lst in sol.selected]
+
+
 def _user_cat_degrees(sol: Solution, item_cats: Grouping) -> dict[tuple[int, int], int]:
     """Selected degree of every (user, category) pair the selection hits."""
-    item_of = sol.graph.edge_item.tolist()
     counts: dict[tuple[int, int], int] = {}
-    for u, lst in enumerate(sol.selected):
-        for eidx in lst:
-            for a in item_cats.groups_of(item_of[eidx]):
+    for u, items in enumerate(_selected_items(sol)):
+        for item in items:
+            for a in item_cats.groups_of(item):
                 counts[(u, a)] = counts.get((u, a), 0) + 1
     return counts
 
 
 def _item_type_degrees(sol: Solution, user_types: Grouping) -> dict[tuple[int, int], int]:
     """Selected degree of every (item, type) pair the selection hits."""
-    item_of = sol.graph.edge_item.tolist()
     counts: dict[tuple[int, int], int] = {}
-    for u, lst in enumerate(sol.selected):
-        for eidx in lst:
-            item = item_of[eidx]
+    for u, items in enumerate(_selected_items(sol)):
+        for item in items:
             for b in user_types.groups_of(u):
                 counts[(item, b)] = counts.get((item, b), 0) + 1
     return counts
@@ -86,13 +90,11 @@ def div_edgewise(
     item's in-type degree.  Requires disjoint groupings."""
     if not (user_types.disjoint and item_cats.disjoint):
         raise GroupingError("edge-wise diversity requires disjoint groupings")
-    item_of = sol.graph.edge_item.tolist()
     user_cat = _user_cat_degrees(sol, item_cats)
     item_type = _item_type_degrees(sol, user_types)
     total = 0.0
-    for u, lst in enumerate(sol.selected):
-        for eidx in lst:
-            item = item_of[eidx]
+    for u, items in enumerate(_selected_items(sol)):
+        for item in items:
             for a in item_cats.groups_of(item):
                 total += params.beta / user_cat[(u, a)]
             for b in user_types.groups_of(u):

@@ -11,6 +11,8 @@ import numpy as np
 
 from .graph import Grouping, RecGraph
 
+ROUND_CHUNK = 1 << 16  # relevances rounded per Python list, so no list holds them all
+
 
 def movielens_shaped(
     num_users: int = 2000,
@@ -57,8 +59,11 @@ def movielens_shaped(
     cat = primary_cat[items]
     bonus = np.where((taste[users, 0] == cat) | (taste[users, 1] == cat), 0.05, 0.0)
     rel = 0.8 * popularity[items] / popularity[0] + bonus + 0.05 * eps
-    # Python's round (correctly rounded, unlike np.round) on each value
-    rel = np.array([round(x, 6) for x in rel.tolist()])
+    # Python's round (correctly rounded, unlike np.round) on each value, in
+    # place, one chunk at a time
+    for start in range(0, len(rel), ROUND_CHUNK):
+        chunk = rel[start:start + ROUND_CHUNK]
+        chunk[:] = [round(x, 6) for x in chunk.tolist()]
 
     graph = RecGraph(
         [f"u{u}" for u in range(num_users)],

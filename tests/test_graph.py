@@ -14,9 +14,10 @@ from recdiv.graph import (
     ThresholdTable,
     eval_objective,
     new_solution,
+    pair_ids,
 )
 from recdiv.metrics import tidiv, tudiv
-from recdiv.synth import movielens_shaped
+from recdiv.synth import ROUND_CHUNK, movielens_shaped
 
 from oracles import random_instance
 
@@ -66,6 +67,51 @@ def test_grouping_rejects_duplicates_and_bad_indices():
         Grouping("item", ["A"], [[0, 0]])
     with pytest.raises(GroupingError):
         Grouping("item", ["A"], [[3]])
+
+
+def _expand_loop(grouping, entities):
+    pairs = [(p, g) for p, e in enumerate(entities) for g in grouping.groups_of(e)]
+    return [p for p, _ in pairs], [g for _, g in pairs]
+
+
+@pytest.mark.parametrize("membership, entities", [
+    # overlapping groups, entities with none, entities past the list
+    ([[0, 2], [], [1], [0, 1, 2]], [3, 0, 1, 4, 2, 9, 3, 1, 0, 100]),
+    # no entity has a group
+    ([[], [], []], [2, 0, 1, 5]),
+    # an empty grouping: every entity is past the list
+    ([], [0, 1, 7]),
+    # no entities
+    ([[1], [0]], []),
+])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_expand_matches_groups_of_loop(membership, entities, dtype):
+    grouping = Grouping("item", ["A", "B", "C"], membership)
+    position, group = grouping.expand(np.array(entities, dtype=dtype))
+    assert (position.tolist(), group.tolist()) == _expand_loop(grouping, entities)
+    assert position.dtype == np.int32 and group.dtype == np.int32
+
+
+def test_expand_matches_groups_of_loop_randomized(rng):
+    for _ in range(50):
+        num_groups = rng.randint(1, 6)
+        membership = [rng.sample(range(num_groups), rng.randint(0, num_groups))
+                      for _ in range(rng.randint(0, 8))]
+        grouping = Grouping("user", [str(g) for g in range(num_groups)], membership)
+        entities = [rng.randrange(len(membership) + 3) for _ in range(rng.randint(0, 30))]
+        position, group = grouping.expand(np.array(entities, dtype=np.int64))
+        assert (position.tolist(), group.tolist()) == _expand_loop(grouping, entities)
+
+
+def test_pair_ids_number_distinct_pairs_in_sorted_order(rng):
+    for _ in range(50):
+        rows = [(rng.randrange(9), rng.randrange(5)) for _ in range(rng.randint(1, 40))]
+        owners = np.array([o for o, _ in rows], dtype=rng.choice([np.int32, np.int64]))
+        groups = np.array([g for _, g in rows], dtype=np.int32)
+        pairs, pair = pair_ids(owners, groups)
+        distinct = sorted(set(rows))
+        assert list(pairs) == distinct
+        assert pair.tolist() == [distinct.index(r) for r in rows]
 
 
 def test_thresholds_default_zero_and_reject_negative():
@@ -342,6 +388,15 @@ def test_movielens_shaped_is_pinned(kwargs, edges, digest):
     graph, user_types, item_cats = movielens_shaped(**kwargs)
     assert graph.num_edges == edges
     assert _instance_digest(graph, user_types, item_cats) == digest
+
+
+def test_movielens_shaped_relevances_pinned_across_round_chunks():
+    """The relevances are rounded one chunk at a time; 75,000 edges span a
+    chunk boundary.  Digest of the relevances rounded in one pass."""
+    graph, _, _ = movielens_shaped(num_users=300, seed=7)
+    assert graph.num_edges == 75_000 > ROUND_CHUNK
+    assert hashlib.sha256(graph.edge_rel.tobytes()).hexdigest() == (
+        "7c2ea301111d470227435c2c94e45c88f18ac635e2ed1bd7d0236a9679a8902b")
 
 
 def test_uniform_thresholds_match_edge_by_edge_oracle(rng):

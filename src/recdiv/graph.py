@@ -81,8 +81,9 @@ class _Adjacency(Sequence):
 
 def csr_offsets(ids: np.ndarray, size: int) -> np.ndarray:
     """Offsets of rows grouped by id in increasing id order: the rows of
-    id i are ``offsets[i]:offsets[i + 1]``."""
-    offsets = np.zeros(size + 1, dtype=np.int64)
+    id i are ``offsets[i]:offsets[i + 1]``; int32 unless there are too many
+    rows for it."""
+    offsets = np.zeros(size + 1, dtype=_index_dtype(len(ids)))
     np.cumsum(np.bincount(ids, minlength=size), out=offsets[1:])
     return offsets
 

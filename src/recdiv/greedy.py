@@ -48,6 +48,8 @@ import numpy as np
 from .graph import (DivParams, Grouping, RecGraph, Solution, ThresholdTable, csr_offsets,
                     new_solution, pair_ids)
 
+_CHUNK = 1 << 16  # initial keys computed per slice of this many positions
+
 
 def greedy_solve(
     graph: RecGraph,
@@ -64,6 +66,17 @@ def greedy_solve(
     extracted, decrease_keys = key-lowering updates) for the runtime-bound
     checks.
     """
+    picked, stats = _selection_order(graph, user_types, item_cats, thresholds, params)
+    sol = new_solution(graph, user_types, item_cats)
+    sol.add_edges(picked)
+    return (sol, stats) if collect_stats else sol
+
+
+def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
+                     thresholds: ThresholdTable, params: DivParams) -> tuple[list[int], dict]:
+    """The greedy's selected edges in the order it picks them, and its
+    counters.  The loop's arrays are freed on return, before the solution
+    is built."""
     beta, mu = float(params.beta), float(params.mu)
     n = graph.num_edges
     order = graph.user_order
@@ -72,24 +85,28 @@ def greedy_solve(
     # order[p], and user u's edges fill positions offsets[u]:offsets[u + 1].
     user = np.repeat(np.arange(graph.num_users, dtype=np.int32), np.diff(graph.user_offsets))
     item = graph.edge_item[order]
-    at, group = item_cats.expand(item)
-    uc = _PairIndex(at, user[at], group, thresholds.user_category, n)
-    at, group = user_types.expand(user)
-    it = _PairIndex(at, item[at], group, thresholds.item_type, n)
-    del user, item, at, group
+    uc = _PairIndex(item_cats, item, user, thresholds.user_category)
+    it = _PairIndex(user_types, user, item, thresholds.item_type)
+    del user, item
     edge_at = _compact(order, "i")
     pos_of = array("i", [0]) * n  # the position of each edge
     np.frombuffer(pos_of, dtype=np.int32)[order] = np.arange(n, dtype=np.int32)
     euser = _compact(graph.edge_user, "i")
-    rel = _compact(graph.edge_rel[order], "d")
+    rel = array("d", [0.0]) * n
+    # every index is in range; "clip" only spares take a buffered copy
+    np.take(graph.edge_rel, order, out=np.frombuffer(rel), mode="clip")
     ucnt, icnt = uc.live_count, it.live_count
     live_total = _total(ucnt) + _total(icnt)
     # Initial keys in the loop's operation order, so the bits match the
-    # keys it recomputes.
+    # keys it recomputes; a chunk at a time, so no temporary spans them all.
     keys = array("d", [0.0]) * n
     key_view = np.frombuffer(keys, dtype=np.float64)
-    np.add(np.frombuffer(rel), beta * np.frombuffer(ucnt, dtype=np.int32), out=key_view)
-    key_view += mu * np.frombuffer(icnt, dtype=np.int32)
+    rel_of, ucnt_of, icnt_of = (np.frombuffer(rel), np.frombuffer(ucnt, dtype=np.int32),
+                                np.frombuffer(icnt, dtype=np.int32))
+    for s in range(0, n, _CHUNK):
+        e = s + _CHUNK
+        key_view[s:e] = rel_of[s:e] + beta * ucnt_of[s:e] + mu * icnt_of[s:e]
+    del rel_of, ucnt_of, icnt_of
     key_bits = memoryview(keys).cast("B").cast("Q")
     uc_pair, uc_first, uc_deg, uc_thr, uc_pend, uc_pend_first = (
         uc.pair, uc.first, uc.degree, uc.threshold, uc.pending, uc.pending_first)
@@ -154,13 +171,9 @@ def greedy_solve(
             nb = user_best(u)
             if nb != -1:
                 heappush(gheap, nb)
-    sol = new_solution(graph, user_types, item_cats)
-    sol.add_edges(picked)
-    if collect_stats:
-        # each decrease took one off a live count
-        decreases = live_total - _total(ucnt) - _total(icnt)
-        return sol, {"pops": pops, "decrease_keys": decreases}
-    return sol
+    # each decrease took one off a live count
+    decreases = live_total - _total(ucnt) - _total(icnt)
+    return picked, {"pops": pops, "decrease_keys": decreases}
 
 
 def _compact(column: np.ndarray, typecode: str) -> array:
@@ -177,19 +190,22 @@ def _total(counts: array) -> int:
 
 class _PairIndex:
     """Dense ids for one side's (owner, group) pairs, (user, category) or
-    (item, type), from their incidences: ``position[k]`` (increasing) is
-    incident to the pair (owner[k], group[k]), whose threshold is
-    ``table.get((owner, group), 0)``.  Holds, as Python arrays, the pair ids
-    of each position (CSR ``pair``/``first``), each pair's threshold and
+    (item, type): position p is incident to the pairs (owners[p], group) for
+    each group in ``grouping.groups_of(members[p])``, and a pair's threshold
+    is ``table.get((owner, group), 0)``.  Holds, as Python arrays, the pair
+    ids of each position (CSR ``pair``/``first``), each pair's threshold and
     degree, and each pair's pending positions (CSR
     ``pending``/``pending_first``, increasing) with ``live_count``, the
     number of pending pairs per position.  A pair with a zero threshold is
-    born saturated: it has no pending positions and never lowers a key."""
+    born saturated: it has no pending positions and never lowers a key.
+    Each temporary is dropped as soon as it is used."""
 
-    def __init__(self, position: np.ndarray, owner: np.ndarray, group: np.ndarray,
-                 table: dict[tuple[int, int], int], num_positions: int):
-        pairs, pair = pair_ids(owner, group)
-        del owner, group
+    def __init__(self, grouping: Grouping, members: np.ndarray, owners: np.ndarray,
+                 table: dict[tuple[int, int], int]):
+        num_positions = len(members)
+        position, group = grouping.expand(members)
+        pairs, pair = pair_ids(owners[position], group)
+        del group
         threshold = np.fromiter((table.get(p, 0) for p in pairs), dtype=np.int64)
         self.pair = _compact(pair, "i")
         self.first = _compact(csr_offsets(position, num_positions), "i")
@@ -201,4 +217,5 @@ class _PairIndex:
         self.live_count = _compact(np.bincount(position, minlength=num_positions), "i")
         # positions increase, so a stable sort by pair lists each pair's in order
         self.pending = _compact(position[np.argsort(pair, kind="stable")], "i")
+        del position
         self.pending_first = _compact(csr_offsets(pair, len(threshold)), "i")

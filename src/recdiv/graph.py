@@ -9,7 +9,9 @@ edge: ``edge_user`` and ``edge_item`` (int32) and ``edge_rel`` (float64).
 Each user's edges are indexed by CSR (compressed sparse rows):
 ``user_order[user_offsets[u]:user_offsets[u + 1]]`` lists user u's edge
 indices in increasing order.  Code that touches many edges reads the
-columns whole (``.tolist()`` or numpy operations).  ``graph.edges`` and
+columns with numpy operations, and reads only the entries it needs: the
+metric oracles, for one, gather the items of the selected edges alone
+instead of listing the whole column.  ``graph.edges`` and
 ``graph.user_edges`` are read-only views that build small Python records
 on demand, for tests and reference oracles.
 

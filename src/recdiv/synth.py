@@ -49,13 +49,13 @@ def movielens_shaped(
     # One choice and one noise draw per user, in user order, fix the RNG
     # stream; relevance is then computed over all edges at once.
     per_user = min(candidates_per_user, num_items)
-    items = np.empty((num_users, per_user), dtype=np.int64)
+    items = np.empty((num_users, per_user), dtype=np.int32)
     eps = np.empty((num_users, per_user))
     for u in range(num_users):
         items[u] = rng.choice(num_items, size=per_user, replace=False, p=popularity)
         eps[u] = rng.random(per_user)
     items, eps = items.ravel(), eps.ravel()
-    users = np.repeat(np.arange(num_users), per_user)
+    users = np.repeat(np.arange(num_users, dtype=np.int32), per_user)
     cat = primary_cat[items]
     bonus = np.where((taste[users, 0] == cat) | (taste[users, 1] == cat), 0.05, 0.0)
     rel = 0.8 * popularity[items] / popularity[0] + bonus + 0.05 * eps

@@ -273,3 +273,21 @@ def test_greedy_ignores_threshold_entries_no_pair_reaches(rng):
         slow = naive_greedy(graph, ut, ic, wide, params)
         assert fast.selected == slow.selected
         assert eval_objective(fast, wide, params) == eval_objective(fast, th, params)
+
+
+def test_greedy_matches_naive_when_live_counts_pass_a_byte(rng):
+    # an item in 130 categories gives its edges 130 live (user, category)
+    # pairs, more than the int8 live counts hold
+    for _ in range(5):
+        num_cats = 130
+        edges = [(u, v, round(rng.random(), 6)) for u in range(3) for v in range(4)]
+        graph = RecGraph(["u0", "u1", "u2"], [2, 2, 2], ["v0", "v1", "v2", "v3"], edges)
+        ut = Grouping("user", ["T0", "T1"], [[0], [1], [0, 1]])
+        ic = Grouping("item", [f"C{a}" for a in range(num_cats)],
+                      [list(range(num_cats)), [0, 1], [rng.randrange(num_cats)], []])
+        th = ThresholdTable.uniform(graph, ut, ic, rho=1, lam=1)
+        params = DivParams(0.25, 1.0)
+        fast, stats = greedy_solve(graph, ut, ic, th, params, collect_stats=True)
+        slow = naive_greedy(graph, ut, ic, th, params)
+        assert fast.selected == slow.selected
+        assert stats["decrease_keys"] > 0

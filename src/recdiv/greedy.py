@@ -114,7 +114,6 @@ def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
     for s in range(0, n, _CHUNK):
         e = s + _CHUNK
         key_view[s:e] = rel_of[s:e] + beta * ucnt_of[s:e] + mu * icnt_of[s:e]
-    del rel_of, ucnt_of, icnt_of
     key_bits = memoryview(keys).cast("B").cast("Q")
     uc_pair, uc_first, uc_deg, uc_thr, uc_pend, uc_pend_first = (
         uc.pair, uc.first, uc.degree, uc.threshold, uc.pending, uc.pending_first)

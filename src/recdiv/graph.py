@@ -361,41 +361,27 @@ def _index_dtype(largest: int) -> type:
     return np.int32 if largest < 2**31 else np.int64
 
 
-def _pair_keys(owners: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """The cell ``owners[k] * width + groups[k]`` of each (owner, group) pair in
-    a dense owner-by-group table, with ``width`` one past the largest group,
-    and that width and the table's size.  Cells increase with (owner, group).
-    The table has a cell for every owner up to the largest and every group,
-    so it is small when the owners are users or items and the groups are
-    categories or types."""
-    width = int(groups.max()) + 1 if len(groups) else 1
-    size = (int(owners.max()) + 1) * width if len(owners) else 0
-    key = owners.astype(_index_dtype(size))
-    key *= width
-    key += groups
-    return key, width, size
-
-
 def _distinct_pairs(rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int]]:
     """The distinct (rows[k], cols[k]) pairs in order of first occurrence."""
-    key, _, size = _pair_keys(rows, cols)
-    n = len(key)
-    index = _index_dtype(n)
-    first = np.full(size, n, dtype=index)  # each cell's first row, n where none
-    np.minimum.at(first, key, np.arange(n, dtype=index))
-    del key
-    first = first[first < n]
-    first.sort()
+    width = int(cols.max()) + 1 if len(cols) else 1
+    first = first_rows(rows.astype(np.int64) * width + cols)
     return list(zip(rows[first].tolist(), cols[first].tolist()))
 
 
 def pair_ids(owners: np.ndarray, groups: np.ndarray) -> tuple:
     """Dense ids of the distinct (owners[k], groups[k]) pairs, numbered in
     increasing (owner, group) order: an iterator over the distinct (owner,
-    group) tuples in id order, and each row's pair id.  A pair's id is the
-    number of occupied cells before its own in the dense owner-by-group
-    table, so no sort is needed."""
-    key, width, size = _pair_keys(owners, groups)
+    group) tuples in id order, and each row's pair id.  Pair k sits in cell
+    ``owners[k] * width + groups[k]`` of a dense owner-by-group presence
+    table, with width one past the largest group, and its id is the number
+    of occupied cells before its own, so no sort is needed.  The table has
+    a cell for every owner up to the largest and every group: small when
+    the owners are users or items and the groups categories or types."""
+    width = int(groups.max()) + 1 if len(groups) else 1
+    size = (int(owners.max()) + 1) * width if len(owners) else 0
+    key = owners.astype(_index_dtype(size))
+    key *= width
+    key += groups
     occupied = np.zeros(size, dtype=bool)
     occupied[key] = True
     cells = np.flatnonzero(occupied)

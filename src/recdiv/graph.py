@@ -81,6 +81,11 @@ class _Adjacency(Sequence):
         return tuple(self._order[self._offsets[i]:self._offsets[i + 1]].tolist())
 
 
+def _index_dtype(largest: int) -> type:
+    """int32 if it holds every value up to ``largest``, else int64."""
+    return np.int32 if largest < 2**31 else np.int64
+
+
 def csr_offsets(ids: np.ndarray, size: int) -> np.ndarray:
     """Offsets of rows grouped by id in increasing id order: the rows of
     id i are ``offsets[i]:offsets[i + 1]``; int32 unless there are too many
@@ -354,11 +359,6 @@ class ThresholdTable:
         edge, types = user_types.expand(graph.edge_user)
         it = dict.fromkeys(_distinct_pairs(graph.edge_item[edge], types), lam)
         return cls(uc, it)
-
-
-def _index_dtype(largest: int) -> type:
-    """int32 if it holds every value up to ``largest``, else int64."""
-    return np.int32 if largest < 2**31 else np.int64
 
 
 def _distinct_pairs(rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int]]:

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import data as dio
 from .baselines import mmr, top_k, xquad
 from .errors import DataFormatError, InfeasibleError, RecdivError
-from .flownet import solve_tdiv
+from .flownet import DEFAULT_COST_SCALE, solve_tdiv
 from .graph import DivParams, Solution, ThresholdTable, new_solution
 from .greedy import greedy_solve
 from . import metrics as m
@@ -366,7 +366,7 @@ def _add_method_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=_unit, default=None)
     p.add_argument("--thresholds", help="threshold TSV (else derived from --train)")
     p.add_argument("--train", help="training ratings for threshold derivation")
-    p.add_argument("--cost-scale", type=_positive_int, default=10**6)
+    p.add_argument("--cost-scale", type=_positive_int, default=DEFAULT_COST_SCALE)
 
 
 def _add_eval_args(p: argparse.ArgumentParser) -> None:

@@ -440,9 +440,10 @@ def load_candidates(
 ) -> tuple[RecGraph, int]:
     """Assemble a RecGraph from a candidate file, keeping each user's top_n
     candidates by relevance (ties toward the smaller item id).  Users are
-    numbered in order of first appearance; each user's kept edges are in
-    item id order, and items are numbered in order of first use by those
-    edges.  ``display_constraint`` is either a uniform value or a
+    numbered in order of first appearance, and the graph's edges are
+    grouped by user, in that order, whether or not the file's rows are;
+    each user's kept edges are in item id order, and items are numbered in
+    order of first use by those edges.  ``display_constraint`` is either a uniform value or a
     per-user-id map.  Returns (graph, skipped_row_count) where skipped
     counts the rows of users missing from a per-user constraint map."""
     user, item, rel, user_names, item_names = _read_triples(

@@ -5,15 +5,15 @@ opaque string ids only matter at the I/O boundary.  All structures except
 Solution are immutable after construction.
 
 A RecGraph stores its edges as three read-only numpy columns indexed by
-edge: ``edge_user`` and ``edge_item`` (int32) and ``edge_rel`` (float64).
-Each user's edges are indexed by CSR (compressed sparse rows):
-``user_order[user_offsets[u]:user_offsets[u + 1]]`` lists user u's edge
-indices in increasing order.  Code that touches many edges reads the
-columns with numpy operations, and reads only the entries it needs: the
-metric oracles, for one, gather the items of the selected edges alone
-instead of listing the whole column.  ``graph.edges`` and
-``graph.user_edges`` are read-only views that build small Python records
-on demand, for tests and reference oracles.
+edge: ``edge_user`` and ``edge_item`` (int32) and ``edge_rel`` (float64),
+16 bytes per edge.  The edges are grouped by user, in increasing user
+order, so ``user_offsets`` alone indexes them as CSR (compressed sparse
+rows): user u's edges are ``user_offsets[u]:user_offsets[u + 1]``.  Code
+that touches many edges reads the columns with numpy operations, and reads
+only the entries it needs: the metric oracles, for one, gather the items of
+the selected edges alone instead of listing the whole column.
+``graph.edges`` and ``graph.user_edges`` are read-only views that build
+small Python records on demand, for tests and reference oracles.
 
 A Solution is its selection H, each user's selected edge indices; the
 group degrees TUDiv and TIDiv threshold are counted from H where read.
@@ -67,10 +67,9 @@ class _EdgeView(Sequence):
 
 class _Adjacency(Sequence):
     """``graph.user_edges``: entry u is the tuple of user u's edge indices,
-    read from the CSR order and offsets."""
+    read from the CSR offsets."""
 
-    def __init__(self, order: np.ndarray, offsets: np.ndarray):
-        self._order = order
+    def __init__(self, offsets: np.ndarray):
         self._offsets = offsets
 
     def __len__(self) -> int:
@@ -78,7 +77,7 @@ class _Adjacency(Sequence):
 
     def __getitem__(self, index: int) -> tuple[int, ...]:
         i = range(len(self))[index]
-        return tuple(self._order[self._offsets[i]:self._offsets[i + 1]].tolist())
+        return tuple(range(self._offsets[i], self._offsets[i + 1]))
 
 
 def _index_dtype(largest: int) -> type:
@@ -145,6 +144,7 @@ class RecGraph:
     """Weighted bipartite candidate graph with per-user display constraints.
 
     ``edges`` lists (user, item, relevance) triples; edge i is the i-th.
+    The edges must be grouped by user, in increasing user order.
     ``columns`` passes the same edges as three arrays (users, items,
     relevances) instead, and is the path bulk builders take."""
 
@@ -169,15 +169,15 @@ class RecGraph:
         self.display_constraints = list(display_constraints)
         users, items, rels = (np.asarray(col) for col in columns)
         self.edge_user, self.edge_item, self.edge_rel = self._validated(users, items, rels)
-        self.user_order = _frozen(np.argsort(self.edge_user, kind="stable"))
         self.user_offsets = _frozen(csr_offsets(self.edge_user, self.num_users))
         self.edges = _EdgeView(self)
-        self.user_edges = _Adjacency(self.user_order, self.user_offsets)
+        self.user_edges = _Adjacency(self.user_offsets)
 
     def _validated(self, users: np.ndarray, items: np.ndarray, rels: np.ndarray):
         """The columns as read-only int32/int32/float64 copies.  The error
         raised is the one the first bad edge (in index order) would give
-        when checking endpoints, then duplicates, then relevance."""
+        when checking endpoints, then user order, then duplicates, then
+        relevance."""
         if not (users.ndim == items.ndim == rels.ndim == 1
                 and len(users) == len(items) == len(rels)):
             raise GraphError("edge columns must be 1-d and of equal length")
@@ -190,6 +190,12 @@ class RecGraph:
                      | (items >= self.num_items),
                      lambda e: GraphError(f"edge ({int(users[e])},{int(items[e])}) "
                                           "references unknown endpoint"))
+        descends = np.zeros(len(users), dtype=bool)
+        np.less(users[1:], users[:-1], out=descends[1:])
+        faults.check(descends, lambda e: GraphError(
+            f"edge ({int(users[e])},{int(items[e])}) follows an edge of user "
+            f"{int(users[e - 1])}: edges must be grouped by user, in increasing order"))
+        del descends
         keys = users[:faults.stop].astype(np.int64) * self.num_items + items[:faults.stop]
         _, first_seen = np.unique(keys, return_index=True)
         if len(first_seen) < len(keys):  # no mask on the fault-free path: it costs memory

@@ -10,23 +10,23 @@ key from the integer counts in the same operation order as the initial
 build, so a key always equals a from-scratch marginal computation bit for
 bit.
 
-The keys live in one flat float64 array laid out in the graph's per-user
-CSR order, so each user's edges are one contiguous slice.  A user's best
-edge is the argmax of that slice (numpy's first maximum, which in CSR order
-is the lowest edge index).  Selected edges, and every edge of a user at its
-display constraint, hold -inf.  A global heap holds the best entry of
-each user with room and an unselected edge, as in Minoux's lazy greedy ("Accelerated greedy algorithms for
+The keys live in one flat float64 array indexed by edge.  A graph's edges
+are grouped by user, so each user's edges are one contiguous slice of it,
+``user_offsets[u]:user_offsets[u + 1]``.  A user's best edge is the argmax
+of that slice (numpy's first maximum, the lowest edge index).  Selected
+edges, and every edge of a user at its display constraint, hold -inf.  A
+global heap holds the best entry of each user with room and an unselected
+edge, as in Minoux's lazy greedy ("Accelerated greedy algorithms for
 maximizing submodular set functions", 1978): a popped entry is used only if
 it is still its user's current best, and otherwise the current best is
 pushed in its place.  So the edge extracted each round is exactly the
 argmax of the true marginals, ties toward the lowest edge index.
 
-Each heap entry is a single integer (~(IEEE-754 key bits) << 64 | edge
-index << 32 | CSR position).  For nonnegative floats the raw bit pattern is
-order-isomorphic to the value, so the complemented bits give max-first
-ordering with exact float semantics and edge-index tie-breaking.  The
-position gives the edge's key and, by bisecting the CSR offsets, its user,
-so no per-edge user or position array is kept.
+Each heap entry is a single integer (~(IEEE-754 key bits) << 32 | edge
+index).  For nonnegative floats the raw bit pattern is order-isomorphic to
+the value, so the complemented bits give max-first ordering with exact
+float semantics and edge-index tie-breaking.  The edge gives its key and,
+by bisecting the CSR offsets, its user, so no per-edge user array is kept.
 
 Every incident (user, category) and (item, type) pair has a dense id: the
 number of occupied cells before its own in a dense owner-by-group presence
@@ -37,10 +37,10 @@ is built once, at the end, from the selected edges in the order they were
 popped, after the loop's arrays are freed.
 
 Memory, traced with tracemalloc on ``movielens_shaped(4000)`` (1M edges,
-seed 7): the loop's live arrays take about 53 bytes per edge (keys and
-relevances 8 each; edge indices, pair ids, pair offsets and pending lists
-4 per entry; live counts 1 when they fit a byte), and the build peaks at
-about 60 bytes per edge, while the second pair index is built.
+seed 7): the loop's live arrays take about 47 bytes per edge (keys and
+relevances 8 each; pair ids, pair offsets and pending lists 4 per entry;
+live counts 1 when they fit a byte), and the solve peaks at about 53 bytes
+per edge.
 
 Cost: O(1) per key decrease; O(deg(u)) for the argmax each time user u's
 entry surfaces (once per pop plus once per selection), not O(log deg(u));
@@ -59,7 +59,7 @@ import numpy as np
 from .graph import (DivParams, Grouping, RecGraph, Solution, ThresholdTable, csr_offsets,
                     new_solution, pair_ids)
 
-_CHUNK = 1 << 16  # initial keys computed per slice of this many positions
+_CHUNK = 1 << 16  # initial keys computed per slice of this many edges
 
 
 def greedy_solve(
@@ -90,19 +90,10 @@ def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
     is built."""
     beta, mu = float(params.beta), float(params.mu)
     n = graph.num_edges
-    order = graph.user_order
     offsets = graph.user_offsets.tolist()
-    # Everything below is laid out by CSR position: position p holds edge
-    # order[p], and user u's edges fill positions offsets[u]:offsets[u + 1].
-    user = np.repeat(np.arange(graph.num_users, dtype=np.int32), np.diff(graph.user_offsets))
-    item = graph.edge_item[order]
-    uc = _PairIndex(item_cats, item, user, thresholds.user_category)
-    it = _PairIndex(user_types, user, item, thresholds.item_type)
-    del user, item
-    edge_at = _compact(order, "i")
-    rel = array("d", [0.0]) * n
-    # every index is in range; "clip" only spares take a buffered copy
-    np.take(graph.edge_rel, order, out=np.frombuffer(rel), mode="clip")
+    uc = _PairIndex(item_cats, graph.edge_item, graph.edge_user, thresholds.user_category)
+    it = _PairIndex(user_types, graph.edge_user, graph.edge_item, thresholds.item_type)
+    rel = _compact(graph.edge_rel, "d")
     ucnt, icnt = uc.live_count, it.live_count
     live_total = _total(ucnt) + _total(icnt)
     # Initial keys in the loop's operation order, so the bits match the
@@ -128,12 +119,12 @@ def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
 
     def user_best(u: int) -> int:
         # heap entry of u's max-key unselected edge, or -1; the first
-        # maximum in CSR order is the lowest edge index
+        # maximum is the lowest edge index
         s = offsets[u]
-        p = s + int(key_view[s:offsets[u + 1]].argmax())
-        if keys[p] == neg_inf:
+        e = s + int(key_view[s:offsets[u + 1]].argmax())
+        if keys[e] == neg_inf:
             return -1
-        return ((mask - key_bits[p]) << 64) | (edge_at[p] << 32) | p
+        return ((mask - key_bits[e]) << 32) | e
 
     # one entry per user with room and an unselected edge
     gheap = [user_best(u) for u in range(graph.num_users) if offsets[u] < offsets[u + 1]]
@@ -142,20 +133,20 @@ def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
     while gheap:
         gent = heappop(gheap)
         pops += 1
-        p = gent & 0xFFFFFFFF
-        u = bisect_right(offsets, p) - 1
+        e = gent & 0xFFFFFFFF
+        u = bisect_right(offsets, e) - 1
         best = user_best(u)
         if best != gent:
             # a key of this user dropped since the entry was pushed
             heappush(gheap, best)
             continue
-        keys[p] = neg_inf
+        keys[e] = neg_inf
         remaining[u] -= 1
         if not remaining[u]:
             # a full user's edges take no more decreases
             key_view[offsets[u]:offsets[u + 1]] = neg_inf
-        picked.append((gent >> 32) & 0xFFFFFFFF)
-        for k in uc_pair[uc_first[p]:uc_first[p + 1]]:
+        picked.append(e)
+        for k in uc_pair[uc_first[e]:uc_first[e + 1]]:
             d = uc_deg[k] + 1
             uc_deg[k] = d
             if d == uc_thr[k]:
@@ -164,7 +155,7 @@ def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
                         c = ucnt[q] - 1
                         ucnt[q] = c
                         keys[q] = rel[q] + beta * c + mu * icnt[q]
-        for k in it_pair[it_first[p]:it_first[p + 1]]:
+        for k in it_pair[it_first[e]:it_first[e + 1]]:
             d = it_deg[k] + 1
             it_deg[k] = d
             if d == it_thr[k]:
@@ -196,35 +187,34 @@ def _total(counts: array) -> int:
 
 class _PairIndex:
     """Dense ids for one side's (owner, group) pairs, (user, category) or
-    (item, type): position p is incident to the pairs (owners[p], group) for
-    each group in ``grouping.groups_of(members[p])``, and a pair's threshold
+    (item, type): edge e is incident to the pairs (owners[e], group) for
+    each group in ``grouping.groups_of(members[e])``, and a pair's threshold
     is ``table.get((owner, group), 0)``.  Holds, as Python arrays, the pair
-    ids of each position (CSR ``pair``/``first``), each pair's threshold and
-    degree, and each pair's pending positions (CSR
-    ``pending``/``pending_first``, increasing) with ``live_count``, the
-    number of pending pairs per position (int8 when every count fits).  A
-    pair with a zero threshold is born saturated: it has no pending
-    positions and never lowers a key.  Each temporary is dropped as soon as
-    it is used."""
+    ids of each edge (CSR ``pair``/``first``), each pair's threshold and
+    degree, and each pair's pending edges (CSR ``pending``/``pending_first``,
+    increasing) with ``live_count``, the number of pending pairs per edge
+    (int8 when every count fits).  A pair with a zero threshold is born
+    saturated: it has no pending edges and never lowers a key.  Each
+    temporary is dropped as soon as it is used."""
 
     def __init__(self, grouping: Grouping, members: np.ndarray, owners: np.ndarray,
                  table: dict[tuple[int, int], int]):
-        num_positions = len(members)
-        position, group = grouping.expand(members)
-        pairs, pair = pair_ids(owners[position], group)
+        num_edges = len(members)
+        edge, group = grouping.expand(members)
+        pairs, pair = pair_ids(owners[edge], group)
         del group
         threshold = np.fromiter((table.get(p, 0) for p in pairs), dtype=np.int64)
         self.pair = _compact(pair, "i")
-        self.first = _compact(csr_offsets(position, num_positions), "i")
+        self.first = _compact(csr_offsets(edge, num_edges), "i")
         self.threshold = _compact(threshold, "q")
         self.degree = array("q", [0]) * len(threshold)
         live = (threshold > 0)[pair]
-        position, pair = position[live], pair[live]
+        edge, pair = edge[live], pair[live]
         del live
-        counts = np.bincount(position, minlength=num_positions)
+        counts = np.bincount(edge, minlength=num_edges)
         self.live_count = _compact(counts, "b" if counts.max(initial=0) < 128 else "i")
         del counts
-        # positions increase, so a stable sort by pair lists each pair's in order
-        self.pending = _compact(position[np.argsort(pair, kind="stable")], "i")
-        del position
+        # edges increase, so a stable sort by pair lists each pair's in order
+        self.pending = _compact(edge[np.argsort(pair, kind="stable")], "i")
+        del edge
         self.pending_first = _compact(csr_offsets(pair, len(threshold)), "i")

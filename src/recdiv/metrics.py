@@ -209,12 +209,11 @@ class IntentProfile:
             lo, hi = rel[np.argmin(rel)], rel[np.argmax(rel)]
         span = hi - lo
         norm = (rel - lo) / span if span > 0 else np.ones(len(rel))
-        order = graph.user_order
-        items = graph.edge_item[order]
-        keys, values, bounds = items.tolist(), norm[order].tolist(), graph.user_offsets.tolist()
+        keys, values, bounds = (graph.edge_item.tolist(), norm.tolist(),
+                                graph.user_offsets.tolist())
         norm_rel = [dict(zip(keys[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
         probs: list[dict[int, float]] = [{} for _ in range(graph.num_users)]
-        for u, counts in item_cats.tally(graph.edge_user[order], items).items():
+        for u, counts in item_cats.tally(graph.edge_user, graph.edge_item).items():
             total = sum(counts.values())
             probs[u] = {a: count / total for a, count in counts.items()}
         return cls(probs, norm_rel)

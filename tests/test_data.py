@@ -375,6 +375,16 @@ def test_load_candidates_counts_skipped_rows(tmp_path):
     assert [(e.user, graph.item_ids[e.item]) for e in graph.edges] == [(0, "v1"), (1, "v2")]
 
 
+def test_load_candidates_groups_interleaved_users(tmp_path):
+    p = _write(tmp_path, "c.tsv", "u2\tv3\t0.5\nu1\tv2\t0.4\nu2\tv1\t0.3\n")
+    graph, skipped = load_candidates(p, 2)
+    assert skipped == 0 and graph.user_ids == ["u2", "u1"]
+    assert [(graph.user_ids[e.user], graph.item_ids[e.item], e.relevance)
+            for e in graph.edges] == [("u2", "v1", 0.3), ("u2", "v3", 0.5), ("u1", "v2", 0.4)]
+    assert graph.edge_user.tolist() == [0, 0, 1]
+    assert list(graph.user_edges) == [(0, 1), (2,)]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_load_ratings_rejects_non_finite_rating(tmp_path, value):
     p = _write(tmp_path, "r.dat", f"u1::v1::4\nu1::v2::{value}::978300760\n")

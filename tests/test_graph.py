@@ -176,28 +176,28 @@ def test_add_edge_errors(three_item_graph):
 
 
 def test_add_edges_batch_sorts_lists_and_stops_at_the_bad_edge():
-    # u0 owns edges 0, 2, 3 (c = 3); u1 owns edges 1, 4, 5 (c = 2)
+    # u0 owns edges 0, 1, 2 (c = 3); u1 owns edges 3, 4, 5 (c = 2)
     graph = RecGraph(["u0", "u1"], [3, 2], ["v0", "v1", "v2", "v3"],
-                     [(0, 0, 0.1), (1, 0, 0.2), (0, 1, 0.3), (0, 2, 0.4), (1, 3, 0.5),
+                     [(0, 0, 0.1), (0, 1, 0.3), (0, 2, 0.4), (1, 0, 0.2), (1, 3, 0.5),
                       (1, 1, 0.6)])
     sol = new_solution(graph)
-    sol.add_edges([3, 4, 0, 1])
-    assert sol.selected == [[0, 3], [1, 4]]
+    sol.add_edges([2, 4, 0, 3])
+    assert sol.selected == [[0, 2], [3, 4]]
     with pytest.raises(DuplicateEdgeError):
-        sol.add_edges([2, 0, 5])  # 0 is already selected
-    assert sol.selected == [[0, 2, 3], [1, 4]]
+        sol.add_edges([1, 0, 5])  # 0 is already selected
+    assert sol.selected == [[0, 1, 2], [3, 4]]
     assert 5 not in sol.edge_indices()
 
     sol = new_solution(graph)
     with pytest.raises(DuplicateEdgeError):
-        sol.add_edges([5, 2, 5, 0])  # repeated within the batch
-    assert sol.selected == [[2], [5]]
-    assert sol.edge_indices() == [2, 5]
+        sol.add_edges([5, 1, 5, 0])  # repeated within the batch
+    assert sol.selected == [[1], [5]]
+    assert sol.edge_indices() == [1, 5]
 
     sol = new_solution(graph)
     with pytest.raises(CapacityError):
-        sol.add_edges([5, 3, 4, 1, 0])  # 1 is u1's third edge
-    assert sol.selected == [[3], [4, 5]]
+        sol.add_edges([5, 2, 4, 3, 0])  # 3 is u1's third edge
+    assert sol.selected == [[2], [4, 5]]
     assert sol.num_selected() == 3
 
 
@@ -288,6 +288,30 @@ def test_graph_reports_the_first_bad_edge_in_index_order():
         RecGraph(["u"], [1], ["v0", "v1"], [(0, 1, -1.0), (0, 0, 0.1), (0, 0, 0.2)])
 
 
+def test_graph_rejects_edges_out_of_user_order():
+    with pytest.raises(GraphError, match=r"edge \(0,2\) follows an edge of user 1"):
+        RecGraph(["u0", "u1"], [1, 1], ["v0", "v1", "v2"],
+                 [(0, 0, 0.1), (1, 1, 0.2), (0, 2, 0.3), (1, 0, 0.4)])
+    with pytest.raises(GraphError, match=r"edge \(1,0\) follows an edge of user 2"):
+        RecGraph(["u0", "u1", "u2"], [1, 1, 1], ["v0"],
+                 columns=(np.array([0, 2, 1]), np.array([0, 0, 0]), np.array([0.1] * 3)))
+    # users may be skipped, and a user's edges need not be in item order
+    graph = RecGraph(["u0", "u1", "u2"], [1, 1, 1], ["v0", "v1"],
+                     [(0, 1, 0.1), (0, 0, 0.2), (2, 0, 0.3)])
+    assert list(graph.user_edges) == [(0, 1), (), (2,)]
+
+
+def test_graph_order_fault_loses_to_an_earlier_bad_endpoint():
+    # edge 1 names an unknown item before edge 2 goes back to user 0
+    with pytest.raises(GraphError, match="unknown endpoint"):
+        RecGraph(["u0", "u1"], [1, 1], ["v0"], [(0, 0, 0.1), (1, 5, 0.2), (0, 0, 0.3)])
+    # the order fault comes first, so it wins over a later bad endpoint,
+    # duplicate or relevance
+    with pytest.raises(GraphError, match="follows an edge of user 1"):
+        RecGraph(["u0", "u1"], [1, 1], ["v0"],
+                 [(1, 0, 0.1), (0, 0, 0.2), (1, 0, 0.3), (0, 9, -1.0)])
+
+
 def test_first_fault_keeps_the_first_row_and_within_it_the_earlier_check():
     made = []
 
@@ -314,7 +338,7 @@ def test_first_fault_keeps_the_first_row_and_within_it_the_earlier_check():
 
 def test_graph_duplicate_among_many_edges_is_duplicate_error():
     edges = [(u, v, 0.5) for u in range(100) for v in range(100)]
-    edges.insert(7000, (42, 17, 0.25))
+    edges.insert(4218, (42, 17, 0.25))  # inside user 42's block
     with pytest.raises(DuplicateEdgeError, match=r"\(42,17\)"):
         RecGraph([f"u{u}" for u in range(100)], [1] * 100,
                  [f"v{v}" for v in range(100)], edges)

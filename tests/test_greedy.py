@@ -185,9 +185,9 @@ def test_submodularity_and_monotonicity(rng):
 
 
 def _shuffled_tied_instance(rng):
-    """Edges in random (not per-user) order, relevances from three values so
-    keys tie, one user without candidates, some thresholds 0 and some
-    entities in no group."""
+    """Each user's edges in random (not item) order, relevances from three
+    values so keys tie, one user without candidates, some thresholds 0 and
+    some entities in no group."""
     nu = rng.randint(2, 6)
     ni = rng.randint(1, 7)
     ncat = rng.randint(1, 3)
@@ -199,6 +199,7 @@ def _shuffled_tied_instance(rng):
     if not edges:
         edges.append(((empty_user + 1) % nu, 0, 0.5))
     rng.shuffle(edges)
+    edges.sort(key=lambda edge: edge[0])  # grouped by user, each in shuffled order
     graph = RecGraph([f"u{i}" for i in range(nu)],
                      [rng.randint(1, 3) for _ in range(nu)],
                      [f"v{j}" for j in range(ni)], edges)
@@ -218,8 +219,8 @@ def _shuffled_tied_instance(rng):
 
 
 def test_greedy_matches_naive_on_shuffled_tied_edges(rng):
-    # edge index order differs from the per-user order, and tied keys must
-    # still go to the lowest edge index
+    # edge index order differs from item order within a user, and tied keys
+    # must still go to the lowest edge index
     for _ in range(300):
         graph, ut, ic, th, params = _shuffled_tied_instance(rng)
         fast = greedy_solve(graph, ut, ic, th, params)

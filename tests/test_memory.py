@@ -2,9 +2,12 @@
 
 Peaks are traced with ``tracemalloc`` (which sees numpy's buffers too) on a
 100k-edge ``movielens_shaped`` instance, counting only what the traced step
-allocates.  The budgets sit above what the steps take (66 and 9.5 bytes per
-edge), and below what they took when the pair index was built by sorting
-int64 keys and the metric oracles listed the whole item column (108 and 36).
+allocates.  The budgets sit above what the steps take (62.4 and 9.5 bytes
+per edge), and below what they took when the pair index was built by
+sorting int64 keys and the metric oracles listed the whole item column (108
+and 36).  A built graph's budget sits above what it keeps (16.2 bytes per
+edge: the three edge columns, the offsets and the id lists) and below the
+24.2 it kept with a per-user edge permutation.
 """
 
 import tracemalloc
@@ -12,7 +15,7 @@ import tracemalloc
 import pytest
 
 from recdiv import metrics
-from recdiv.graph import DivParams, ThresholdTable
+from recdiv.graph import DivParams, RecGraph, ThresholdTable
 from recdiv.greedy import greedy_solve
 from recdiv.synth import movielens_shaped
 
@@ -33,6 +36,20 @@ def _traced_peak(step) -> int:
         tracemalloc.stop()
     del result
     return peak
+
+
+def test_graph_keeps_only_its_columns(instance):
+    graph = instance[0]
+    columns = (graph.edge_user, graph.edge_item, graph.edge_rel)
+    tracemalloc.start()
+    try:
+        again = RecGraph(graph.user_ids, graph.display_constraints, graph.item_ids,
+                         columns=columns)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again.num_edges == graph.num_edges
+    assert kept / graph.num_edges <= 17
 
 
 def test_greedy_solve_peak_per_edge(instance):

@@ -215,7 +215,7 @@ def test_intent_profile_and_ild_match_loop_oracles(rng):
 
 # u1 has v1 (A) and v2 (A, B); u2 has v3 (no categories) and v4 (past the
 # membership list); u3 has no candidates
-_EDGES = [(1, 2), (0, 0), (1, 3), (0, 1)]
+_EDGES = [(0, 0), (0, 1), (1, 2), (1, 3)]
 
 
 @pytest.mark.parametrize("rels", [[], [0.4] * 4, [0.0, -0.0, 0.5, 0.25],

@@ -457,7 +457,7 @@ class Solution:
     def relevance(self) -> float:
         # summed in the set's iteration order, which is its hash-slot order,
         # not the order the edges were added: the last bits of the total
-        # depend on the set's internals (ROADMAP item 6)
+        # depend on the set's internals (ROADMAP item 4)
         chosen = np.fromiter(self._selected_set, dtype=np.int64,
                              count=len(self._selected_set))
         return sum(self.graph.edge_rel[chosen].tolist(), 0.0)

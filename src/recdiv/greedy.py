@@ -32,9 +32,11 @@ Every incident (user, category) and (item, type) pair has a dense id: the
 number of occupied cells before its own in a dense owner-by-group presence
 table (a cumsum, no sort), so ids follow increasing (owner, group) order.
 Degrees, thresholds, each edge's pairs and each pair's pending edges (those
-a saturation lowers) are flat integer arrays indexed by it.  The solution
-is built once, at the end, from the selected edges in the order they were
-popped, after the loop's arrays are freed.
+a saturation lowers) are flat integer arrays indexed by it.  The pending
+lists come from one in-place sort of the distinct packed keys
+``pair << 32 | edge``, which groups them by pair in increasing edge order.
+The solution is built once, at the end, from the selected edges in the
+order they were popped, after the loop's arrays are freed.
 
 Memory, traced with tracemalloc on ``movielens_shaped(4000)`` (1M edges,
 seed 7): the loop's live arrays take about 47 bytes per edge (keys and
@@ -46,6 +48,10 @@ Cost: O(1) per key decrease; O(deg(u)) for the argmax each time user u's
 entry surfaces (once per pop plus once per selection), not O(log deg(u));
 O(log U) per global heap operation and user lookup over U users.  Each pop
 either selects an edge or replaces an entry made stale by a key decrease.
+A (user, category) saturation lowers its pending keys one at a time in
+Python; an (item, type) saturation, whose lists are longer (mean about 100
+at 1M edges, against 19), is one numpy update over its pending slice in
+the same operation order, so the key bits are the same either way.
 """
 
 from __future__ import annotations
@@ -108,8 +114,9 @@ def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
     key_bits = memoryview(keys).cast("B").cast("Q")
     uc_pair, uc_first, uc_deg, uc_thr, uc_pend, uc_pend_first = (
         uc.pair, uc.first, uc.degree, uc.threshold, uc.pending, uc.pending_first)
-    it_pair, it_first, it_deg, it_thr, it_pend, it_pend_first = (
-        it.pair, it.first, it.degree, it.threshold, it.pending, it.pending_first)
+    it_pair, it_first, it_deg, it_thr, it_pend_first = (
+        it.pair, it.first, it.degree, it.threshold, it.pending_first)
+    it_pend = np.frombuffer(it.pending, dtype=it.pending.typecode)
 
     picked = []
     remaining = list(graph.display_constraints)
@@ -159,11 +166,13 @@ def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
             d = it_deg[k] + 1
             it_deg[k] = d
             if d == it_thr[k]:
-                for q in it_pend[it_pend_first[k]:it_pend_first[k + 1]]:
-                    if keys[q] != neg_inf:
-                        c = icnt[q] - 1
-                        icnt[q] = c
-                        keys[q] = rel[q] + beta * ucnt[q] + mu * c
+                # each pending edge is listed once, so the fancy-index
+                # decrement is exact; the key's operations follow the
+                # initial build's order, so its bits match
+                q = it_pend[it_pend_first[k]:it_pend_first[k + 1]]
+                q = q[key_view[q] != neg_inf]
+                icnt_of[q] -= 1
+                key_view[q] = rel_of[q] + beta * ucnt_of[q] + mu * icnt_of[q]
         if remaining[u]:
             nb = user_best(u)
             if nb != -1:
@@ -193,8 +202,12 @@ class _PairIndex:
     ids of each edge (CSR ``pair``/``first``), each pair's threshold and
     degree, and each pair's pending edges (CSR ``pending``/``pending_first``,
     increasing) with ``live_count``, the number of pending pairs per edge
-    (int8 when every count fits).  A pair with a zero threshold is born
-    saturated: it has no pending edges and never lowers a key.  Each
+    (int8 when every count fits).  The pending lists are the low 32 bits of
+    the sorted keys ``pair << 32 | edge``: every key is distinct, so one
+    in-place sort lists each pair's edges in increasing order.  The greedy
+    reads the (item, type) side's lists as numpy slices and the (user,
+    category) side's one edge at a time.  A pair with a zero threshold is
+    born saturated: it has no pending edges and never lowers a key.  Each
     temporary is dropped as soon as it is used."""
 
     def __init__(self, grouping: Grouping, members: np.ndarray, owners: np.ndarray,
@@ -214,7 +227,12 @@ class _PairIndex:
         counts = np.bincount(edge, minlength=num_edges)
         self.live_count = _compact(counts, "b" if counts.max(initial=0) < 128 else "i")
         del counts
-        # edges increase, so a stable sort by pair lists each pair's in order
-        self.pending = _compact(edge[np.argsort(pair, kind="stable")], "i")
-        del edge
         self.pending_first = _compact(csr_offsets(pair, len(threshold)), "i")
+        key = pair.astype(np.int64)
+        del pair
+        key <<= 32
+        key |= edge
+        del edge
+        key.sort()
+        key &= 0xFFFFFFFF
+        self.pending = _compact(key, "i")

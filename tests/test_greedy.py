@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from recdiv.errors import DuplicateEdgeError
@@ -8,10 +9,12 @@ from recdiv.graph import (
     Grouping,
     RecGraph,
     ThresholdTable,
+    csr_offsets,
     eval_objective,
     new_solution,
+    pair_ids,
 )
-from recdiv.greedy import greedy_solve
+from recdiv.greedy import _PairIndex, _selection_order, greedy_solve
 from recdiv.synth import movielens_shaped
 
 from oracles import (brute_force_optimum, marginal_gain, naive_greedy, objective_from_scratch,
@@ -233,6 +236,16 @@ def _digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
+def _assert_pinned(num_users, seed, pops, decrease_keys, objective, digests):
+    graph, ut, ic = movielens_shaped(num_users=num_users, seed=seed)
+    th = ThresholdTable.uniform(graph, ut, ic, rho=2, lam=2)
+    params = DivParams(4, 0.2)
+    sol, stats = greedy_solve(graph, ut, ic, th, params, collect_stats=True)
+    assert stats == {"pops": pops, "decrease_keys": decrease_keys}
+    assert (_digest(sol.selected),) == digests
+    assert eval_objective(sol, th, params) == objective
+
+
 @pytest.mark.parametrize("seed, pops, decrease_keys, objective, digests", [
     (3, 5459, 68274, 30146.863944999997, (
         "24e992b9a456d0d0c28396745b8b7f81d3804782f50ac211130bdddcf218f419",)),
@@ -243,13 +256,15 @@ def test_greedy_counters_and_output_pinned(seed, pops, decrease_keys, objective,
     # values from the per-user-heap greedy: the work counters, the selection
     # and the objective (whose last bits follow the order edges enter the
     # selected set) must repeat exactly
-    graph, ut, ic = movielens_shaped(num_users=200, seed=seed)
-    th = ThresholdTable.uniform(graph, ut, ic, rho=2, lam=2)
-    params = DivParams(4, 0.2)
-    sol, stats = greedy_solve(graph, ut, ic, th, params, collect_stats=True)
-    assert stats == {"pops": pops, "decrease_keys": decrease_keys}
-    assert (_digest(sol.selected),) == digests
-    assert eval_objective(sol, th, params) == objective
+    _assert_pinned(200, seed, pops, decrease_keys, objective, digests)
+
+
+def test_greedy_counters_and_output_pinned_at_a_million_edges():
+    # the benchmark-sized instance, whose (item, type) pending lists (mean
+    # about 100 edges) are long enough to stress their numpy updates; values
+    # from the greedy that lowered those keys one edge at a time
+    _assert_pinned(4000, 7, 117683, 1890922, 595267.325149, (
+        "7b818ff76c2028d50f9a623f3487d30fd8c7541d880416d3a25691b8dea87ac8",))
 
 
 def test_greedy_ignores_threshold_entries_no_pair_reaches(rng):
@@ -292,3 +307,130 @@ def test_greedy_matches_naive_when_live_counts_pass_a_byte(rng):
         slow = naive_greedy(graph, ut, ic, th, params)
         assert fast.selected == slow.selected
         assert stats["decrease_keys"] > 0
+
+
+def _crowded_items_instance(rng):
+    """Many users with small display constraints on few shared items, users
+    in one or more types and item thresholds of 1 to 4: when an (item, type)
+    pair saturates, its pending list holds already-selected edges and edges
+    of users already at their display constraint, both with key -inf.
+    Users 0 and 1 rate every item, every user is in type 0 and each (item,
+    type 0) pair has threshold 1, so the first pick lowers a key."""
+    nu = rng.randint(4, 8)
+    ni = rng.randint(2, 5)
+    ntype = rng.randint(1, 3)
+    edges = [(u, v, rng.choice((0.0, 0.25, 0.5, round(rng.random(), 6))))
+             for u in range(nu) for v in range(ni) if u < 2 or rng.random() < 0.8]
+    graph = RecGraph([f"u{i}" for i in range(nu)], [rng.randint(1, 2) for _ in range(nu)],
+                     [f"v{j}" for j in range(ni)], edges)
+    ut = Grouping("user", [f"T{b}" for b in range(ntype)],
+                  [[0] + sorted(rng.sample(range(1, ntype), rng.randint(0, ntype - 1)))
+                   for _ in range(nu)])
+    ic = Grouping("item", ["C0", "C1"], [[rng.randrange(2)] for _ in range(ni)])
+    th = ThresholdTable(
+        {(u, a): rng.randint(0, 1) for u in range(nu) for a in range(2)},
+        {(v, b): rng.randint(1, 4) if b else 1 for v in range(ni) for b in range(ntype)},
+    )
+    params = DivParams(rng.choice((0.0, 0.5)), rng.choice((0.25, 1.0, 4.0)))
+    return graph, ut, ic, th, params
+
+
+def _spent_edges_at_item_saturations(graph, ut, th, picked) -> tuple[int, int]:
+    """Replays the picks and counts, in each (item, type) pair's edges at
+    the pick that saturates it, the edges selected earlier and the
+    unselected edges of users at their display constraint."""
+    users, items = graph.edge_user.tolist(), graph.edge_item.tolist()
+    remaining = list(graph.display_constraints)
+    degree = {}
+    chosen = set()
+    earlier = full = 0
+    for e in picked:
+        u, v = users[e], items[e]
+        chosen.add(e)
+        remaining[u] -= 1
+        for b in ut.groups_of(u):
+            degree[v, b] = degree.get((v, b), 0) + 1
+            if degree[v, b] != th.lam(v, b):
+                continue
+            pair_edges = [q for q in range(graph.num_edges)
+                          if items[q] == v and b in ut.groups_of(users[q])]
+            earlier += sum(q in chosen and q != e for q in pair_edges)
+            full += sum(q not in chosen and not remaining[users[q]] for q in pair_edges)
+    return earlier, full
+
+
+def test_greedy_matches_naive_when_item_pairs_saturate_over_spent_edges(rng):
+    # an (item, type) saturation lowers only the keys that are not -inf:
+    # the selected edges and those of full users in its list stay out
+    earlier = full = 0
+    for _ in range(150):
+        graph, ut, ic, th, params = _crowded_items_instance(rng)
+        fast, stats = greedy_solve(graph, ut, ic, th, params, collect_stats=True)
+        slow = naive_greedy(graph, ut, ic, th, params)
+        assert fast.selected == slow.selected
+        assert stats["decrease_keys"] > 0
+        picked, _ = _selection_order(graph, ut, ic, th, params)
+        counts = _spent_edges_at_item_saturations(graph, ut, th, picked)
+        earlier, full = earlier + counts[0], full + counts[1]
+    assert earlier > 0 and full > 0
+
+
+def test_greedy_matches_naive_when_item_live_counts_pass_a_byte(rng):
+    # a user in 130 types gives its edges on v0 and v2 130 and 129 live
+    # (item, type) pairs, more than the int8 live counts hold, and its edge
+    # on v1 only 10: a wrapped count would rank v1 first
+    for _ in range(5):
+        num_types = 130
+        edges = [(u, v, round(rng.random(), 6)) for u in range(4) for v in range(3)]
+        graph = RecGraph(["u0", "u1", "u2", "u3"], [2, 2, 1, 2], ["v0", "v1", "v2"], edges)
+        ut = Grouping("user", [f"T{b}" for b in range(num_types)],
+                      [list(range(num_types)), [0, 1], [rng.randrange(num_types)], []])
+        ic = Grouping("item", ["C0", "C1"], [[0], [1], [0, 1]])
+        th = ThresholdTable(
+            {(u, a): 1 for u in range(4) for a in range(2)},
+            {(v, b): 1 for v, types in enumerate((num_types, 10, num_types - 1))
+             for b in range(types)})
+        params = DivParams(0.25, 1.0)
+        fast, stats = greedy_solve(graph, ut, ic, th, params, collect_stats=True)
+        slow = naive_greedy(graph, ut, ic, th, params)
+        assert fast.selected == slow.selected
+        assert stats["decrease_keys"] > 0
+
+
+def _argsort_pending(grouping, members, owners, table):
+    """Each pair's pending edges and their offsets, listed by a stable
+    argsort of the live rows' pair ids."""
+    edge, group = grouping.expand(members)
+    pairs, pair = pair_ids(owners[edge], group)
+    threshold = np.array([table.get(p, 0) for p in pairs], dtype=np.int64)
+    live = (threshold > 0)[pair]
+    edge, pair = edge[live], pair[live]
+    return (edge[np.argsort(pair, kind="stable")].tolist(),
+            csr_offsets(pair, len(threshold)).tolist())
+
+
+def _zero_threshold_instance():
+    """Zero-threshold pairs on both sides, a user and an item in no group."""
+    edges = [(u, v, 0.5) for u in range(3) for v in range(4) if (u + v) % 3]
+    graph = RecGraph(["u0", "u1", "u2"], [2, 2, 2], ["v0", "v1", "v2", "v3"], edges)
+    ut = Grouping("user", ["T0", "T1"], [[0, 1], [], [1]])
+    ic = Grouping("item", ["C0", "C1"], [[0], [0, 1], [], [1]])
+    th = ThresholdTable({(0, 0): 0, (0, 1): 2, (2, 1): 1},
+                        {(0, 0): 0, (0, 1): 1, (1, 1): 0, (3, 1): 2})
+    return graph, ut, ic, th
+
+
+def test_pair_index_pending_matches_a_stable_argsort(rng):
+    instances = [random_instance(rng, overlapping=(i % 2 == 0))[:4] for i in range(40)]
+    instances += [_shuffled_tied_instance(rng)[:4] for _ in range(40)]
+    instances.append(_zero_threshold_instance())
+    graph, ut, ic = movielens_shaped(num_users=200, seed=7)
+    instances.append((graph, ut, ic, ThresholdTable.uniform(graph, ut, ic, rho=2, lam=2)))
+    for graph, ut, ic, th in instances:
+        for grouping, members, owners, table in (
+                (ic, graph.edge_item, graph.edge_user, th.user_category),
+                (ut, graph.edge_user, graph.edge_item, th.item_type)):
+            index = _PairIndex(grouping, members, owners, table)
+            pending, first = _argsort_pending(grouping, members, owners, table)
+            assert index.pending.tolist() == pending
+            assert index.pending_first.tolist() == first

@@ -2,10 +2,10 @@
 
 Peaks are traced with ``tracemalloc`` (which sees numpy's buffers too) on a
 100k-edge ``movielens_shaped`` instance, counting only what the traced step
-allocates.  The budgets sit above what the steps take (62.4 and 9.5 bytes
-per edge), and below what they took when the pair index was built by
-sorting int64 keys and the metric oracles listed the whole item column (108
-and 36).  A built graph's budget sits above what it keeps (16.2 bytes per
+allocates.  The budgets sit above what the steps take (62.5 and 9.5 bytes
+per edge), and below what they took when the pair index listed each
+pair's edges through an argsort that returned int64 indices and the metric
+oracles listed the whole item column (108 and 36).  A built graph's budget sits above what it keeps (16.2 bytes per
 edge: the three edge columns, the offsets and the id lists) and below the
 24.2 it kept with a per-user edge permutation.
 """

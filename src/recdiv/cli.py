@@ -164,8 +164,6 @@ def cmd_diversify(args) -> int:
     graph, user_types, item_cats, thresholds, skipped_rows = _load_inputs(
         args, "derive" if args.method in SOLVERS else "empty"
     )
-    if args.method == "flow" and not (user_types.disjoint and item_cats.disjoint):
-        raise RecdivError("the flow method requires disjoint groupings")
     sol, info = _run_method(
         graph, user_types, item_cats, thresholds, args,
         args.method, args.beta, args.mu, args.lam or 0.0,

@@ -527,16 +527,11 @@ def derive_user_thresholds(
     cat_total = len(item_cats.expand(item[known])[0])
     avg_cats = cat_total / item_total if item_total else 0.0
 
+    targets = display_constraints
+    if not item_cats.disjoint:
+        targets = [round(c * avg_cats) for c in display_constraints]
     rows = known & (user >= 0)
-    table: dict[tuple[int, int], int] = {}
-    for u, counts in item_cats.tally(user[rows], item[rows]).items():
-        target = display_constraints[u]
-        if not item_cats.disjoint:
-            target = round(target * avg_cats)
-        for a, rho in largest_remainder(counts, target).items():
-            if rho > 0:
-                table[(u, a)] = rho
-    return ThresholdTable(user_category=table)
+    return ThresholdTable(user_category=_apportioned(item_cats, user[rows], item[rows], targets))
 
 
 def derive_item_thresholds(
@@ -554,14 +549,24 @@ def derive_item_thresholds(
     user = _indices(_positions(user_ids), train.users)
     item = _indices(_positions(item_ids), train.items)
     budget = round(budget_fraction * sum(display_constraints) / len(item_ids)) if item_ids else 0
+    if budget <= 0:  # every share would be 0
+        return ThresholdTable()
+    rows = (user >= 0) & (item >= 0)
+    return ThresholdTable(item_type=_apportioned(user_types, item[rows], user[rows],
+                                                 [budget] * len(item_ids)))
+
+
+def _apportioned(grouping: Grouping, owners: np.ndarray, members: np.ndarray,
+                 targets: list[int]) -> dict[tuple[int, int], int]:
+    """The positive shares of each owner's target, apportioned by
+    largest remainder over the counts of its members' groups: owners in
+    order of their first row, groups in order of first appearance."""
     table: dict[tuple[int, int], int] = {}
-    if budget > 0:
-        rows = (user >= 0) & (item >= 0)
-        for j, counts in user_types.tally(item[rows], user[rows]).items():
-            for b, lam in largest_remainder(counts, budget).items():
-                if lam > 0:
-                    table[(j, b)] = lam
-    return ThresholdTable(item_type=table)
+    for owner, counts in grouping.tally(owners, members).items():
+        for g, share in largest_remainder(counts, targets[owner]).items():
+            if share > 0:
+                table[(owner, g)] = share
+    return table
 
 
 # ---------------------------------------------------------------------------

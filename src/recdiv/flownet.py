@@ -44,14 +44,18 @@ def _scaled(value: float, cost_scale: int) -> int:
     return scaled
 
 
-def _require_disjoint_total(grouping: Grouping, incident: list[int], what: str) -> None:
+def _group_of_each(grouping: Grouping, entities: np.ndarray, what: str) -> list[int]:
+    """The one group of each entity, which a disjoint grouping must give
+    every entity incident to a candidate edge."""
     if not grouping.disjoint:
         raise GroupingError(f"{what} grouping must be disjoint for the flow reduction")
-    for ent in incident:
-        if not grouping.groups_of(ent):
-            raise GroupingError(
-                f"{what} {ent} is incident to a candidate edge but has no group"
-            )
+    position, group = grouping.expand(entities)
+    if len(group) < len(entities):
+        ungrouped = np.ones(len(entities), dtype=bool)
+        ungrouped[position] = False
+        raise GroupingError(f"{what} {int(entities[ungrouped].min())} is incident to a "
+                            "candidate edge but has no group")
+    return group.tolist()
 
 
 def build_tdiv_network(
@@ -66,8 +70,8 @@ def build_tdiv_network(
     the arc of each candidate edge (``edge_arc[e]`` is edge e's arc)."""
     if cost_scale < 1:
         raise GraphError(f"cost_scale must be a positive integer, got {cost_scale}")
-    _require_disjoint_total(user_types, np.unique(graph.edge_user).tolist(), "user")
-    _require_disjoint_total(item_cats, np.unique(graph.edge_item).tolist(), "item")
+    types = _group_of_each(user_types, graph.edge_user, "user")
+    cats = _group_of_each(item_cats, graph.edge_item, "item")
 
     sink = graph.num_users
     net = FlowNetwork(sink + 1)
@@ -76,10 +80,9 @@ def build_tdiv_network(
     cat_node: dict[tuple[int, int], int] = {}  # (user, category) -> n
     type_node: dict[tuple[int, int], int] = {}  # (item, type) -> m
     edge_arc: list[int] = []
-    rows = zip(graph.edge_user.tolist(), graph.edge_item.tolist(), graph.edge_rel.tolist())
-    for u, v, rel in rows:
-        a = item_cats.single_group_of(v)
-        b = user_types.single_group_of(u)
+    rows = zip(graph.edge_user.tolist(), graph.edge_item.tolist(), graph.edge_rel.tolist(),
+               cats, types)
+    for u, v, rel, a, b in rows:
         n = cat_node.get((u, a))
         if n is None:
             n = cat_node[(u, a)] = net.add_node()

@@ -13,7 +13,8 @@ that touches many edges reads the columns with numpy operations, and reads
 only the entries it needs: the metric oracles, for one, gather the items of
 the selected edges alone instead of listing the whole column.
 ``graph.edges`` and ``graph.user_edges`` are read-only views that build
-small Python records on demand, for tests and reference oracles.
+small Python records on demand; their readers are the tests, the reference
+oracles, the demos and the benchmark's checks.
 
 A Solution is its selection H, each user's selected edge indices; the
 group degrees TUDiv and TIDiv threshold are counted from H where read.
@@ -358,20 +359,12 @@ class ThresholdTable:
     ) -> "ThresholdTable":
         """Constant thresholds on every (entity, group) pair incident to a
         candidate edge.  Non-incident pairs can never accrue degree, so
-        restricting to incident pairs leaves every objective unchanged.
-        Pairs are inserted in order of first incidence by edge index."""
+        restricting to incident pairs leaves every objective unchanged."""
         edge, cats = item_cats.expand(graph.edge_item)
-        uc = dict.fromkeys(_distinct_pairs(graph.edge_user[edge], cats), rho)
+        uc = dict.fromkeys(pair_ids(graph.edge_user[edge], cats)[0], rho)
         edge, types = user_types.expand(graph.edge_user)
-        it = dict.fromkeys(_distinct_pairs(graph.edge_item[edge], types), lam)
+        it = dict.fromkeys(pair_ids(graph.edge_item[edge], types)[0], lam)
         return cls(uc, it)
-
-
-def _distinct_pairs(rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int]]:
-    """The distinct (rows[k], cols[k]) pairs in order of first occurrence."""
-    width = int(cols.max()) + 1 if len(cols) else 1
-    first = first_rows(rows.astype(np.int64) * width + cols)
-    return list(zip(rows[first].tolist(), cols[first].tolist()))
 
 
 def pair_ids(owners: np.ndarray, groups: np.ndarray) -> tuple:
@@ -422,12 +415,11 @@ class Solution:
     graph: RecGraph
     user_types: Grouping
     item_cats: Grouping
-    selected: list[list[int]] = field(default_factory=list)
+    selected: list[list[int]] = field(init=False)
 
     def __post_init__(self):
-        if not self.selected:
-            self.selected = [[] for _ in range(self.graph.num_users)]
-        self._selected_set: set[int] = {e for lst in self.selected for e in lst}
+        self.selected = [[] for _ in range(self.graph.num_users)]
+        self._selected_set: set[int] = set()
 
     def add_edge(self, edge_index: int) -> None:
         self.add_edges([edge_index])

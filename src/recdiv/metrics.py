@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -298,21 +298,6 @@ def precision(lists: Lists, relevant: dict[int, set[int]], constraints: list[int
 # ---------------------------------------------------------------------------
 # Aggregated report
 
-REPORT_FIELDS = [
-    "precision",
-    "err_ia",
-    "ild",
-    "tudiv",
-    "tidiv",
-    "userdiv",
-    "itemdiv",
-    "div",
-    "aggregate_diversity",
-    "gini",
-    "relevance_sum",
-]
-
-
 @dataclass
 class MetricsReport:
     """Flat named metric values at a common cutoff; absent metrics are None."""
@@ -334,11 +319,15 @@ class MetricsReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def csv_header(self) -> list[str]:
-        return ["cutoff"] + REPORT_FIELDS
+        return [f.name for f in fields(self)]
 
     def to_csv_row(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        row = [self.cutoff] + [getattr(self, f) for f in REPORT_FIELDS]
+        row = [getattr(self, f) for f in self.csv_header()]
         writer.writerow(["" if v is None else v for v in row])
         return buf.getvalue().strip("\r\n")
+
+
+# the metric columns of a report: every field but the cutoff, in order
+REPORT_FIELDS = [f.name for f in fields(MetricsReport) if f.name != "cutoff"]

@@ -220,10 +220,23 @@ def test_mmr_requires_lambda(workdir):
     assert _diversify(workdir, "xquad", "x.tsv", ["--lambda", "0.5"]) == 0
 
 
-def test_flow_requires_disjoint_groupings(workdir):
+def test_flow_requires_disjoint_groupings(workdir, capsys):
     (workdir / "cats.tsv").write_text("v1\tA|B\nv2\tA\nv3\tA\nv4\tB\nv5\tB\nv6\tB\n")
-    assert _diversify(workdir, "flow", "f.tsv") == 3
+    # diversify and gridsearch report the fault alike
+    message = "item grouping must be disjoint for the flow reduction"
+    _assert_data_error(capsys, _diversify(workdir, "flow", "f.tsv"), message)
+    code = main(["gridsearch", *_graph_args(workdir), "--method", "flow",
+                 "--output", str(workdir / "grid.csv")])
+    _assert_data_error(capsys, code, message)
     assert _diversify(workdir, "greedy", "g.tsv") == 0
+
+
+def test_solver_without_thresholds_or_train_is_data_error(workdir, capsys):
+    code = main(["diversify", "--candidates", str(workdir / "candidates.tsv"),
+                 "--categories", str(workdir / "cats.tsv"),
+                 "--types", str(workdir / "types.tsv"),
+                 "--method", "greedy", "--output", str(workdir / "g.tsv")])
+    _assert_data_error(capsys, code, "either --thresholds or --train is required")
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +282,19 @@ def test_evaluate_full_report(workdir):
     csv_lines = (workdir / "rep.csv").read_text().splitlines()
     assert len(csv_lines) == 2
     assert csv_lines[0].startswith("cutoff,precision")
+
+
+def test_relevance_cutoff_sets_which_test_ratings_count(workdir):
+    # top lists: u1 [v1, v2], u2 [v1, v3], u3 [v2, v3]; u3 rated v3 a 3
+    _diversify(workdir, "top", "top.tsv")
+    precision = {}
+    for cutoff in ("3", "4"):
+        assert _evaluate(workdir, "top.tsv", f"rep{cutoff}", [
+            "--test", str(workdir / "test.tsv"), "--relevance-cutoff", cutoff,
+        ]) == 0
+        precision[cutoff] = json.loads((workdir / f"rep{cutoff}.json").read_text())["precision"]
+    assert precision["3"] == pytest.approx(1 / 2)
+    assert precision["4"] == pytest.approx(1 / 3)
 
 
 def test_evaluate_without_groupings_leaves_fields_absent(workdir):
@@ -368,6 +394,13 @@ def test_report_merges_json(workdir):
     assert lines[0].startswith("source,cutoff")
 
 
+def test_report_of_a_json_array_is_data_error(workdir, capsys):
+    (workdir / "rep.json").write_text("[1, 2]")
+    code = main(["report", "--inputs", str(workdir / "rep.json"),
+                 "--output", str(workdir / "merged.csv")])
+    _assert_data_error(capsys, code, "expected a JSON object")
+
+
 # ---------------------------------------------------------------------------
 # config file
 
@@ -405,6 +438,14 @@ def test_config_invalid_json_is_data_error(workdir):
         "--output", str(workdir / "c.tsv"),
     ])
     assert code == 3
+
+
+def test_config_json_array_is_data_error(workdir, capsys):
+    config = workdir / "config.json"
+    config.write_text('["constraint", 1]')
+    code = main(["--config", str(config), "diversify", *_graph_args(workdir),
+                 "--method", "top", "--output", str(workdir / "c.tsv")])
+    _assert_data_error(capsys, code, "config file must contain a JSON object")
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,13 @@ def test_load_ratings_errors(tmp_path):
         load_ratings(dup)
 
 
+def test_ratings_dataset_rejects_unequal_columns():
+    with pytest.raises(DataFormatError, match="equal length"):
+        RatingsDataset(["u1"], ["v1", "v2"], [5.0])
+    with pytest.raises(DataFormatError, match="equal length"):
+        RatingsDataset(["u1"], ["v1"], [5.0, 4.0])
+
+
 def test_ratings_round_trip(tmp_path):
     ds = _dataset([("u1", "v1", 4.0), ("u2", "v9", 2.5)])
     p = tmp_path / "out.tsv"

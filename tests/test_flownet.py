@@ -121,6 +121,31 @@ def test_ungrouped_incident_entity_rejected():
         build_tdiv_network(graph, ut, ic, ThresholdTable(), DivParams(1, 1), SCALE)
 
 
+@pytest.mark.parametrize("user_groups, item_groups, message", [
+    ([[0, 1], [0], [0]], [[0, 1], [], []], "user grouping must be disjoint"),
+    ([[0], [], []], [[0, 1], [0], [0]], "user 1 is incident"),
+    ([[0], [0], [0]], [[0, 1], [], []], "item grouping must be disjoint"),
+    ([[0], [0], [0]], [[0], [], []], "item 1 is incident"),
+], ids=["user overlap", "ungrouped user", "item overlap", "ungrouped item"])
+def test_grouping_faults_name_the_user_side_first_and_the_smallest_entity(
+        user_groups, item_groups, message):
+    # the edges reach the items in decreasing order
+    graph = RecGraph(["u1", "u2", "u3"], [1, 1, 1], ["v1", "v2", "v3"],
+                     [(0, 2, 0.5), (1, 1, 0.5), (2, 0, 0.5)])
+    ut = Grouping("user", ["T", "S"], user_groups)
+    ic = Grouping("item", ["A", "B"], item_groups)
+    with pytest.raises(GroupingError, match=message):
+        build_tdiv_network(graph, ut, ic, ThresholdTable(), DivParams(1, 1), SCALE)
+
+
+def test_scaled_cost_overflow_rejected():
+    graph = RecGraph(["u"], [1], ["v"], [(0, 0, 1e300)])
+    ut = Grouping("user", ["T"], [[0]])
+    ic = Grouping("item", ["A"], [[0]])
+    with pytest.raises(GraphError, match="scaled cost overflow"):
+        build_tdiv_network(graph, ut, ic, ThresholdTable(), DivParams(1, 1), SCALE)
+
+
 def test_bad_cost_scale_rejected(three_item_graph):
     graph, ut, ic, th = three_item_graph
     with pytest.raises(GraphError):

@@ -11,6 +11,7 @@ from recdiv.graph import (
     FirstFault,
     Grouping,
     RecGraph,
+    Solution,
     ThresholdTable,
     eval_objective,
     new_solution,
@@ -42,6 +43,29 @@ def test_graph_rejects_zero_constraint():
         RecGraph(["u"], [0], ["v"], [])
 
 
+def test_graph_rejects_constraints_not_one_per_user():
+    with pytest.raises(GraphError, match="one display constraint per user"):
+        RecGraph(["u1", "u2"], [1], ["v"], [])
+
+
+@pytest.mark.parametrize("columns", [
+    (np.zeros((1, 1), dtype=int), np.zeros((1, 1), dtype=int), np.zeros((1, 1))),
+    (np.zeros(2, dtype=int), np.zeros(1, dtype=int), np.zeros(1)),
+    (np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.zeros(2)),
+], ids=["2-d", "long users", "long relevances"])
+def test_graph_rejects_columns_not_1d_of_equal_length(columns):
+    with pytest.raises(GraphError, match="1-d and of equal length"):
+        RecGraph(["u"], [1], ["v"], columns=columns)
+
+
+@pytest.mark.parametrize("float_column", [0, 1], ids=["users", "items"])
+def test_graph_rejects_float_endpoint_columns(float_column):
+    columns = [np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.zeros(1)]
+    columns[float_column] = np.zeros(1)
+    with pytest.raises(GraphError, match="endpoints must be integers"):
+        RecGraph(["u"], [1], ["v"], columns=tuple(columns))
+
+
 def test_adjacency_round_trip():
     g = RecGraph(
         ["u1", "u2"], [2, 2], ["v1", "v2"],
@@ -67,6 +91,11 @@ def test_grouping_rejects_duplicates_and_bad_indices():
         Grouping("item", ["A"], [[0, 0]])
     with pytest.raises(GroupingError):
         Grouping("item", ["A"], [[3]])
+
+
+def test_grouping_rejects_an_unknown_side():
+    with pytest.raises(GroupingError, match="side must be 'user' or 'item'"):
+        Grouping("category", ["A"], [[0]])
 
 
 def _expand_loop(grouping, entities):
@@ -126,6 +155,26 @@ def test_thresholds_default_zero_and_reject_negative():
 def test_params_reject_negative():
     with pytest.raises(GraphError):
         DivParams(beta=-1.0)
+
+
+def test_uniform_negative_threshold_names_the_smallest_pair():
+    # the first incident pairs are (0, 1) on both sides
+    graph = RecGraph(["u1", "u2"], [1, 1], ["v1", "v2"],
+                     [(0, 0, 0.5), (0, 1, 0.5), (1, 0, 0.5)])
+    ut = Grouping("user", ["X", "Y"], [[1], [0]])
+    ic = Grouping("item", ["A", "B"], [[1], [0]])
+    with pytest.raises(GraphError, match=r"user threshold \(0, 0\) is negative"):
+        ThresholdTable.uniform(graph, ut, ic, rho=-1)
+    with pytest.raises(GraphError, match=r"item threshold \(0, 0\) is negative"):
+        ThresholdTable.uniform(graph, ut, ic, lam=-1)
+
+
+def test_solution_selection_is_not_a_constructor_argument(three_item_graph):
+    # a selection passed in would skip the checks add_edges makes
+    graph, ut, ic, _ = three_item_graph
+    with pytest.raises(TypeError):
+        Solution(graph, ut, ic, selected=[[1, 0, 0]])
+    assert Solution(graph, ut, ic).selected == [[]]
 
 
 def test_new_solution_is_empty(three_item_graph):
@@ -433,5 +482,6 @@ def test_uniform_thresholds_match_edge_by_edge_oracle(rng):
             for b in ut.groups_of(e.user):
                 it[(e.item, b)] = 3
         table = ThresholdTable.uniform(graph, ut, ic, rho=2, lam=3)
-        assert list(table.user_category.items()) == list(uc.items())
-        assert list(table.item_type.items()) == list(it.items())
+        # the same pairs, in increasing (entity, group) order
+        assert list(table.user_category.items()) == sorted(uc.items())
+        assert list(table.item_type.items()) == sorted(it.items())

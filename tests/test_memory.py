@@ -2,12 +2,15 @@
 
 Peaks are traced with ``tracemalloc`` (which sees numpy's buffers too) on a
 100k-edge ``movielens_shaped`` instance, counting only what the traced step
-allocates.  The budgets sit above what the steps take (62.5 and 9.5 bytes
-per edge), and below what they took when the pair index listed each
-pair's edges through an argsort that returned int64 indices and the metric
-oracles listed the whole item column (108 and 36).  A built graph's budget sits above what it keeps (16.2 bytes per
-edge: the three edge columns, the offsets and the id lists) and below the
-24.2 it kept with a per-user edge permutation.
+allocates.  The greedy's and the metric oracles' budgets sit above what the
+steps take (62.5 and 9.5 bytes per edge), and below what they took when the
+pair index listed each pair's edges through an argsort that returned int64
+indices and the metric oracles listed the whole item column (108 and 36).
+Uniform thresholds take 42.8 bytes per edge, their two dicts included, and
+took 63.7 when each side's distinct pairs were found through ``np.unique``
+on int64 keys.  A built graph's budget sits above what it keeps (16.2 bytes
+per edge: the three edge columns, the offsets and the id lists) and below
+the 24.2 it kept with a per-user edge permutation.
 """
 
 import tracemalloc
@@ -57,6 +60,13 @@ def test_greedy_solve_peak_per_edge(instance):
     peak = _traced_peak(
         lambda: greedy_solve(graph, user_types, item_cats, thresholds, DivParams(4.0, 0.2)))
     assert peak / graph.num_edges <= 90
+
+
+def test_uniform_thresholds_peak_per_edge(instance):
+    graph, user_types, item_cats, _ = instance
+    peak = _traced_peak(
+        lambda: ThresholdTable.uniform(graph, user_types, item_cats, rho=2, lam=2))
+    assert peak / graph.num_edges <= 45
 
 
 def test_metric_oracles_read_only_the_selection(instance):

@@ -93,6 +93,43 @@ def test_validate_flow_rejects_bad_conservation():
     assert validate_flow(net, good)
 
 
+def test_validate_flow_rejects_flow_outside_capacity_bounds():
+    # each flow conserves and its cost matches: only a bound is broken
+    net = _net(3, [(0, 1, 2, 1), (1, 2, 2, 1)], {0: 3, 2: -3})
+    over = FlowResult(flow=[3, 3], total_cost=6, feasible=True, potentials=[0, 0, 0])
+    assert not validate_flow(net, over)
+    cycle = _net(2, [(0, 1, 2, 1), (1, 0, 2, 1)], {})
+    negative = FlowResult(flow=[-1, -1], total_cost=-2, feasible=True, potentials=[0, 0])
+    assert not validate_flow(cycle, negative)
+
+
+def test_validate_flow_rejects_a_cost_that_disagrees_with_the_flow():
+    net = _net(3, [(0, 1, 2, 1), (1, 2, 2, 1)], {0: 1, 2: -1})
+    good = solve_min_cost_flow(net)
+    assert validate_flow(net, good)
+    off = FlowResult(flow=good.flow, total_cost=good.total_cost + 1, feasible=True,
+                     potentials=good.potentials)
+    assert not validate_flow(net, off)
+
+
+def test_validate_flow_rejects_a_flow_vector_of_the_wrong_length():
+    net = _net(3, [(0, 1, 2, 1), (1, 2, 2, 1)], {0: 1, 2: -1})
+    short = FlowResult(flow=[1], total_cost=1, feasible=True, potentials=[0, 0, 0])
+    with pytest.raises(GraphError, match="flow vector length"):
+        validate_flow(net, short)
+
+
+@pytest.mark.parametrize("tail, head", [(0, 2), (2, 0), (-1, 1)])
+def test_add_arc_rejects_an_unknown_node(tail, head):
+    with pytest.raises(GraphError, match="references unknown node"):
+        FlowNetwork(2).add_arc(tail, head, 1, 0)
+
+
+def test_add_arc_rejects_a_negative_capacity():
+    with pytest.raises(GraphError, match="capacity must be >= 0"):
+        FlowNetwork(2).add_arc(0, 1, -1, 0)
+
+
 def test_validate_flow_zero_on_zero_supply():
     net = _net(2, [(0, 1, 3, 5)], {})
     res = FlowResult(flow=[0], total_cost=0, feasible=True, potentials=[0, 0])

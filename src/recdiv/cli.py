@@ -3,16 +3,20 @@ gridsearch, report.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 infeasible.  An
 optional JSON config file supplies defaults; explicit flags override it.
+Options are checked before any file is read, and every JSON and CSV file
+is written by ``_write_json`` or ``_write_csv``.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import math
 import sys
 import time
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import data as dio
@@ -25,6 +29,8 @@ from . import metrics as m
 
 METHODS = ("top", "mmr", "xquad", "greedy", "flow")
 SOLVERS = ("greedy", "flow")
+# the columns of a MetricsReport, in field order
+REPORT_COLUMNS = ["cutoff", *m.REPORT_FIELDS]
 
 
 # ---------------------------------------------------------------------------
@@ -34,9 +40,9 @@ def _load_inputs(args, thresholds: str):
     """Candidate graph, user types, item categories, thresholds and skipped
     row counts named by ``args``.  ``thresholds`` says what to use without
     --thresholds: "derive" (derive them from --train), "empty" (an empty
-    table) or "optional" (None).  Only "optional" accepts a missing
-    grouping, and then gives None thresholds.  Each file's skipped rows
-    are counted under its option name and reported on stderr."""
+    table) or "optional" (None).  ``_option_error`` has checked that the
+    options this needs are given.  Each file's skipped rows are counted
+    under its option name and reported on stderr."""
     constraint: int | dict[str, int] = args.constraint
     if args.constraint_file:
         constraint = dio.load_constraints(args.constraint_file)
@@ -53,10 +59,7 @@ def _load_inputs(args, thresholds: str):
         user_types, skipped_rows["types"] = dio.load_grouping(
             args.types, "user", graph.user_ids)
         _warn_skipped(args.types, skipped_rows["types"], "user not in the candidates")
-    if user_types is None or item_cats is None:
-        if thresholds != "optional":
-            raise RecdivError("--categories and --types are required")
-    elif thresholds_path:
+    if thresholds_path:
         table = dio.load_thresholds(
             thresholds_path, graph.user_ids, graph.item_ids,
             user_types.group_ids, item_cats.group_ids,
@@ -67,8 +70,6 @@ def _load_inputs(args, thresholds: str):
     elif thresholds == "empty":
         table = ThresholdTable()
     elif thresholds == "derive":
-        if not args.train:
-            raise RecdivError("either --thresholds or --train is required")
         train = dio.load_ratings(args.train)
         user_tab = dio.derive_user_thresholds(
             train, item_cats, graph.item_ids, graph.user_ids, graph.display_constraints,
@@ -83,6 +84,21 @@ def _load_inputs(args, thresholds: str):
 def _warn_skipped(path, count: int, reason: str) -> None:
     if count:
         print(f"warning: {path}: {count} rows skipped ({reason})", file=sys.stderr)
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """One header line, then one line per row; a None cell is written empty
+    and a cell holding a comma, a quote or a line end is quoted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +174,6 @@ def _run_method(graph, user_types, item_cats, thresholds, args,
 
 
 def cmd_diversify(args) -> int:
-    if args.method in ("mmr", "xquad") and args.lam is None:
-        print(f"usage error: --lambda is required for {args.method}", file=sys.stderr)
-        return 2
     graph, user_types, item_cats, thresholds, skipped_rows = _load_inputs(
         args, "derive" if args.method in SOLVERS else "empty"
     )
@@ -170,10 +183,7 @@ def cmd_diversify(args) -> int:
     )
     info["skipped_rows"] = skipped_rows
     dio.save_solution(sol, args.output, args.method)
-    log_path = args.log or f"{args.output}.log.json"
-    with open(log_path, "w", encoding="utf-8") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.log or f"{args.output}.log.json", info)
     print(f"{args.method}: objective={info['objective']:.6f} "
           f"(rel={info['rel']:.6f}, TUDiv={info['tudiv']:.1f}, "
           f"TIDiv={info['tidiv']:.1f}) in {info['wall_time_s']:.2f}s -> {args.output}")
@@ -221,11 +231,8 @@ def cmd_evaluate(args) -> int:
     report = _evaluate_solution(graph, user_types, item_cats, thresholds, args, sol,
                                 DivParams(args.beta, args.mu))
     prefix = args.output
-    with open(f"{prefix}.json", "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
-    with open(f"{prefix}.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(report.csv_header()) + "\n")
-        fh.write(report.to_csv_row() + "\n")
+    _write_json(f"{prefix}.json", asdict(report))
+    _write_csv(f"{prefix}.csv", REPORT_COLUMNS, [astuple(report)])
     print(f"wrote {prefix}.json and {prefix}.csv")
     return 0
 
@@ -306,25 +313,25 @@ def cmd_gridsearch(args) -> int:
     else:
         results = [_grid_point(s) for s in settings]
 
-    best_tu = max(results, key=lambda r: (r[4].tudiv if r[4].tudiv is not None else 0.0))
-    best_ti = max(results, key=lambda r: (r[4].tidiv if r[4].tidiv is not None else 0.0))
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("beta,mu,lambda,objective,flag," +
-                 ",".join(results[0][4].csv_header()) + "\n")
-        for beta, mu, lam, info, report in results:
-            flags = []
-            if (beta, mu, lam) == best_tu[:3]:
-                flags.append("max_tudiv")
-            if (beta, mu, lam) == best_ti[:3]:
-                flags.append("max_tidiv")
-            fh.write(f"{beta},{mu},{lam},{info['objective']},{'|'.join(flags)}," +
-                     report.to_csv_row() + "\n")
+    # gridsearch requires both groupings and always has thresholds: no None here
+    best_tu = max(results, key=lambda r: r[4].tudiv)
+    best_ti = max(results, key=lambda r: r[4].tidiv)
+    rows = []
+    for beta, mu, lam, info, report in results:
+        flags = []
+        if (beta, mu, lam) == best_tu[:3]:
+            flags.append("max_tudiv")
+        if (beta, mu, lam) == best_ti[:3]:
+            flags.append("max_tidiv")
+        rows.append((beta, mu, lam, info["objective"], "|".join(flags), *astuple(report)))
+    _write_csv(args.output, ["beta", "mu", "lambda", "objective", "flag", *REPORT_COLUMNS], rows)
     print(f"wrote {len(results)} grid rows to {args.output}")
     return 0
 
 
 def cmd_report(args) -> int:
-    """Merge evaluate/gridsearch JSON reports into one CSV table."""
+    """Merge evaluate's JSON reports into one CSV table, one row per file,
+    its name in the ``source`` column."""
     rows = []
     for path in args.inputs:
         with open(path, encoding="utf-8") as fh:
@@ -333,13 +340,8 @@ def cmd_report(args) -> int:
             raise DataFormatError(f"{path}: expected a JSON object")
         payload["source"] = Path(path).name
         rows.append(payload)
-    fields = ["source", "cutoff"] + m.REPORT_FIELDS
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                "" if row.get(f) is None else str(row.get(f)) for f in fields
-            ) + "\n")
+    fields = ["source", *REPORT_COLUMNS]
+    _write_csv(args.output, fields, [[row.get(f) for f in fields] for row in rows])
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
@@ -445,6 +447,22 @@ def _config_defaults(args: argparse.Namespace) -> dict[str, str]:
             if (dest := key.replace("-", "_")) in options}
 
 
+def _option_error(args: argparse.Namespace) -> str | None:
+    """What ``args`` lacks that its command needs, if anything: checked
+    before any file is read, since the answer depends on no file."""
+    command, method = args.command, getattr(args, "method", None)
+    if command == "diversify" and method in ("mmr", "xquad") and args.lam is None:
+        return f"--lambda is required for {method}"
+    if command in ("derive-thresholds", "diversify", "gridsearch"):
+        if not (args.categories and args.types):
+            return "--categories and --types are required"
+        if method in SOLVERS and not (args.thresholds or args.train):
+            return "either --thresholds or --train is required"
+    if command == "evaluate" and args.thresholds and not (args.categories and args.types):
+        return "--thresholds requires --categories and --types"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
@@ -452,6 +470,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             subparsers[args.command].set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
+        problem = _option_error(args)
+        if problem:
+            print(f"usage error: {problem}", file=sys.stderr)
+            return 2
         return args.func(args)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)

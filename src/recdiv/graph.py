@@ -268,13 +268,6 @@ class Grouping:
             return []
         return self.membership[entity]
 
-    def single_group_of(self, entity: int) -> int | None:
-        """The unique group of an entity; requires a disjoint grouping."""
-        if not self.disjoint:
-            raise GroupingError("grouping is not disjoint")
-        m = self.groups_of(entity)
-        return m[0] if m else None
-
     def expand(self, entities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every (position, group) pair with ``group`` in
         ``groups_of(entities[position])``, as two arrays ordered by position,

@@ -16,11 +16,8 @@ Conventions documented here because the literature varies:
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -314,19 +311,6 @@ class MetricsReport:
     aggregate_diversity: float | None = None
     gini: float | None = None
     relevance_sum: float | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    def csv_header(self) -> list[str]:
-        return [f.name for f in fields(self)]
-
-    def to_csv_row(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        row = [getattr(self, f) for f in self.csv_header()]
-        writer.writerow(["" if v is None else v for v in row])
-        return buf.getvalue().strip("\r\n")
 
 
 # the metric columns of a report: every field but the cutoff, in order

@@ -62,7 +62,7 @@ def test_xquad_alternates_categories():
     intent = IntentProfile([{0: 0.5, 1: 0.5}],
                            [{0: 0.6, 1: 0.6, 2: 0.6, 3: 0.6}])
     out = xquad(graph, ic, intent, 0.0)
-    picked_cats = [ic.single_group_of(v) for v in out.items[0]]
+    picked_cats = [ic.groups_of(v)[0] for v in out.items[0]]
     assert picked_cats == [0, 1]
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from recdiv.cli import main
+from recdiv.metrics import REPORT_FIELDS
 
 CANDIDATES = """\
 u1\tv1\t0.9
@@ -231,12 +232,12 @@ def test_flow_requires_disjoint_groupings(workdir, capsys):
     assert _diversify(workdir, "greedy", "g.tsv") == 0
 
 
-def test_solver_without_thresholds_or_train_is_data_error(workdir, capsys):
+def test_solver_without_thresholds_or_train_is_usage_error(workdir, capsys):
     code = main(["diversify", "--candidates", str(workdir / "candidates.tsv"),
                  "--categories", str(workdir / "cats.tsv"),
                  "--types", str(workdir / "types.tsv"),
                  "--method", "greedy", "--output", str(workdir / "g.tsv")])
-    _assert_data_error(capsys, code, "either --thresholds or --train is required")
+    _assert_usage_error(capsys, code, "either --thresholds or --train is required")
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +305,22 @@ def test_evaluate_without_groupings_leaves_fields_absent(workdir):
     assert payload["ild"] is None and payload["tudiv"] is None
     assert payload["gini"] is not None
     assert payload["aggregate_diversity"] is not None
+
+
+def test_evaluate_report_files_read_back(workdir):
+    """evaluate's .json and .csv read back with json and csv to the same
+    values: an absent metric is null in one and an empty cell in the other."""
+    _diversify(workdir, "top", "top.tsv")
+    assert _evaluate(workdir, "top.tsv", "rep", [
+        "--test", str(workdir / "test.tsv"), "--cutoff", "10"]) == 0
+    payload = json.loads((workdir / "rep.json").read_text())
+    assert list(payload) == sorted(["cutoff", *REPORT_FIELDS])
+    assert b"\r" not in (workdir / "rep.csv").read_bytes()
+    with open(workdir / "rep.csv", newline="") as fh:
+        header, row = csv.reader(fh)
+    assert header == ["cutoff", *REPORT_FIELDS]
+    assert row == ["" if payload[f] is None else str(payload[f]) for f in header]
+    assert (payload["cutoff"], payload["precision"], payload["ild"]) == (10, 0.5, None)
 
 
 def test_evaluate_unknown_solution_edge_is_error(workdir):
@@ -392,6 +409,26 @@ def test_report_merges_json(workdir):
     lines = out.read_text().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("source,cutoff")
+
+
+def test_report_quotes_cells_that_hold_a_comma_or_a_quote(workdir):
+    """A source named a,b.json and a string value holding a comma and a
+    quote each stay one cell, so every row is as wide as the header."""
+    _diversify(workdir, "top", "top.tsv")
+    assert _evaluate(workdir, "top.tsv", "rep") == 0
+    payload = json.loads((workdir / "rep.json").read_text())
+    payloads = {"rep.json": payload, "a,b.json": dict(payload, err_ia='x, "y"')}
+    (workdir / "a,b.json").write_text(json.dumps(payloads["a,b.json"]))
+    out = workdir / "merged.csv"
+    assert main(["report", "--inputs", *(str(workdir / name) for name in payloads),
+                 "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["source", "cutoff", *REPORT_FIELDS]
+    assert [len(row) for row in rows] == [len(header)] * 2
+    for (source, values), row in zip(payloads.items(), rows):
+        values = dict(values, source=source)
+        assert row == ["" if values[f] is None else str(values[f]) for f in header]
 
 
 def test_report_of_a_json_array_is_data_error(workdir, capsys):
@@ -552,10 +589,45 @@ def test_gridsearch_rejects_empty_or_non_numeric_grid(workdir, grid):
     assert exc.value.code == 2
 
 
-def test_gridsearch_without_groupings_is_data_error(workdir, capsys):
+def test_gridsearch_without_groupings_is_usage_error(workdir, capsys):
     code = main(["gridsearch", "--candidates", str(workdir / "candidates.tsv"),
                  "--method", "top", "--output", str(workdir / "grid.csv")])
-    _assert_data_error(capsys, code, "--categories and --types are required")
+    _assert_usage_error(capsys, code, "--categories and --types are required")
+
+
+def _assert_usage_error(capsys, code, message):
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+GROUPINGS_REQUIRED = "--categories and --types are required"
+THRESHOLDS_REQUIRED = "either --thresholds or --train is required"
+
+
+@pytest.mark.parametrize("command, options, message", [
+    ("derive-thresholds", ["--train"], GROUPINGS_REQUIRED),
+    ("derive-thresholds", ["--train", "--types"], GROUPINGS_REQUIRED),
+    ("diversify", ["--train", "--categories"], GROUPINGS_REQUIRED),
+    ("gridsearch", ["--thresholds"], GROUPINGS_REQUIRED),
+    ("diversify", ["--categories", "--types"], THRESHOLDS_REQUIRED),
+    ("gridsearch", ["--categories", "--types"], THRESHOLDS_REQUIRED),
+    ("evaluate", ["--solution", "--thresholds"],
+     "--thresholds requires --categories and --types"),
+    ("evaluate", ["--solution", "--thresholds", "--categories"],
+     "--thresholds requires --categories and --types"),
+], ids=["derive-no-groupings", "derive-one-grouping", "diversify-one-grouping",
+        "gridsearch-no-groupings", "diversify-no-thresholds", "gridsearch-no-thresholds",
+        "evaluate-no-groupings", "evaluate-one-grouping"])
+def test_missing_option_is_usage_error_before_reading_files(tmp_path, capsys, command,
+                                                            options, message):
+    """argv names only missing files, so reading any of them would exit 3."""
+    missing = str(tmp_path / "missing.tsv")
+    argv = [command, "--candidates", missing, "--output", str(tmp_path / "out")]
+    for option in options:
+        argv += [option, missing]
+    if command in ("diversify", "gridsearch"):
+        argv += ["--method", "greedy"]
+    _assert_usage_error(capsys, main(argv), message)
 
 
 @pytest.mark.parametrize("method", ["flow", "greedy"])

@@ -24,8 +24,8 @@ def _check_network_shape(graph, ut, ic, th, params, net, edge_arc):
     type) pair and nothing else; each pair has a bonus arc of its
     threshold's capacity and a free arc beside it; one arc per edge."""
     sink = graph.num_users
-    cats = {(e.user, ic.single_group_of(e.item)) for e in graph.edges}
-    types = {(e.item, ut.single_group_of(e.user)) for e in graph.edges}
+    cats = {(e.user, ic.groups_of(e.item)[0]) for e in graph.edges}
+    types = {(e.item, ut.groups_of(e.user)[0]) for e in graph.edges}
     assert net.node_count == graph.num_users + 1 + len(cats) + len(types)
     assert net.arc_count == 2 * len(cats) + 2 * len(types) + graph.num_edges + graph.num_users
     into = [[] for _ in range(net.node_count)]
@@ -37,8 +37,8 @@ def _check_network_shape(graph, ut, ic, th, params, net, edge_arc):
     for e, arc in enumerate(edge_arc):
         edge = graph.edges[e]
         assert (net.capacity[arc], net.cost[arc]) == (1, -round(edge.relevance * SCALE))
-        cat_node.setdefault((edge.user, ic.single_group_of(edge.item)), net.tail[arc])
-        type_node.setdefault((edge.item, ut.single_group_of(edge.user)), net.head[arc])
+        cat_node.setdefault((edge.user, ic.groups_of(edge.item)[0]), net.tail[arc])
+        type_node.setdefault((edge.item, ut.groups_of(edge.user)[0]), net.head[arc])
     # the gadget nodes are distinct and none of them is an item node
     gadgets = set(cat_node.values()) | set(type_node.values())
     assert len(gadgets) == len(cats) + len(types)

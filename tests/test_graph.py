@@ -82,8 +82,6 @@ def test_grouping_disjoint_flag():
     assert disjoint.disjoint
     overlapping = Grouping("item", ["A", "B"], [[0, 1], [1]])
     assert not overlapping.disjoint
-    with pytest.raises(GroupingError):
-        overlapping.single_group_of(0)
 
 
 def test_grouping_rejects_duplicates_and_bad_indices():

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import random
 
@@ -11,7 +10,6 @@ from recdiv.graph import DivParams, Grouping, RecGraph, ThresholdTable, new_solu
 from recdiv.metrics import (
     CategoryClasses,
     IntentProfile,
-    MetricsReport,
     aggregate_diversity,
     div_edgewise,
     err_ia,
@@ -290,18 +288,6 @@ def test_metrics_permutation_invariance(rng):
     assert gini(lists, 4) == gini(shuffled, 4)
     assert aggregate_diversity(lists, 4) == aggregate_diversity(shuffled, 4)
     assert ild(lists, ic) == pytest.approx(ild(shuffled, ic))  # symmetric distance
-
-
-def test_report_round_trip():
-    rep = MetricsReport(cutoff=10, precision=0.5, gini=0.9)
-    payload = json.loads(rep.to_json())
-    assert payload["precision"] == 0.5
-    assert payload["err_ia"] is None
-    header = rep.csv_header()
-    row = rep.to_csv_row().split(",")
-    assert len(header) == len(row)
-    assert row[header.index("gini")] == "0.9"
-    assert row[header.index("err_ia")] == ""
 
 
 def test_diversity_metrics_pinned():

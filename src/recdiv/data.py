@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import DataFormatError, GraphError
 from .graph import (FirstFault, Grouping, RecGraph, Solution, ThresholdTable, csr_offsets,
-                    first_rows)
+                    first_rows, has_repeats)
 
 BLOCK_CHARS = 1 << 20  # characters of text read per block
 _WRITE_ROWS = 1 << 15  # rows formatted per write
@@ -305,9 +305,11 @@ def _read_triples(path, seps, what: str, valid, fault: str, kind):
     parts, faults = _read(path, convert, 3, seps, True)
     user, item = _concat(parts, 0), _concat(parts, 1)
     user_names, item_names = list(user_code), list(item_code)
-    faults.check(_earlier(user * len(item_names) + item) > 0,
-                 lambda row: DataFormatError(f"{path}:{_concat(parts, 3)[row]}: duplicate pair "
-                                             f"({user_names[user[row]]},{item_names[item[row]]})"))
+    keys = user * len(item_names) + item
+    if has_repeats(keys):
+        faults.check(_earlier(keys) > 0, lambda row: DataFormatError(
+            f"{path}:{_concat(parts, 3)[row]}: duplicate pair "
+            f"({user_names[user[row]]},{item_names[item[row]]})"))
     faults.raise_first()
     return user, item, _concat(parts, 2, np.float64), user_names, item_names
 

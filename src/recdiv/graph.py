@@ -104,6 +104,14 @@ def first_rows(keys: np.ndarray) -> np.ndarray:
     return first
 
 
+def has_repeats(keys: np.ndarray) -> bool:
+    """Whether any key appears twice: one sort and one adjacent-equal test,
+    which costs less than finding which row repeats.  Callers find that
+    only once they know there is one."""
+    ordered = np.sort(keys)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -198,8 +206,10 @@ class RecGraph:
             f"{int(users[e - 1])}: edges must be grouped by user, in increasing order"))
         del descends
         keys = users[:faults.stop].astype(np.int64) * self.num_items + items[:faults.stop]
-        _, first_seen = np.unique(keys, return_index=True)
-        if len(first_seen) < len(keys):  # no mask on the fault-free path: it costs memory
+        # The fault-free path only sorts the keys; the repeated rows, and the
+        # first of them in index order, are found once there is one.
+        if has_repeats(keys):
+            _, first_seen = np.unique(keys, return_index=True)
             repeated = np.ones(len(keys), dtype=bool)
             repeated[first_seen] = False
             faults.check(repeated, lambda e: DuplicateEdgeError(

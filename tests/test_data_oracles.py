@@ -209,6 +209,19 @@ def test_first_block_duplicate_wins_over_later_block_error(tmp_path):
     assert (kind, message.split(": ", 1)[1]) == ("DataFormatError", "duplicate pair (u0,v3)")
 
 
+@pytest.mark.parametrize("block_chars", [data.BLOCK_CHARS, 7])
+@pytest.mark.parametrize("loader", ["ratings", "candidates"])
+def test_duplicate_names_the_first_second_occurrence_by_line(tmp_path, monkeypatch,
+                                                              block_chars, loader):
+    """The repeat of (b,y) is on line 3 and that of (a,x) on line 4, but
+    (a,x)'s key sorts first."""
+    monkeypatch.setattr(data, "BLOCK_CHARS", block_chars)
+    payload = "a\tx\t1\nb\ty\t2\nb\ty\t3\na\tx\t4\n"
+    kind, message = _assert_same(tmp_path, loader, payload)
+    assert kind == "DataFormatError"
+    assert message.endswith(":3: duplicate pair (b,y)")
+
+
 def test_large_files_match_the_loop_loaders(tmp_path):
     """Files of several blocks, read whole: candidates with blank lines,
     CRLF ends and a header, and '::' ratings with timestamps."""

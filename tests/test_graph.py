@@ -359,6 +359,25 @@ def test_graph_order_fault_loses_to_an_earlier_bad_endpoint():
                  [(1, 0, 0.1), (0, 0, 0.2), (1, 0, 0.3), (0, 9, -1.0)])
 
 
+def test_graph_names_the_earliest_second_occurrence_whatever_the_key_order():
+    # edge 2 repeats key 3 and edge 3 key 1; sorted keys meet the repeat of
+    # key 1 first, and user 1's repeats sort after user 0's
+    edges = [(0, 3, 0.1), (0, 1, 0.2), (0, 3, 0.3), (0, 1, 0.4), (1, 0, 0.5), (1, 0, 0.6)]
+    with pytest.raises(DuplicateEdgeError, match=r"duplicate candidate edge \(0,3\)"):
+        RecGraph(["u0", "u1"], [1, 1], ["v0", "v1", "v2", "v3"], edges)
+    # an earlier bad endpoint or order fault still wins over the repeats
+    with pytest.raises(GraphError, match=r"edge \(0,9\) references unknown endpoint"):
+        RecGraph(["u0", "u1"], [1, 1], ["v0", "v1", "v2", "v3"],
+                 [(0, 3, 0.1), (0, 9, 0.2), *edges[1:]])
+    with pytest.raises(GraphError, match=r"edge \(0,2\) follows an edge of user 1"):
+        RecGraph(["u0", "u1"], [1, 1], ["v0", "v1", "v2", "v3"],
+                 [(0, 3, 0.1), (1, 1, 0.2), (0, 2, 0.2), *edges[1:]])
+    # with the repeats first, the earliest of them wins over a later fault
+    with pytest.raises(DuplicateEdgeError, match=r"\(0,3\)"):
+        RecGraph(["u0", "u1"], [1, 1], ["v0", "v1", "v2", "v3"],
+                 [*edges, (1, 7, 0.1), (0, 0, -1.0)])
+
+
 def test_first_fault_keeps_the_first_row_and_within_it_the_earlier_check():
     made = []
 

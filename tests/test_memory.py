@@ -10,7 +10,11 @@ Uniform thresholds take 42.8 bytes per edge, their two dicts included, and
 took 63.7 when each side's distinct pairs were found through ``np.unique``
 on int64 keys.  A built graph's budget sits above what it keeps (16.2 bytes
 per edge: the three edge columns, the offsets and the id lists) and below
-the 24.2 it kept with a per-user edge permutation.
+the 24.2 it kept with a per-user edge permutation.  Generating the instance
+peaks at 57.5 bytes per edge, with the relevances rounded in numpy, the
+generator's temporaries freed before the graph is built and its duplicate
+check one sort; it took 107.9 when each relevance went through Python's
+``round``, the temporaries stayed alive and ``np.unique`` found repeats.
 """
 
 import tracemalloc
@@ -39,6 +43,11 @@ def _traced_peak(step) -> int:
         tracemalloc.stop()
     del result
     return peak
+
+
+def test_movielens_shaped_peak_per_edge(instance):
+    peak = _traced_peak(lambda: movielens_shaped(num_users=400, seed=7))
+    assert peak / instance[0].num_edges <= 80
 
 
 def test_graph_keeps_only_its_columns(instance):

@@ -28,21 +28,28 @@ the value, so the complemented bits give max-first ordering with exact
 float semantics and edge-index tie-breaking.  The edge gives its key and,
 by bisecting the CSR offsets, its user, so no per-edge user array is kept.
 
-Every incident (user, category) and (item, type) pair has a dense id: the
-number of occupied cells before its own in a dense owner-by-group presence
-table (a cumsum, no sort), so ids follow increasing (owner, group) order.
-Degrees, thresholds, each edge's pairs and each pair's pending edges (those
-a saturation lowers) are flat integer arrays indexed by it.  The pending
-lists come from one in-place sort of the distinct packed keys
-``pair << 32 | edge``, which groups them by pair in increasing edge order.
+Each (user, category) and (item, type) pair is a cell ``owner * width +
+group`` of a dense owner-by-group table, ``width`` being its grouping's
+number of groups.  Each cell's threshold, degree and pending offsets are
+flat int arrays indexed by it.  A threshold entry whose owner or group falls
+outside the table names a pair no edge has, and is ignored.  The loop finds
+edge e's pairs from its endpoints, (u, c) for each category c of its item
+and (j, t) for each type t of its user, so no per-edge pair array is kept;
+it reads the relevances and items in place through memoryviews.  A pair's
+pending edges, those a saturation lowers, are its edges when its threshold
+is positive, listed from in-place sorts of the packed keys
+``cell << 32 | edge``, which group them by cell in increasing edge order.
+The (item, type) side sorts once over the whole edge array.  The (user,
+category) side sorts one block of whole users at a time: a (user, category)
+pair's edges all lie in its user's slice, so each block's sorted list is
+final and the blocks concatenate, and no temporary spans every incidence.
 The solution is built once, at the end, from the selected edges in the
 order they were popped, after the loop's arrays are freed.
 
 Memory, traced with tracemalloc on ``movielens_shaped(4000)`` (1M edges,
-seed 7): the loop's live arrays take about 47 bytes per edge (keys and
-relevances 8 each; pair ids, pair offsets and pending lists 4 per entry;
-live counts 1 when they fit a byte), and the solve peaks at about 53 bytes
-per edge.
+seed 7): the loop holds about 20 bytes per edge (keys 8; pending lists 4
+per entry, 9.5 over both sides; live counts 1 per side when they fit a
+byte), and the solve peaks at about 25 bytes per edge.
 
 Cost: O(1) per key decrease; O(deg(u)) for the argmax each time user u's
 entry surfaces (once per pop plus once per selection), not O(log deg(u));
@@ -62,10 +69,11 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .graph import (DivParams, Grouping, RecGraph, Solution, ThresholdTable, csr_offsets,
-                    new_solution, pair_ids)
+from .graph import DivParams, Grouping, RecGraph, Solution, ThresholdTable, new_solution
 
-_CHUNK = 1 << 16  # initial keys computed per slice of this many edges
+# edges per slice of the initial keys, and at most per block of whole users
+# in the (user, category) build
+_CHUNK = 1 << 16
 
 
 def greedy_solve(
@@ -97,26 +105,25 @@ def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
     beta, mu = float(params.beta), float(params.mu)
     n = graph.num_edges
     offsets = graph.user_offsets.tolist()
-    uc = _PairIndex(item_cats, graph.edge_item, graph.edge_user, thresholds.user_category)
-    it = _PairIndex(user_types, graph.edge_user, graph.edge_item, thresholds.item_type)
-    rel = _compact(graph.edge_rel, "d")
+    uc, it = _pair_indexes(graph, user_types, item_cats, thresholds)
     ucnt, icnt = uc.live_count, it.live_count
     live_total = _total(ucnt) + _total(icnt)
     # Initial keys in the loop's operation order, so the bits match the
     # keys it recomputes; a chunk at a time, so no temporary spans them all.
     keys = array("d", [0.0]) * n
     key_view = np.frombuffer(keys, dtype=np.float64)
-    rel_of, ucnt_of, icnt_of = (np.frombuffer(rel), np.frombuffer(ucnt, dtype=ucnt.typecode),
+    rel_of, ucnt_of, icnt_of = (graph.edge_rel, np.frombuffer(ucnt, dtype=ucnt.typecode),
                                 np.frombuffer(icnt, dtype=icnt.typecode))
     for s in range(0, n, _CHUNK):
         e = s + _CHUNK
         key_view[s:e] = rel_of[s:e] + beta * ucnt_of[s:e] + mu * icnt_of[s:e]
     key_bits = memoryview(keys).cast("B").cast("Q")
-    uc_pair, uc_first, uc_deg, uc_thr, uc_pend, uc_pend_first = (
-        uc.pair, uc.first, uc.degree, uc.threshold, uc.pending, uc.pending_first)
-    it_pair, it_first, it_deg, it_thr, it_pend_first = (
-        it.pair, it.first, it.degree, it.threshold, it.pending_first)
-    it_pend = np.frombuffer(it.pending, dtype=it.pending.typecode)
+    rel, item_of = memoryview(graph.edge_rel), memoryview(graph.edge_item)
+    cats_of, types_of = item_cats.groups_of, user_types.groups_of
+    uc_width, uc_deg, uc_thr, uc_pend, uc_pend_first = (
+        uc.width, uc.degree, uc.threshold, uc.pending, uc.pending_first)
+    it_width, it_deg, it_thr, it_pend_first = it.width, it.degree, it.threshold, it.pending_first
+    it_pend = np.frombuffer(it.pending, dtype=np.int32)
 
     picked = []
     remaining = list(graph.display_constraints)
@@ -153,7 +160,10 @@ def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
             # a full user's edges take no more decreases
             key_view[offsets[u]:offsets[u + 1]] = neg_inf
         picked.append(e)
-        for k in uc_pair[uc_first[e]:uc_first[e + 1]]:
+        j = item_of[e]
+        base = u * uc_width
+        for g in cats_of(j):
+            k = base + g
             d = uc_deg[k] + 1
             uc_deg[k] = d
             if d == uc_thr[k]:
@@ -162,7 +172,9 @@ def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
                         c = ucnt[q] - 1
                         ucnt[q] = c
                         keys[q] = rel[q] + beta * c + mu * icnt[q]
-        for k in it_pair[it_first[e]:it_first[e + 1]]:
+        base = j * it_width
+        for g in types_of(u):
+            k = base + g
             d = it_deg[k] + 1
             it_deg[k] = d
             if d == it_thr[k]:
@@ -182,6 +194,26 @@ def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
     return picked, {"pops": pops, "decrease_keys": decreases}
 
 
+def _pair_indexes(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
+                  thresholds: ThresholdTable) -> tuple[_PairIndex, _PairIndex]:
+    """The (user, category) and (item, type) pair indexes.  The (item, type)
+    side is built first, over the whole edge array; the (user, category)
+    side then one block of whole users at a time, each block at most
+    ``_CHUNK`` edges unless one user has more."""
+    it = _PairIndex(user_types, graph.edge_user, graph.edge_item, graph.num_items,
+                    thresholds.item_type, [(0, graph.num_edges, 0, graph.num_items)])
+    offsets = graph.user_offsets.tolist()
+    blocks = []
+    first = 0
+    while first < graph.num_users:
+        end = max(bisect_right(offsets, offsets[first] + _CHUNK) - 1, first + 1)
+        blocks.append((offsets[first], offsets[end], first, end))
+        first = end
+    uc = _PairIndex(item_cats, graph.edge_item, graph.edge_user, graph.num_users,
+                    thresholds.user_category, blocks)
+    return uc, it
+
+
 def _compact(column: np.ndarray, typecode: str) -> array:
     """A column as a Python array: indexed as fast as a list, without one
     Python object per element."""
@@ -195,44 +227,70 @@ def _total(counts: array) -> int:
 
 
 class _PairIndex:
-    """Dense ids for one side's (owner, group) pairs, (user, category) or
-    (item, type): edge e is incident to the pairs (owners[e], group) for
-    each group in ``grouping.groups_of(members[e])``, and a pair's threshold
-    is ``table.get((owner, group), 0)``.  Holds, as Python arrays, the pair
-    ids of each edge (CSR ``pair``/``first``), each pair's threshold and
-    degree, and each pair's pending edges (CSR ``pending``/``pending_first``,
-    increasing) with ``live_count``, the number of pending pairs per edge
-    (int8 when every count fits).  The pending lists are the low 32 bits of
-    the sorted keys ``pair << 32 | edge``: every key is distinct, so one
-    in-place sort lists each pair's edges in increasing order.  The greedy
-    reads the (item, type) side's lists as numpy slices and the (user,
-    category) side's one edge at a time.  A pair with a zero threshold is
-    born saturated: it has no pending edges and never lowers a key.  Each
-    temporary is dropped as soon as it is used."""
+    """One side's (owner, group) pairs, (user, category) or (item, type):
+    edge e is incident to the pairs (owners[e], group) for each group in
+    ``grouping.groups_of(members[e])``.  Pair (owner, group) is cell
+    ``owner * width + group`` over ``num_owners`` owners and the grouping's
+    ``width`` groups, and its threshold is ``table.get((owner, group), 0)``.
+    Holds, as Python arrays, each cell's threshold and degree, its pending
+    edges (CSR ``pending``/``pending_first``, increasing) and each edge's
+    ``live_count`` of pending pairs (int8 when no entity has more than 127
+    groups).  A pair with a zero threshold is born saturated: it has no
+    pending edges and never lowers a key.
+
+    Each of ``blocks``, ``(start, end, lo, hi)``, holds edges start..end-1,
+    which must be all the edges of owners lo..hi-1 and no others.  Its list
+    is the low 32 bits of its sorted keys ``cell << 32 | edge``: the keys
+    are distinct, so one in-place sort lists each pair's edges in
+    increasing order, and the blocks' lists, each over its own cells,
+    concatenate in cell order.  Each temporary is dropped as soon as it is
+    used."""
 
     def __init__(self, grouping: Grouping, members: np.ndarray, owners: np.ndarray,
-                 table: dict[tuple[int, int], int]):
-        num_edges = len(members)
-        edge, group = grouping.expand(members)
-        pairs, pair = pair_ids(owners[edge], group)
-        del group
-        threshold = np.fromiter((table.get(p, 0) for p in pairs), dtype=np.int64)
-        self.pair = _compact(pair, "i")
-        self.first = _compact(csr_offsets(edge, num_edges), "i")
-        self.threshold = _compact(threshold, "q")
-        self.degree = array("q", [0]) * len(threshold)
-        live = (threshold > 0)[pair]
-        edge, pair = edge[live], pair[live]
-        del live
-        counts = np.bincount(edge, minlength=num_edges)
-        self.live_count = _compact(counts, "b" if counts.max(initial=0) < 128 else "i")
-        del counts
-        self.pending_first = _compact(csr_offsets(pair, len(threshold)), "i")
-        key = pair.astype(np.int64)
-        del pair
-        key <<= 32
-        key |= edge
-        del edge
-        key.sort()
-        key &= 0xFFFFFFFF
-        self.pending = _compact(key, "i")
+                 num_owners: int, table: dict[tuple[int, int], int], blocks):
+        width = self.width = grouping.num_groups
+        cells, values = [], []
+        for (owner, group), value in table.items():
+            if 0 <= owner < num_owners and 0 <= group < width:
+                cells.append(owner * width + group)
+                # past any degree: the pair never saturates
+                values.append(min(value, 2**31 - 1))
+        self.threshold = array("i", [0]) * (num_owners * width)
+        threshold = np.frombuffer(self.threshold, dtype=np.int32)
+        threshold[cells] = values
+        del cells, values
+        most = max(map(len, grouping.membership), default=0)
+        self.live_count = array("b" if most < 128 else "i", [0]) * len(members)
+        live_count = np.frombuffer(self.live_count, dtype=self.live_count.typecode)
+        count = np.zeros(len(threshold) + 1, dtype=np.int64)
+        self.pending = array("i")
+        index = np.int32 if len(threshold) < 2**31 else np.int64
+        for start, end, lo, hi in blocks:
+            edge, group = grouping.expand(members[start:end])
+            # the cell less the block's first, in int32 while the cells fit
+            cell = owners[start:end][edge].astype(index, copy=False)
+            cell -= lo
+            cell *= width
+            cell += group
+            del group
+            live = threshold[lo * width:hi * width][cell] > 0
+            if not live.all():
+                edge, cell = edge[live], cell[live]
+            del live
+            live_count[start:end] = np.bincount(edge, minlength=end - start)
+            count[lo * width + 1:hi * width + 1] = np.bincount(cell, minlength=(hi - lo) * width)
+            key = cell.astype(np.int64)
+            del cell
+            key <<= 32
+            key |= edge
+            del edge
+            key.sort()
+            key &= 0xFFFFFFFF
+            key += start
+            low = key.astype(np.int32)
+            del key
+            self.pending.frombytes(memoryview(low).cast("B"))
+            del low
+        self.degree = array("i", [0]) * len(threshold)
+        np.cumsum(count, out=count)
+        self.pending_first = _compact(count, "i" if count[-1] < 2**31 else "q")

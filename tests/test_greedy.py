@@ -12,9 +12,9 @@ from recdiv.graph import (
     csr_offsets,
     eval_objective,
     new_solution,
-    pair_ids,
 )
-from recdiv.greedy import _PairIndex, _selection_order, greedy_solve
+from recdiv import greedy
+from recdiv.greedy import _pair_indexes, _selection_order, greedy_solve
 from recdiv.synth import movielens_shaped
 
 from oracles import (brute_force_optimum, marginal_gain, naive_greedy, objective_from_scratch,
@@ -291,10 +291,13 @@ def test_greedy_ignores_threshold_entries_no_pair_reaches(rng):
         assert eval_objective(fast, wide, params) == eval_objective(fast, th, params)
 
 
-def test_greedy_matches_naive_when_live_counts_pass_a_byte(rng):
+def test_greedy_matches_naive_when_live_counts_pass_a_byte(rng, monkeypatch):
     # an item in 130 categories gives its edges 130 live (user, category)
-    # pairs, more than the int8 live counts hold
-    for _ in range(5):
+    # pairs, more than the int8 live counts hold; with blocks of 5 edges
+    # each user's 4 edges are a block of their own, so that item's edges
+    # lie in three blocks of the (user, category) build
+    for trial in range(10):
+        monkeypatch.setattr(greedy, "_CHUNK", 5 if trial % 2 else 1 << 16)
         num_cats = 130
         edges = [(u, v, round(rng.random(), 6)) for u in range(3) for v in range(4)]
         graph = RecGraph(["u0", "u1", "u2"], [2, 2, 2], ["v0", "v1", "v2", "v3"], edges)
@@ -397,16 +400,19 @@ def test_greedy_matches_naive_when_item_live_counts_pass_a_byte(rng):
         assert stats["decrease_keys"] > 0
 
 
-def _argsort_pending(grouping, members, owners, table):
-    """Each pair's pending edges and their offsets, listed by a stable
-    argsort of the live rows' pair ids."""
+def _argsort_pending(grouping, members, owners, num_owners, table):
+    """Each cell's pending edges and their offsets, listed by a stable
+    argsort of the live incidences' cells ``owner * width + group``, and
+    each edge's live count."""
     edge, group = grouping.expand(members)
-    pairs, pair = pair_ids(owners[edge], group)
-    threshold = np.array([table.get(p, 0) for p in pairs], dtype=np.int64)
-    live = (threshold > 0)[pair]
-    edge, pair = edge[live], pair[live]
-    return (edge[np.argsort(pair, kind="stable")].tolist(),
-            csr_offsets(pair, len(threshold)).tolist())
+    owner = owners[edge]
+    live = np.array([table.get((o, g), 0) > 0 for o, g in zip(owner.tolist(), group.tolist())],
+                    dtype=bool)
+    edge = edge[live]
+    cell = owner[live].astype(np.int64) * grouping.num_groups + group[live]
+    return (edge[np.argsort(cell, kind="stable")].tolist(),
+            csr_offsets(cell, num_owners * grouping.num_groups).tolist(),
+            np.bincount(edge, minlength=len(members)).tolist())
 
 
 def _zero_threshold_instance():
@@ -420,17 +426,56 @@ def _zero_threshold_instance():
     return graph, ut, ic, th
 
 
-def test_pair_index_pending_matches_a_stable_argsort(rng):
+def test_pending_lists_match_a_stable_argsort_by_cell(rng, monkeypatch):
+    # blocks of 3 and 7 edges end mid-instance, and the 200-user instance's
+    # users (250 edges each) each span more than one block's worth
     instances = [random_instance(rng, overlapping=(i % 2 == 0))[:4] for i in range(40)]
     instances += [_shuffled_tied_instance(rng)[:4] for _ in range(40)]
     instances.append(_zero_threshold_instance())
     graph, ut, ic = movielens_shaped(num_users=200, seed=7)
     instances.append((graph, ut, ic, ThresholdTable.uniform(graph, ut, ic, rho=2, lam=2)))
-    for graph, ut, ic, th in instances:
-        for grouping, members, owners, table in (
-                (ic, graph.edge_item, graph.edge_user, th.user_category),
-                (ut, graph.edge_user, graph.edge_item, th.item_type)):
-            index = _PairIndex(grouping, members, owners, table)
-            pending, first = _argsort_pending(grouping, members, owners, table)
-            assert index.pending.tolist() == pending
-            assert index.pending_first.tolist() == first
+    assert max(int(np.diff(g.user_offsets).max()) for g, *_ in instances) > 7
+    for block in (3, 7):
+        monkeypatch.setattr(greedy, "_CHUNK", block)
+        for graph, ut, ic, th in instances:
+            uc, it = _pair_indexes(graph, ut, ic, th)
+            for index, grouping, members, owners, num_owners, table in (
+                    (uc, ic, graph.edge_item, graph.edge_user, graph.num_users,
+                     th.user_category),
+                    (it, ut, graph.edge_user, graph.edge_item, graph.num_items,
+                     th.item_type)):
+                pending, first, live = _argsort_pending(grouping, members, owners,
+                                                        num_owners, table)
+                assert index.pending.tolist() == pending
+                assert index.pending_first.tolist() == first
+                assert index.live_count.tolist() == live
+
+
+def test_greedy_matches_naive_with_entities_past_the_membership_list(rng):
+    # each grouping's membership list stops short of its entity count, so
+    # the users and items past it are in no group, and some thresholds of
+    # the grouped entities' pairs are 0
+    decreases = 0
+    for _ in range(200):
+        nu, ni = rng.randint(2, 6), rng.randint(2, 7)
+        ncat, ntype = rng.randint(1, 3), rng.randint(1, 3)
+        edges = [(u, v, rng.choice((0.0, 0.25, 0.5, round(rng.random(), 6))))
+                 for u in range(nu) for v in range(ni) if u == 0 or rng.random() < 0.7]
+        graph = RecGraph([f"u{i}" for i in range(nu)], [rng.randint(1, 3) for _ in range(nu)],
+                         [f"v{j}" for j in range(ni)], edges)
+        ut = Grouping("user", [f"T{b}" for b in range(ntype)],
+                      [sorted(rng.sample(range(ntype), rng.randint(1, ntype)))
+                       for _ in range(rng.randrange(1, nu))])
+        ic = Grouping("item", [f"C{a}" for a in range(ncat)],
+                      [sorted(rng.sample(range(ncat), rng.randint(1, ncat)))
+                       for _ in range(rng.randrange(1, ni))])
+        th = ThresholdTable(
+            {(u, a): rng.randint(0, 2) for u in range(nu) for a in range(ncat)},
+            {(v, b): rng.randint(0, 2) for v in range(ni) for b in range(ntype)},
+        )
+        params = DivParams(rng.choice((0.25, 1.0, 4.0)), rng.choice((0.25, 1.0, 4.0)))
+        fast, stats = greedy_solve(graph, ut, ic, th, params, collect_stats=True)
+        slow = naive_greedy(graph, ut, ic, th, params)
+        assert fast.selected == slow.selected
+        decreases += stats["decrease_keys"]
+    assert decreases > 0

@@ -30,7 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GroupingError, GraphError, InfeasibleError
-from .graph import DivParams, Grouping, RecGraph, Solution, ThresholdTable, new_solution
+from .graph import (DivParams, Grouping, RecGraph, Solution, ThresholdTable, new_solution,
+                    threshold_cells)
 from .mincostflow import INF_CAP, FlowNetwork, FlowResult, solve_min_cost_flow
 
 DEFAULT_COST_SCALE = 10**6
@@ -44,18 +45,19 @@ def _scaled(value: float, cost_scale: int) -> int:
     return scaled
 
 
-def _group_of_each(grouping: Grouping, entities: np.ndarray, what: str) -> list[int]:
-    """The one group of each entity, which a disjoint grouping must give
-    every entity incident to a candidate edge."""
+def _cell_of_each(grouping: Grouping, owners: np.ndarray, members: np.ndarray,
+                  num_owners: int, what: str) -> list[int]:
+    """The (owner, group) cell of each row, which a disjoint grouping must
+    give every member incident to a candidate edge exactly one of."""
     if not grouping.disjoint:
         raise GroupingError(f"{what} grouping must be disjoint for the flow reduction")
-    position, group = grouping.expand(entities)
-    if len(group) < len(entities):
-        ungrouped = np.ones(len(entities), dtype=bool)
+    position, cell = grouping.cells(owners, members, num_owners)
+    if len(cell) < len(members):
+        ungrouped = np.ones(len(members), dtype=bool)
         ungrouped[position] = False
-        raise GroupingError(f"{what} {int(entities[ungrouped].min())} is incident to a "
+        raise GroupingError(f"{what} {int(members[ungrouped].min())} is incident to a "
                             "candidate edge but has no group")
-    return group.tolist()
+    return cell.tolist()
 
 
 def build_tdiv_network(
@@ -70,28 +72,28 @@ def build_tdiv_network(
     the arc of each candidate edge (``edge_arc[e]`` is edge e's arc)."""
     if cost_scale < 1:
         raise GraphError(f"cost_scale must be a positive integer, got {cost_scale}")
-    types = _group_of_each(user_types, graph.edge_user, "user")
-    cats = _group_of_each(item_cats, graph.edge_item, "item")
-
+    types = _cell_of_each(user_types, graph.edge_item, graph.edge_user, graph.num_items, "user")
+    cats = _cell_of_each(item_cats, graph.edge_user, graph.edge_item, graph.num_users, "item")
     sink = graph.num_users
+    rho = memoryview(threshold_cells(thresholds.user_category, sink, item_cats.num_groups))
+    lam = memoryview(threshold_cells(thresholds.item_type, graph.num_items, user_types.num_groups))
+
     net = FlowNetwork(sink + 1)
     beta_cost = -_scaled(params.beta, cost_scale)
     mu_cost = -_scaled(params.mu, cost_scale)
-    cat_node: dict[tuple[int, int], int] = {}  # (user, category) -> n
-    type_node: dict[tuple[int, int], int] = {}  # (item, type) -> m
+    cat_node: dict[int, int] = {}  # (user, category) cell -> n
+    type_node: dict[int, int] = {}  # (item, type) cell -> m
     edge_arc: list[int] = []
-    rows = zip(graph.edge_user.tolist(), graph.edge_item.tolist(), graph.edge_rel.tolist(),
-               cats, types)
-    for u, v, rel, a, b in rows:
-        n = cat_node.get((u, a))
+    for u, rel, a, b in zip(graph.edge_user.tolist(), graph.edge_rel.tolist(), cats, types):
+        n = cat_node.get(a)
         if n is None:
-            n = cat_node[(u, a)] = net.add_node()
-            net.add_arc(u, n, thresholds.rho(u, a), beta_cost)
+            n = cat_node[a] = net.add_node()
+            net.add_arc(u, n, rho[a], beta_cost)
             net.add_arc(u, n, INF_CAP, 0)
-        m = type_node.get((v, b))
+        m = type_node.get(b)
         if m is None:
-            m = type_node[(v, b)] = net.add_node()
-            net.add_arc(m, sink, thresholds.lam(v, b), mu_cost)
+            m = type_node[b] = net.add_node()
+            net.add_arc(m, sink, lam[b], mu_cost)
             net.add_arc(m, sink, INF_CAP, 0)
         edge_arc.append(net.add_arc(n, m, 1, -_scaled(rel, cost_scale)))
 

@@ -16,6 +16,12 @@ the selected edges alone instead of listing the whole column.
 small Python records on demand; their readers are the tests, the reference
 oracles, the demos and the benchmark's checks.
 
+TUDiv and TIDiv sum min(threshold, degree) over (user, category) and
+(item, type) pairs.  All but the metric oracles number such a pair by its
+cell ``owner * num_groups + group`` of a dense owner-by-group table, small
+while the groups are categories or types: ``Grouping.cells`` gives each
+incidence's cell, and ``threshold_cells`` each cell's threshold.
+
 A Solution is its selection H, each user's selected edge indices; the
 group degrees TUDiv and TIDiv threshold are counted from H where read.
 """
@@ -33,6 +39,9 @@ from .errors import CapacityError, DuplicateEdgeError, GraphError, GroupingError
 
 USER_SIDE = "user"
 ITEM_SIDE = "item"
+
+# what counts as an integer: Python's and numpy's
+_INTEGERS = (int, np.integer)
 
 
 @dataclass(frozen=True)
@@ -170,7 +179,10 @@ class RecGraph:
             columns = _columns_of(list(edges))
         if len(user_ids) != len(display_constraints):
             raise GraphError("one display constraint per user required")
-        for c in display_constraints:
+        for u, c in enumerate(display_constraints):
+            if not isinstance(c, _INTEGERS):
+                raise GraphError(f"display constraint of user {u} must be an integer, "
+                                 f"got {c!r}")
             if c < 1:
                 raise GraphError(f"display constraint must be >= 1, got {c}")
         self.user_ids = list(user_ids)
@@ -256,6 +268,9 @@ class Grouping:
             if len(set(groups)) != len(groups):
                 raise GroupingError(f"entity {ent} listed twice in a group")
             for g in groups:
+                if not isinstance(g, _INTEGERS):
+                    raise GroupingError(f"entity {ent} lists group {g!r}, not an "
+                                        "integer index")
                 if not (0 <= g < len(group_ids)):
                     raise GroupingError(f"entity {ent} references unknown group {g}")
             self.membership.append(sorted(groups))
@@ -305,22 +320,30 @@ class Grouping:
         del at
         return np.repeat(np.arange(len(entities), dtype=index), count), group
 
+    def cells(self, owners: np.ndarray, members: np.ndarray,
+              num_owners: int) -> tuple[np.ndarray, np.ndarray]:
+        """``expand(members)``'s positions, and the cell ``owners[position]
+        * num_groups + group`` of each (position, group) pair, for owners
+        below ``num_owners``: int32 while the table has under 2**31 cells."""
+        position, group = self.expand(members)
+        cell = np.asarray(owners)[position].astype(
+            _index_dtype(num_owners * self.num_groups), copy=False)
+        cell *= self.num_groups
+        cell += group
+        return position, cell
+
     def tally(self, owners: np.ndarray, members: np.ndarray) -> dict[int, dict[int, int]]:
         """Each owner's {group: count} over the rows, counting the groups of
         each row's member: owners in order of their first row (rows whose
         member has no group included), groups in order of first
         appearance."""
-        owners = np.asarray(owners, dtype=np.int64)
-        position, group = self.expand(members)
-        width = max(self.num_groups, 1)
-        _, first, count = np.unique(owners[position] * width + group, return_index=True,
-                                    return_counts=True)
+        owners = np.asarray(owners)
+        _, cell = self.cells(owners, members, int(owners.max()) + 1 if len(owners) else 0)
+        _, first, count = np.unique(cell, return_index=True, return_counts=True)
         order = np.argsort(first)
-        first, count = first[order], count[order]
         counts: dict[int, dict[int, int]] = {o: {} for o in owners[first_rows(owners)].tolist()}
-        for o, g, c in zip(owners[position[first]].tolist(), group[first].tolist(),
-                           count.tolist()):
-            counts[o][g] = c
+        for k, c in zip(cell[first[order]].tolist(), count[order].tolist()):
+            counts[k // self.num_groups][k % self.num_groups] = c
         return counts
 
     @classmethod
@@ -331,7 +354,8 @@ class Grouping:
 class ThresholdTable:
     """Sparse nonnegative integer thresholds per (user, category) and
     (item, type) pair; missing entries are 0.  The dicts ``user_category``
-    and ``item_type`` are the one representation every reader looks up."""
+    and ``item_type`` are the one representation; ``threshold_cells``
+    gathers one into cells."""
 
     def __init__(
         self,
@@ -342,6 +366,11 @@ class ThresholdTable:
         self.item_type = dict(item_type or {})
         for table, name in ((self.user_category, "user"), (self.item_type, "item")):
             for key, val in table.items():
+                if not (isinstance(key, tuple) and len(key) == 2
+                        and isinstance(key[0], _INTEGERS) and isinstance(key[1], _INTEGERS)):
+                    raise GraphError(f"{name} threshold key {key!r} is not a pair of integers")
+                if not isinstance(val, _INTEGERS):
+                    raise GraphError(f"{name} threshold {key} is not an integer: {val!r}")
                 if val < 0:
                     raise GraphError(f"{name} threshold {key} is negative: {val}")
 
@@ -361,38 +390,41 @@ class ThresholdTable:
         lam: int = 1,
     ) -> "ThresholdTable":
         """Constant thresholds on every (entity, group) pair incident to a
-        candidate edge.  Non-incident pairs can never accrue degree, so
-        restricting to incident pairs leaves every objective unchanged."""
-        edge, cats = item_cats.expand(graph.edge_item)
-        uc = dict.fromkeys(pair_ids(graph.edge_user[edge], cats)[0], rho)
-        edge, types = user_types.expand(graph.edge_user)
-        it = dict.fromkeys(pair_ids(graph.edge_item[edge], types)[0], lam)
-        return cls(uc, it)
+        candidate edge, in cell order.  Non-incident pairs can never accrue
+        degree, so restricting to incident pairs leaves every objective
+        unchanged."""
+        return cls(_incident_pairs(item_cats, graph.edge_user, graph.edge_item,
+                                   graph.num_users, rho),
+                   _incident_pairs(user_types, graph.edge_item, graph.edge_user,
+                                   graph.num_items, lam))
 
 
-def pair_ids(owners: np.ndarray, groups: np.ndarray) -> tuple:
-    """Dense ids of the distinct (owners[k], groups[k]) pairs, numbered in
-    increasing (owner, group) order: an iterator over the distinct (owner,
-    group) tuples in id order, and each row's pair id.  Pair k sits in cell
-    ``owners[k] * width + groups[k]`` of a dense owner-by-group presence
-    table, with width one past the largest group, and its id is the number
-    of occupied cells before its own, so no sort is needed.  The table has
-    a cell for every owner up to the largest and every group: small when
-    the owners are users or items and the groups categories or types."""
-    width = int(groups.max()) + 1 if len(groups) else 1
-    size = (int(owners.max()) + 1) * width if len(owners) else 0
-    key = owners.astype(_index_dtype(size))
-    key *= width
-    key += groups
-    occupied = np.zeros(size, dtype=bool)
-    occupied[key] = True
-    cells = np.flatnonzero(occupied)
-    ids = np.cumsum(occupied, dtype=key.dtype)
-    del occupied
-    pair = ids[key]
-    del key, ids
-    pair -= 1
-    return zip((cells // width).tolist(), (cells % width).tolist()), pair
+def _incident_pairs(grouping: Grouping, owners: np.ndarray, members: np.ndarray,
+                    num_owners: int, value: int) -> dict[tuple[int, int], int]:
+    """{(owner, group): value} for every cell some row's incidence marks, in
+    cell order."""
+    occupied = np.zeros(num_owners * grouping.num_groups, dtype=bool)
+    occupied[grouping.cells(owners, members, num_owners)[1]] = True
+    owner, group = np.divmod(np.flatnonzero(occupied), grouping.num_groups)
+    return dict.fromkeys(zip(owner.tolist(), group.tolist()), value)
+
+
+def threshold_cells(table: dict[tuple[int, int], int], num_owners: int,
+                    width: int) -> np.ndarray:
+    """Each cell's threshold over ``num_owners`` owners and ``width``
+    groups, as int32: 0 where ``table`` has no entry.  An entry whose owner
+    or group falls outside the table names a pair no row has, and is
+    dropped; a value past 2**31 - 1, past any degree, is clamped to it."""
+    cells, values = [], []
+    most = 2**31 - 1
+    for (owner, group), value in table.items():
+        if 0 <= owner < num_owners and 0 <= group < width:
+            cells.append(owner * width + group)
+            values.append(value if value < most else most)
+    threshold = np.zeros(num_owners * width, dtype=np.int32)
+    threshold[np.fromiter(cells, np.int64, len(cells))] = np.fromiter(values, np.int32,
+                                                                     len(values))
+    return threshold
 
 
 @dataclass(frozen=True)
@@ -495,17 +527,19 @@ def eval_objective(sol: Solution, thresholds: ThresholdTable, params: DivParams)
     recomputes the same quantity with plain loops; agreement between the
     two is checked by the property tests."""
     chosen = np.fromiter(sol._selected_set, dtype=np.int64, count=sol.num_selected())
-    users, items = sol.graph.edge_user[chosen], sol.graph.edge_item[chosen]
-    tu = _capped_degree_sum(users, items, sol.item_cats, thresholds.user_category)
-    ti = _capped_degree_sum(items, users, sol.user_types, thresholds.item_type)
+    g = sol.graph
+    users, items = g.edge_user[chosen], g.edge_item[chosen]
+    tu = _capped_degree_sum(users, items, g.num_users, sol.item_cats, thresholds.user_category)
+    ti = _capped_degree_sum(items, users, g.num_items, sol.user_types, thresholds.item_type)
     return params.beta * tu + params.mu * ti + sol.relevance()
 
 
-def _capped_degree_sum(owners: np.ndarray, members: np.ndarray, grouping: Grouping,
-                       table: dict[tuple[int, int], int]) -> int:
-    """Sum over (owner, group) pairs of min(threshold, degree), where a
-    pair's degree counts the k with ``owners[k] == owner`` and ``group`` in
+def _capped_degree_sum(owners: np.ndarray, members: np.ndarray, num_owners: int,
+                       grouping: Grouping, table: dict[tuple[int, int], int]) -> int:
+    """Sum over (owner, group) cells of min(threshold, degree), where a
+    cell's degree counts the k with ``owners[k] == owner`` and ``group`` in
     ``grouping.groups_of(members[k])``."""
-    at, groups = grouping.expand(members)
-    pairs, pair = pair_ids(owners[at], groups)
-    return sum(min(table.get(p, 0), d) for p, d in zip(pairs, np.bincount(pair).tolist()))
+    threshold = threshold_cells(table, num_owners, grouping.num_groups)
+    degree = np.bincount(grouping.cells(owners, members, num_owners)[1],
+                         minlength=len(threshold))
+    return int(np.minimum(degree, threshold).sum())

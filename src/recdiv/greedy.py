@@ -28,23 +28,21 @@ the value, so the complemented bits give max-first ordering with exact
 float semantics and edge-index tie-breaking.  The edge gives its key and,
 by bisecting the CSR offsets, its user, so no per-edge user array is kept.
 
-Each (user, category) and (item, type) pair is a cell ``owner * width +
-group`` of a dense owner-by-group table, ``width`` being its grouping's
-number of groups.  Each cell's threshold, degree and pending offsets are
-flat int arrays indexed by it.  A threshold entry whose owner or group falls
-outside the table names a pair no edge has, and is ignored.  The loop finds
-edge e's pairs from its endpoints, (u, c) for each category c of its item
-and (j, t) for each type t of its user, so no per-edge pair array is kept;
-it reads the relevances and items in place through memoryviews.  A pair's
-pending edges, those a saturation lowers, are its edges when its threshold
-is positive, listed from in-place sorts of the packed keys
-``cell << 32 | edge``, which group them by cell in increasing edge order.
-The (item, type) side sorts once over the whole edge array.  The (user,
-category) side sorts one block of whole users at a time: a (user, category)
-pair's edges all lie in its user's slice, so each block's sorted list is
-final and the blocks concatenate, and no temporary spans every incidence.
-The solution is built once, at the end, from the selected edges in the
-order they were popped, after the loop's arrays are freed.
+Each (user, category) and (item, type) pair is its cell, as the ``graph``
+module numbers them (``Grouping.cells``, ``threshold_cells``).  Each cell's
+threshold, degree and pending offsets are flat int arrays indexed by it.
+The loop finds edge e's pairs from its endpoints, (u, c) for each category
+c of its item and (j, t) for each type t of its user, so no per-edge pair
+array is kept; it reads the relevances and items in place through
+memoryviews.  A pair's pending edges, those a saturation lowers, are its
+edges when its threshold is positive, listed from in-place sorts of the
+packed keys ``cell << 32 | edge``, which group them by cell in increasing
+edge order.  The (item, type) side sorts once over the whole edge array.
+The (user, category) side sorts one block of whole users at a time: a
+(user, category) pair's edges all lie in its user's slice, so each block's
+sorted list is final and the blocks concatenate, and no temporary spans
+every incidence.  The solution is built once, at the end, from the selected
+edges in the order they were popped, after the loop's arrays are freed.
 
 Memory, traced with tracemalloc on ``movielens_shaped(4000)`` (1M edges,
 seed 7): the loop holds about 20 bytes per edge (keys 8; pending lists 4
@@ -69,7 +67,8 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .graph import DivParams, Grouping, RecGraph, Solution, ThresholdTable, new_solution
+from .graph import (DivParams, Grouping, RecGraph, Solution, ThresholdTable, new_solution,
+                    threshold_cells)
 
 # edges per slice of the initial keys, and at most per block of whole users
 # in the (user, category) build
@@ -214,14 +213,6 @@ def _pair_indexes(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
     return uc, it
 
 
-def _compact(column: np.ndarray, typecode: str) -> array:
-    """A column as a Python array: indexed as fast as a list, without one
-    Python object per element."""
-    out = array(typecode)
-    out.frombytes(memoryview(np.ascontiguousarray(column, dtype=np.dtype(typecode))).cast("B"))
-    return out
-
-
 def _total(counts: array) -> int:
     return int(np.frombuffer(counts, dtype=counts.typecode).sum(dtype=np.int64))
 
@@ -229,50 +220,36 @@ def _total(counts: array) -> int:
 class _PairIndex:
     """One side's (owner, group) pairs, (user, category) or (item, type):
     edge e is incident to the pairs (owners[e], group) for each group in
-    ``grouping.groups_of(members[e])``.  Pair (owner, group) is cell
-    ``owner * width + group`` over ``num_owners`` owners and the grouping's
-    ``width`` groups, and its threshold is ``table.get((owner, group), 0)``.
-    Holds, as Python arrays, each cell's threshold and degree, its pending
-    edges (CSR ``pending``/``pending_first``, increasing) and each edge's
+    ``grouping.groups_of(members[e])``.  Each pair is its cell over
+    ``num_owners`` owners and the grouping's ``width`` groups.  Holds each
+    cell's threshold (from ``table``) and degree, its pending edges (CSR
+    ``pending``/``pending_first``, increasing) and each edge's
     ``live_count`` of pending pairs (int8 when no entity has more than 127
-    groups).  A pair with a zero threshold is born saturated: it has no
-    pending edges and never lowers a key.
+    groups), as Python arrays or memoryviews, which index as fast as a list
+    without one Python object per element.  A pair with a zero threshold is
+    born saturated: it has no pending edges and never lowers a key.
 
     Each of ``blocks``, ``(start, end, lo, hi)``, holds edges start..end-1,
     which must be all the edges of owners lo..hi-1 and no others.  Its list
-    is the low 32 bits of its sorted keys ``cell << 32 | edge``: the keys
-    are distinct, so one in-place sort lists each pair's edges in
-    increasing order, and the blocks' lists, each over its own cells,
-    concatenate in cell order.  Each temporary is dropped as soon as it is
-    used."""
+    is the low 32 bits of its sorted keys ``cell << 32 | edge``, with the
+    cell less the block's first, ``lo * width``: the keys are distinct, so
+    one in-place sort lists each pair's edges in increasing order, and the
+    blocks' lists, each over its own cells, concatenate in cell order.
+    Each temporary is dropped as soon as it is used."""
 
     def __init__(self, grouping: Grouping, members: np.ndarray, owners: np.ndarray,
                  num_owners: int, table: dict[tuple[int, int], int], blocks):
         width = self.width = grouping.num_groups
-        cells, values = [], []
-        for (owner, group), value in table.items():
-            if 0 <= owner < num_owners and 0 <= group < width:
-                cells.append(owner * width + group)
-                # past any degree: the pair never saturates
-                values.append(min(value, 2**31 - 1))
-        self.threshold = array("i", [0]) * (num_owners * width)
-        threshold = np.frombuffer(self.threshold, dtype=np.int32)
-        threshold[cells] = values
-        del cells, values
+        threshold = threshold_cells(table, num_owners, width)
+        self.threshold = memoryview(threshold)
         most = max(map(len, grouping.membership), default=0)
         self.live_count = array("b" if most < 128 else "i", [0]) * len(members)
         live_count = np.frombuffer(self.live_count, dtype=self.live_count.typecode)
         count = np.zeros(len(threshold) + 1, dtype=np.int64)
         self.pending = array("i")
-        index = np.int32 if len(threshold) < 2**31 else np.int64
         for start, end, lo, hi in blocks:
-            edge, group = grouping.expand(members[start:end])
-            # the cell less the block's first, in int32 while the cells fit
-            cell = owners[start:end][edge].astype(index, copy=False)
-            cell -= lo
-            cell *= width
-            cell += group
-            del group
+            edge, cell = grouping.cells(owners[start:end], members[start:end], num_owners)
+            cell -= lo * width
             live = threshold[lo * width:hi * width][cell] > 0
             if not live.all():
                 edge, cell = edge[live], cell[live]
@@ -293,4 +270,4 @@ class _PairIndex:
             del low
         self.degree = array("i", [0]) * len(threshold)
         np.cumsum(count, out=count)
-        self.pending_first = _compact(count, "i" if count[-1] < 2**31 else "q")
+        self.pending_first = memoryview(count)

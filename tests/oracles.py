@@ -190,6 +190,27 @@ def random_instance(
     return graph, user_types, item_cats, ThresholdTable(uc, it), params
 
 
+def widened_thresholds(rng: random.Random, graph: RecGraph, user_types: Grouping,
+                       item_cats: Grouping, thresholds: ThresholdTable) -> ThresholdTable:
+    """``thresholds`` with some entries raised to 10**12, past any degree,
+    and entries added whose owner or group falls outside the owner-by-group
+    table: past the last owner or group, or negative.  None of the added
+    entries names a pair any edge has."""
+    tables = []
+    for table, num_owners, num_groups in (
+            (thresholds.user_category, graph.num_users, item_cats.num_groups),
+            (thresholds.item_type, graph.num_items, user_types.num_groups)):
+        table = {key: (10**12 if rng.random() < 0.3 else value) for key, value in table.items()}
+        for _ in range(3):
+            owner, group = rng.randrange(num_owners), rng.randrange(num_groups)
+            table[(owner, num_groups + rng.randrange(num_groups + 2))] = rng.randint(1, 3)
+            table[(num_owners + rng.randrange(3), group)] = 10**12
+            table[(-1 - rng.randrange(2), group)] = 2
+            table[(owner, -1)] = 1
+        tables.append(table)
+    return ThresholdTable(*tables)
+
+
 def marginal_gain(
     sol: Solution, edge_index: int, thresholds: ThresholdTable, params: DivParams
 ) -> float:

@@ -14,7 +14,8 @@ from recdiv.graph import (
 from recdiv.mincostflow import INF_CAP, solve_min_cost_flow, validate_flow
 from recdiv.synth import movielens_shaped
 
-from oracles import brute_force_optimum, build_userdiv_network, random_instance
+from oracles import (brute_force_optimum, build_userdiv_network, random_instance,
+                     widened_thresholds)
 
 SCALE = 10**6
 
@@ -212,6 +213,19 @@ def test_flow_exactness_randomized(rng):
             assert len(sol.selected[u]) <= graph.display_constraints[u]
         for arc in edge_arc:
             assert res.flow[arc] in (0, 1)
+
+
+def test_flow_matches_brute_force_on_out_of_range_and_huge_thresholds(rng):
+    # the network clamps a 10**12 threshold to 2**31 - 1, which caps no
+    # degree either, and drops the entries that name no pair
+    for _ in range(60):
+        graph, ut, ic, th, params = random_instance(rng)
+        wide = widened_thresholds(rng, graph, ut, ic, th)
+        sol, _, res, _ = solve_tdiv_detailed(graph, ut, ic, wide, params, SCALE)
+        obj = eval_objective(sol, wide, params)
+        _, best = brute_force_optimum(graph, ut, ic, wide, params)
+        assert abs(obj - best) <= 2 * graph.num_edges / SCALE
+        assert abs(-res.total_cost / SCALE - obj) <= graph.num_edges / SCALE
 
 
 def test_flow_optimum_pinned_at_ten_thousand_edges():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from recdiv.graph import (
     ThresholdTable,
     eval_objective,
     new_solution,
-    pair_ids,
+    threshold_cells,
 )
 from recdiv.metrics import tidiv, tudiv
 from recdiv.synth import ROUND_CHUNK, movielens_shaped
 
-from oracles import random_instance
+from oracles import random_instance, widened_thresholds
 
 
 def test_graph_rejects_negative_relevance():
@@ -130,15 +131,62 @@ def test_expand_matches_groups_of_loop_randomized(rng):
         assert (position.tolist(), group.tolist()) == _expand_loop(grouping, entities)
 
 
-def test_pair_ids_number_distinct_pairs_in_sorted_order(rng):
+def test_cells_match_groups_of_loop_randomized(rng):
+    # entities with no group and entities past the membership list included
     for _ in range(50):
-        rows = [(rng.randrange(9), rng.randrange(5)) for _ in range(rng.randint(1, 40))]
+        num_groups = rng.randint(1, 6)
+        membership = [rng.sample(range(num_groups), rng.randint(0, num_groups))
+                      for _ in range(rng.randint(0, 8))]
+        grouping = Grouping("user", [str(g) for g in range(num_groups)], membership)
+        num_owners = rng.randint(1, 9)
+        rows = [(rng.randrange(num_owners), rng.randrange(len(membership) + 3))
+                for _ in range(rng.randint(0, 30))]
         owners = np.array([o for o, _ in rows], dtype=rng.choice([np.int32, np.int64]))
-        groups = np.array([g for _, g in rows], dtype=np.int32)
-        pairs, pair = pair_ids(owners, groups)
-        distinct = sorted(set(rows))
-        assert list(pairs) == distinct
-        assert pair.tolist() == [distinct.index(r) for r in rows]
+        members = np.array([m for _, m in rows], dtype=np.int64)
+        position, cell = grouping.cells(owners, members, num_owners)
+        expected = [(p, o * num_groups + g) for p, (o, m) in enumerate(rows)
+                    for g in grouping.groups_of(m)]
+        assert list(zip(position.tolist(), cell.tolist())) == expected
+        assert cell.dtype == np.int32
+
+
+@pytest.mark.parametrize("num_owners, dtype", [
+    (2**31 - 1, np.int32), (2**31, np.int64), (2**40, np.int64)])
+def test_cells_widen_to_int64_past_int32_without_a_table(num_owners, dtype):
+    grouping = Grouping("item", ["A"], [[0], [], [0]])
+    owners = np.array([num_owners - 1, 5, 0], dtype=np.int64)
+    tracemalloc.start()
+    try:
+        position, cell = grouping.cells(owners, np.array([0, 1, 2]), num_owners)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert position.tolist() == [0, 2]
+    assert cell.tolist() == [num_owners - 1, 0] and cell.dtype == dtype
+    assert peak < 10_000
+
+
+def test_threshold_cells_drop_out_of_range_keys_and_clamp():
+    table = {(0, 0): 2, (1, 2): 10**12, (1, 0): 0, (2, 0): 5, (0, 3): 4, (-1, 1): 3,
+             (1, -1): 7}
+    threshold = threshold_cells(table, 2, 3)
+    assert threshold.tolist() == [2, 0, 0, 0, 0, 2**31 - 1]
+    assert threshold.dtype == np.int32
+    assert threshold_cells(table, 0, 3).tolist() == threshold_cells(table, 2, 0).tolist() == []
+
+
+def test_eval_objective_matches_metrics_on_out_of_range_and_huge_thresholds(rng):
+    for i in range(100):
+        graph, ut, ic, th, params = random_instance(rng, overlapping=(i % 2 == 0))
+        wide = widened_thresholds(rng, graph, ut, ic, th)
+        sol = new_solution(graph, ut, ic)
+        for e in range(graph.num_edges):
+            u = graph.edges[e].user
+            if rng.random() < 0.7 and len(sol.selected[u]) < graph.display_constraints[u]:
+                sol.add_edge(e)
+        via_metrics = (params.beta * tudiv(sol, ic, wide) + params.mu * tidiv(sol, ut, wide)
+                       + sol.relevance())
+        assert eval_objective(sol, wide, params) == pytest.approx(via_metrics, abs=1e-12)
 
 
 def test_thresholds_default_zero_and_reject_negative():
@@ -148,6 +196,37 @@ def test_thresholds_default_zero_and_reject_negative():
     assert t.lam(5, 5) == 0
     with pytest.raises(GraphError):
         ThresholdTable({(0, 0): -1})
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, math.nan, "2"])
+def test_thresholds_reject_non_integers(value):
+    with pytest.raises(GraphError, match=r"user threshold \(0, 1\) is not an integer"):
+        ThresholdTable({(0, 0): 1, (0, 1): value})
+    with pytest.raises(GraphError, match=r"item threshold \(3, 0\) is not an integer"):
+        ThresholdTable({}, {(3, 0): value})
+    th = ThresholdTable({(0, 0): np.int64(2)}, {(0, 0): np.int32(1)})
+    assert (th.rho(0, 0), th.lam(0, 0)) == (2, 1)
+
+
+@pytest.mark.parametrize("key", [(0.5, 0), (0, 1.0), ("u", 0), (0,), (0, 1, 2), 3])
+def test_thresholds_reject_keys_not_integer_pairs(key):
+    # a float owner would otherwise land in a truncated cell
+    with pytest.raises(GraphError, match="user threshold key .* is not a pair of integers"):
+        ThresholdTable({(0, 0): 1, key: 1})
+    with pytest.raises(GraphError, match="item threshold key .* is not a pair of integers"):
+        ThresholdTable({}, {key: 1})
+
+
+def test_graph_rejects_non_integer_display_constraint():
+    with pytest.raises(GraphError, match="display constraint of user 1 must be an integer"):
+        RecGraph(["u1", "u2"], [1, 2.5], ["v"], [(0, 0, 0.5), (1, 0, 0.5)])
+    assert RecGraph(["u"], [np.int64(2)], ["v"], [(0, 0, 0.5)]).display_constraints == [2]
+
+
+def test_grouping_rejects_non_integer_group():
+    with pytest.raises(GroupingError, match="entity 1 lists group 1.0, not an integer"):
+        Grouping("item", ["A", "B"], [[0], [1.0]])
+    assert Grouping("item", ["A", "B"], [[np.int32(1)]]).groups_of(0) == [1]
 
 
 def test_params_reject_negative():

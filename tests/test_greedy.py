@@ -18,7 +18,7 @@ from recdiv.greedy import _pair_indexes, _selection_order, greedy_solve
 from recdiv.synth import movielens_shaped
 
 from oracles import (brute_force_optimum, marginal_gain, naive_greedy, objective_from_scratch,
-                     random_instance)
+                     random_instance, widened_thresholds)
 
 
 def test_marginal_gain_two_cats_one_type():
@@ -289,6 +289,17 @@ def test_greedy_ignores_threshold_entries_no_pair_reaches(rng):
         slow = naive_greedy(graph, ut, ic, wide, params)
         assert fast.selected == slow.selected
         assert eval_objective(fast, wide, params) == eval_objective(fast, th, params)
+
+
+def test_greedy_matches_naive_on_out_of_range_and_huge_thresholds(rng):
+    for i in range(80):
+        graph, ut, ic, th, params = random_instance(rng, overlapping=(i % 2 == 0))
+        wide = widened_thresholds(rng, graph, ut, ic, th)
+        fast = greedy_solve(graph, ut, ic, wide, params)
+        slow = naive_greedy(graph, ut, ic, wide, params)
+        assert fast.selected == slow.selected
+        assert eval_objective(fast, wide, params) == pytest.approx(
+            objective_from_scratch(graph, ut, ic, wide, params, fast.edge_indices()), abs=1e-12)
 
 
 def test_greedy_matches_naive_when_live_counts_pass_a_byte(rng, monkeypatch):

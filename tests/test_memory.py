@@ -2,16 +2,18 @@
 
 Peaks are traced with ``tracemalloc`` (which sees numpy's buffers too) on a
 100k-edge ``movielens_shaped`` instance, counting only what the traced step
-allocates.  The greedy's budget sits just above what its solve takes (33.6
+allocates.  The greedy's budget sits just above what its solve takes (34.4
 bytes per edge, with no per-edge pair array and the (user, category) pending
 lists built one block of users at a time), and below the 62.4 it took when
 each side kept every edge's pair ids and the loop a copy of the relevances
 (108 when the pending lists came from an argsort that returned int64
 indices).  The metric oracles' budget sits above what they take (9.5) and
 below the 36 they took when they listed the whole item column.
-Uniform thresholds take 42.8 bytes per edge, their two dicts included, and
-took 63.7 when each side's distinct pairs were found through ``np.unique``
-on int64 keys.  A built graph's budget sits above what it keeps (16.2 bytes
+Uniform thresholds take 31.9 bytes per edge, their two dicts included, with
+each side's pairs read off one bool table of occupied cells.  They took 42.8
+when each side also numbered every incidence with a compacted pair id, and
+63.7 when each side's distinct pairs were found through ``np.unique`` on
+int64 keys.  A built graph's budget sits above what it keeps (16.2 bytes
 per edge: the three edge columns, the offsets and the id lists) and below
 the 24.2 it kept with a per-user edge permutation.  Generating the instance
 peaks at 57.5 bytes per edge, with the relevances rounded in numpy, the
@@ -78,7 +80,7 @@ def test_uniform_thresholds_peak_per_edge(instance):
     graph, user_types, item_cats, _ = instance
     peak = _traced_peak(
         lambda: ThresholdTable.uniform(graph, user_types, item_cats, rho=2, lam=2))
-    assert peak / graph.num_edges <= 45
+    assert peak / graph.num_edges <= 40
 
 
 def test_metric_oracles_read_only_the_selection(instance):

@@ -127,7 +127,8 @@ def xquad(
     rel = graph.edge_rel.tolist()
     lam_rel = [lam * r for r in rel]
     keep = 1.0 - lam
-    cats = [item_cats.groups_of(v) for v in item]
+    cats_of = item_cats.group_lists(graph.num_items)
+    cats = [cats_of[v] for v in item]
     score = [0.0] * graph.num_edges
     taken = [False] * graph.num_edges
     out = RankedLists()

@@ -55,8 +55,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, GraphError
-from .graph import (FirstFault, Grouping, RecGraph, Solution, ThresholdTable, csr_offsets,
-                    first_rows, has_repeats)
+from .graph import (FirstFault, Grouping, RecGraph, Solution, ThresholdTable, first_rows,
+                    has_repeats)
 
 BLOCK_CHARS = 1 << 20  # characters of text read per block
 _WRITE_ROWS = 1 << 15  # rows formatted per write
@@ -422,17 +422,13 @@ def load_grouping(
     owner, group = _concat(parts, 0), _concat(parts, 1)
     width = max(len(group_code), 1)
     owner, group = np.divmod(np.unique(owner * width + group), width)
-    offsets = csr_offsets(owner, len(entity_ids)).tolist()
-    flat = group.tolist()
-    membership = [flat[a:b] for a, b in zip(offsets, offsets[1:])]
-    return Grouping(side, list(group_code), membership), skipped
+    return Grouping._from_pairs(side, list(group_code), len(entity_ids), owner, group), skipped
 
 
 def save_grouping(grouping: Grouping, entity_ids: list[str], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, eid in enumerate(entity_ids):
-            groups = "|".join(grouping.group_ids[g] for g in grouping.groups_of(i))
-            fh.write(f"{eid}\t{groups}\n")
+        for eid, groups in zip(entity_ids, grouping.group_lists(len(entity_ids))):
+            fh.write(f"{eid}\t{'|'.join(grouping.group_ids[g] for g in groups)}\n")
 
 
 def load_candidates(

@@ -16,6 +16,10 @@ the selected edges alone instead of listing the whole column.
 small Python records on demand; their readers are the tests, the reference
 oracles, the demos and the benchmark's checks.
 
+A Grouping is held once, as two read-only CSR arrays, ``flat`` and
+``offsets``, that every layer reads; per-entity lists are built from them
+per call and never kept.
+
 TUDiv and TIDiv sum min(threshold, degree) over (user, category) and
 (item, type) pairs.  All but the metric oracles number such a pair by its
 cell ``owner * num_groups + group`` of a dense owner-by-group table, small
@@ -30,7 +34,8 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +45,20 @@ from .errors import CapacityError, DuplicateEdgeError, GraphError, GroupingError
 USER_SIDE = "user"
 ITEM_SIDE = "item"
 
-# what counts as an integer: Python's and numpy's
-_INTEGERS = (int, np.integer)
+
+def _integer_type(kind: type) -> bool:
+    """Whether values of type ``kind`` are integers: Python's and numpy's
+    are, bool is not."""
+    return issubclass(kind, (int, np.integer)) and kind is not bool
+
+
+def _not_integers(values: list) -> np.ndarray:
+    """Marks each entry of ``values`` that is not an integer, testing each
+    distinct type once."""
+    bad = {kind: not _integer_type(kind) for kind in set(map(type, values))}
+    if not any(bad.values()):
+        return np.zeros(len(values), dtype=bool)
+    return np.fromiter(map(bad.__getitem__, map(type, values)), bool, len(values))
 
 
 @dataclass(frozen=True)
@@ -180,7 +197,7 @@ class RecGraph:
         if len(user_ids) != len(display_constraints):
             raise GraphError("one display constraint per user required")
         for u, c in enumerate(display_constraints):
-            if not isinstance(c, _INTEGERS):
+            if not _integer_type(type(c)):
                 raise GraphError(f"display constraint of user {u} must be an integer, "
                                  f"got {c!r}")
             if c < 1:
@@ -254,44 +271,74 @@ class RecGraph:
 class Grouping:
     """Membership structure: user-side types or item-side categories.
 
-    ``membership[i]`` lists the group indices entity ``i`` belongs to.
-    The grouping is disjoint when no entity has more than one group.
+    ``membership[i]`` lists entity i's groups.  Kept are two read-only CSR
+    arrays: entity i's groups are ``flat[offsets[i]:offsets[i + 1]]``, int32
+    and increasing.  For n listed entities ``offsets`` has n + 2 entries:
+    the last gives entity n no groups, and every entity past the list reads
+    as entity n.  The grouping is disjoint when no entity has more than one.
     """
 
     def __init__(self, side: str, group_ids: list[str], membership: list[list[int]]):
+        try:
+            sizes = np.fromiter(map(len, membership), np.int64, len(membership))
+        except TypeError:
+            ent = next(i for i, m in enumerate(membership) if not isinstance(m, Sized))
+            raise GroupingError(f"entity {ent} has groups {membership[ent]!r}, not a list"
+                                ) from None
+        flat = list(chain.from_iterable(membership))
+        owner = np.repeat(np.arange(len(membership)), sizes)
+        integer = ~_not_integers(flat)
+        # a non-integer, or an integer past int64, reads as -1
+        group = np.fromiter((g if ok and -2**63 <= g < 2**63 else -1
+                             for g, ok in zip(flat, integer.tolist())), np.int64, len(flat))
+        order = np.lexsort((group, owner))
+        repeat = ((group[order[1:]] == group[order[:-1]]) & (owner[1:] == owner[:-1])
+                  & integer[order[1:]] & integer[order[:-1]])
+        faults = FirstFault(len(flat))
+        # a repeat marks every row of its entity, so it is the entity's first fault
+        faults.check(np.isin(owner, owner[1:][repeat]), lambda r: GroupingError(
+            f"entity {owner[r]} listed twice in a group"))
+        faults.check(~integer, lambda r: GroupingError(
+            f"entity {owner[r]} lists group {flat[r]!r}, not an integer index"))
+        faults.check((group < 0) | (group >= len(group_ids)), lambda r: GroupingError(
+            f"entity {owner[r]} references unknown group {flat[r]}"))
+        faults.raise_first()
+        self._hold(side, group_ids, len(membership), owner, group[order])
+
+    @classmethod
+    def _from_pairs(cls, side: str, group_ids: list[str], num_entities: int,
+                    owner: np.ndarray, group: np.ndarray) -> "Grouping":
+        """Entity ``owner[k]`` in group ``group[k]``, for pairs already
+        sorted, distinct and in range."""
+        grouping = cls.__new__(cls)
+        grouping._hold(side, group_ids, num_entities, owner, group)
+        return grouping
+
+    def _hold(self, side: str, group_ids: list[str], num_entities: int,
+              owner: np.ndarray, group: np.ndarray) -> None:
         if side not in (USER_SIDE, ITEM_SIDE):
             raise GroupingError(f"side must be 'user' or 'item', got {side!r}")
         self.side = side
         self.group_ids = list(group_ids)
-        self.membership: list[list[int]] = []
-        for ent, groups in enumerate(membership):
-            if len(set(groups)) != len(groups):
-                raise GroupingError(f"entity {ent} listed twice in a group")
-            for g in groups:
-                if not isinstance(g, _INTEGERS):
-                    raise GroupingError(f"entity {ent} lists group {g!r}, not an "
-                                        "integer index")
-                if not (0 <= g < len(group_ids)):
-                    raise GroupingError(f"entity {ent} references unknown group {g}")
-            self.membership.append(sorted(groups))
-        self.disjoint = all(len(m) <= 1 for m in self.membership)
-        # entity i's groups are _flat[_start[i]:_start[i] + _size[i]]; the
-        # extra last entry stands for every entity past the list, with none
-        sizes = [len(m) for m in self.membership] + [0]
-        self._size = np.array(sizes, dtype=np.int32)
-        self._start = np.zeros(len(sizes), dtype=_index_dtype(sum(sizes)))
-        np.cumsum(sizes[:-1], out=self._start[1:])
-        self._flat = np.fromiter((g for m in self.membership for g in m), dtype=np.int32,
-                                 count=int(self._start[-1]))
+        self.num_entities = num_entities  # how many are listed
+        self.offsets = _frozen(csr_offsets(owner, num_entities + 1))
+        self.flat = _frozen(group.astype(np.int32))
+        self.disjoint = bool(np.diff(self.offsets).max() <= 1)
 
     @property
     def num_groups(self) -> int:
         return len(self.group_ids)
 
     def groups_of(self, entity: int) -> list[int]:
-        if entity >= len(self.membership):
-            return []
-        return self.membership[entity]
+        """A fresh list; a loop over many entities takes ``group_lists``."""
+        entity = min(entity, self.num_entities)
+        return self.flat[self.offsets[entity]:self.offsets[entity + 1]].tolist()
+
+    def group_lists(self, count: int) -> list[list[int]]:
+        """``groups_of(i)`` for each i below ``count``, in one pass."""
+        flat, offsets = self.flat.tolist(), self.offsets.tolist()
+        lists = [flat[a:b] for a, b in zip(offsets, offsets[1:min(count, self.num_entities) + 1])]
+        return lists + [[] for _ in range(count - len(lists))]
 
     def expand(self, entities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every (position, group) pair with ``group`` in
@@ -300,15 +347,17 @@ class Grouping:
         groups are int32; the positions are int32 unless there are too many
         entities or pairs for it, and then int64."""
         entities = np.asarray(entities)
-        # entities past the list share its extra last entry, which has no groups
-        entity = np.minimum(entities, len(self.membership),
+        # an entity past the list reads as entity n, which has no groups
+        entity = np.minimum(entities, self.num_entities,
                             out=np.empty(len(entities), dtype=np.int32), casting="unsafe")
-        count = self._size[entity]
-        start = self._start[entity]
+        start = self.offsets[entity]
+        entity += 1
+        count = self.offsets[entity]
         del entity
+        count -= start
         total = int(count.sum(dtype=np.int64))
-        index = _index_dtype(max(len(entities), total, len(self._flat)))
-        # pair k of position p reads _flat[start[p] + k - (first pair of p)]
+        index = _index_dtype(max(len(entities), total, len(self.flat)))
+        # pair k of position p reads flat[start[p] + k - (first pair of p)]
         skip = np.cumsum(count, dtype=index)
         skip -= count
         np.subtract(start, skip, out=skip)
@@ -316,7 +365,7 @@ class Grouping:
         at = np.repeat(skip, count)
         del skip
         at += np.arange(total, dtype=index)
-        group = self._flat[at]
+        group = self.flat[at]
         del at
         return np.repeat(np.arange(len(entities), dtype=index), count), group
 
@@ -346,10 +395,6 @@ class Grouping:
             counts[k // self.num_groups][k % self.num_groups] = c
         return counts
 
-    @classmethod
-    def empty(cls, side: str, num_entities: int) -> "Grouping":
-        return cls(side, [], [[] for _ in range(num_entities)])
-
 
 class ThresholdTable:
     """Sparse nonnegative integer thresholds per (user, category) and
@@ -365,11 +410,17 @@ class ThresholdTable:
         self.user_category = dict(user_category or {})
         self.item_type = dict(item_type or {})
         for table, name in ((self.user_category, "user"), (self.item_type, "item")):
+            # all entries at once, a type at a time; the loop finds the fault
+            keys, values = table.keys(), table.values()
+            if (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2} and all(map(
+                    _integer_type, {*map(type, chain.from_iterable(keys)), *map(type, values)}))
+                    and min(values, default=0) >= 0):
+                continue
             for key, val in table.items():
                 if not (isinstance(key, tuple) and len(key) == 2
-                        and isinstance(key[0], _INTEGERS) and isinstance(key[1], _INTEGERS)):
+                        and _integer_type(type(key[0])) and _integer_type(type(key[1]))):
                     raise GraphError(f"{name} threshold key {key!r} is not a pair of integers")
-                if not isinstance(val, _INTEGERS):
+                if not _integer_type(type(val)):
                     raise GraphError(f"{name} threshold {key} is not an integer: {val!r}")
                 if val < 0:
                     raise GraphError(f"{name} threshold {key} is negative: {val}")
@@ -460,12 +511,20 @@ class Solution:
         self.add_edges([edge_index])
 
     def add_edges(self, edge_indices) -> None:
-        """Select each edge in turn, as repeated add_edge calls would: an edge
-        already selected or past its user's display constraint raises, and
-        the edges before it stay selected."""
+        """Select each edge in turn, as repeated add_edge calls would: an
+        index that is not an edge's, an edge already selected or one past
+        its user's display constraint raises, and the edges before it stay
+        selected."""
         edge_indices = list(edge_indices)
         graph = self.graph
-        users = graph.edge_user[edge_indices].tolist()
+        faults = FirstFault(len(edge_indices))
+        faults.check(_not_integers(edge_indices), lambda k: GraphError(
+            f"edge index {edge_indices[k]!r} is not an integer"))
+        # an index past int64 makes an object array, whose comparisons still hold
+        index = np.array(edge_indices[:faults.stop])
+        faults.check((index < 0) | (index >= graph.num_edges), lambda k: GraphError(
+            f"edge index {edge_indices[k]} is out of range for {graph.num_edges} edges"))
+        users = graph.edge_user[index[:faults.stop].astype(np.int64)].tolist()
         for edge_index, u in zip(edge_indices, users):
             if edge_index in self._selected_set:
                 raise DuplicateEdgeError(f"edge {edge_index} already selected")
@@ -477,6 +536,7 @@ class Solution:
                 )
             insort(lst, edge_index)
             self._selected_set.add(edge_index)
+        faults.raise_first()
 
     def edge_indices(self) -> list[int]:
         return sorted(self._selected_set)
@@ -512,12 +572,12 @@ def new_solution(
     user_types: Grouping | None = None,
     item_cats: Grouping | None = None,
 ) -> Solution:
-    """Empty solution on ``graph``; ungrouped sides default to the empty
-    grouping (which contributes zero diversity)."""
+    """Empty solution on ``graph``; ungrouped sides default to a grouping
+    that lists no entity, so none has a group (zero diversity)."""
     if user_types is None:
-        user_types = Grouping.empty(USER_SIDE, graph.num_users)
+        user_types = Grouping(USER_SIDE, [], [])
     if item_cats is None:
-        item_cats = Grouping.empty(ITEM_SIDE, graph.num_items)
+        item_cats = Grouping(ITEM_SIDE, [], [])
     return Solution(graph, user_types, item_cats)
 
 

@@ -118,7 +118,8 @@ def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
         key_view[s:e] = rel_of[s:e] + beta * ucnt_of[s:e] + mu * icnt_of[s:e]
     key_bits = memoryview(keys).cast("B").cast("Q")
     rel, item_of = memoryview(graph.edge_rel), memoryview(graph.edge_item)
-    cats_of, types_of = item_cats.groups_of, user_types.groups_of
+    cats_of = item_cats.group_lists(graph.num_items)
+    types_of = user_types.group_lists(graph.num_users)
     uc_width, uc_deg, uc_thr, uc_pend, uc_pend_first = (
         uc.width, uc.degree, uc.threshold, uc.pending, uc.pending_first)
     it_width, it_deg, it_thr, it_pend_first = it.width, it.degree, it.threshold, it.pending_first
@@ -161,7 +162,7 @@ def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
         picked.append(e)
         j = item_of[e]
         base = u * uc_width
-        for g in cats_of(j):
+        for g in cats_of[j]:
             k = base + g
             d = uc_deg[k] + 1
             uc_deg[k] = d
@@ -172,7 +173,7 @@ def _selection_order(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
                         ucnt[q] = c
                         keys[q] = rel[q] + beta * c + mu * icnt[q]
         base = j * it_width
-        for g in types_of(u):
+        for g in types_of[u]:
             k = base + g
             d = it_deg[k] + 1
             it_deg[k] = d
@@ -242,7 +243,7 @@ class _PairIndex:
         width = self.width = grouping.num_groups
         threshold = threshold_cells(table, num_owners, width)
         self.threshold = memoryview(threshold)
-        most = max(map(len, grouping.membership), default=0)
+        most = np.diff(grouping.offsets).max()
         self.live_count = array("b" if most < 128 else "i", [0]) * len(members)
         live_count = np.frombuffer(self.live_count, dtype=self.live_count.typecode)
         count = np.zeros(len(threshold) + 1, dtype=np.int64)

@@ -40,9 +40,10 @@ def _selected_items(sol: Solution) -> Lists:
 def _user_cat_degrees(sol: Solution, item_cats: Grouping) -> dict[tuple[int, int], int]:
     """Selected degree of every (user, category) pair the selection hits."""
     counts: dict[tuple[int, int], int] = {}
+    cats_of = item_cats.group_lists(sol.graph.num_items)
     for u, items in enumerate(_selected_items(sol)):
         for item in items:
-            for a in item_cats.groups_of(item):
+            for a in cats_of[item]:
                 counts[(u, a)] = counts.get((u, a), 0) + 1
     return counts
 
@@ -51,8 +52,9 @@ def _item_type_degrees(sol: Solution, user_types: Grouping) -> dict[tuple[int, i
     """Selected degree of every (item, type) pair the selection hits."""
     counts: dict[tuple[int, int], int] = {}
     for u, items in enumerate(_selected_items(sol)):
+        types = user_types.groups_of(u)
         for item in items:
-            for b in user_types.groups_of(u):
+            for b in types:
                 counts[(item, b)] = counts.get((item, b), 0) + 1
     return counts
 
@@ -90,11 +92,13 @@ def div_edgewise(
     user_cat = _user_cat_degrees(sol, item_cats)
     item_type = _item_type_degrees(sol, user_types)
     total = 0.0
+    cats_of = item_cats.group_lists(sol.graph.num_items)
     for u, items in enumerate(_selected_items(sol)):
+        types = user_types.groups_of(u)
         for item in items:
-            for a in item_cats.groups_of(item):
+            for a in cats_of[item]:
                 total += params.beta / user_cat[(u, a)]
-            for b in user_types.groups_of(u):
+            for b in types:
                 total += params.mu / item_type[(item, b)]
     return total
 
@@ -123,8 +127,8 @@ class CategoryClasses:
 
     def __init__(self, item_cats: Grouping):
         ids: dict[tuple[int, ...], int] = {}
-        self.class_of = [ids.setdefault(tuple(m), len(ids)) for m in item_cats.membership]
-        self.class_of.append(ids.setdefault((), len(ids)))
+        self.class_of = [ids.setdefault(tuple(m), len(ids))
+                         for m in item_cats.group_lists(item_cats.num_entities + 1)]
         cat_lists = list(ids)
         with_cat: dict[int, list[int]] = {}
         for c, cats in enumerate(cat_lists):
@@ -224,12 +228,13 @@ def err_ia(lists: Lists, intent: IntentProfile, item_cats: Grouping) -> float:
     if not lists:
         return 0.0
     total = 0.0
+    cats_of = item_cats.group_lists(1 + max(map(max, filter(None, lists)), default=-1))
     for u, items in enumerate(lists):
         probs = intent.category_probs[u]
         rels = intent.norm_rel[u]
         hits: dict[int, list[tuple[int, float]]] = {}
         for rank, item in enumerate(items, start=1):
-            for a in item_cats.groups_of(item):
+            for a in cats_of[item]:
                 if a in probs:
                     hits.setdefault(a, []).append((rank, rels.get(item, 0.0)))
         user_score = 0.0

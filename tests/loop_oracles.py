@@ -45,7 +45,8 @@ def edge_case_instance(rng, overlapping: bool) -> tuple[RecGraph, Grouping]:
     graph = RecGraph([f"u{i}" for i in range(len(constraints))], constraints, graph.item_ids,
                      columns=(graph.edge_user + (graph.edge_user >= empty),
                               graph.edge_item, graph.edge_rel))
-    membership = [[] if rng.random() < 0.2 else m for m in item_cats.membership]
+    membership = [[] if rng.random() < 0.2 else item_cats.groups_of(i)
+                  for i in range(item_cats.num_entities)]
     del membership[rng.randint(0, len(membership)):]
     return graph, Grouping("item", item_cats.group_ids, membership)
 

@@ -47,7 +47,8 @@ def _graph_state(result):
 
 def _grouping_state(result):
     grouping, skipped = result
-    return grouping.group_ids, grouping.membership, skipped
+    return (grouping.group_ids,
+            [grouping.groups_of(i) for i in range(grouping.num_entities)], skipped)
 
 
 def _table_state(table):

@@ -18,6 +18,7 @@ from recdiv.graph import (
     new_solution,
     threshold_cells,
 )
+from recdiv.greedy import greedy_solve
 from recdiv.metrics import tidiv, tudiv
 from recdiv.synth import ROUND_CHUNK, movielens_shaped
 
@@ -229,6 +230,77 @@ def test_grouping_rejects_non_integer_group():
     assert Grouping("item", ["A", "B"], [[np.int32(1)]]).groups_of(0) == [1]
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_not_an_integer(flag):
+    with pytest.raises(GraphError, match="display constraint of user 0 must be an integer"):
+        RecGraph(["u"], [flag], ["v"], [(0, 0, 0.5)])
+    with pytest.raises(GroupingError, match=f"entity 1 lists group {flag}, not an integer"):
+        Grouping("item", ["A", "B"], [[0], [flag]])
+    with pytest.raises(GraphError, match="user threshold key .* is not a pair of integers"):
+        ThresholdTable({(flag, 0): 1})
+    with pytest.raises(GraphError, match=r"item threshold \(0, 0\) is not an integer"):
+        ThresholdTable({}, {(0, 0): flag})
+
+
+@pytest.mark.parametrize("membership, message", [
+    ([[0], 5], "entity 1 has groups 5, not a list"),
+    ([[0], None], "entity 1 has groups None, not a list"),
+    ([[[0]]], r"entity 0 lists group \[0\], not an integer"),
+    ([[0], [1, [1]]], r"entity 1 lists group \[1\], not an integer"),
+])
+def test_grouping_rejects_malformed_membership(membership, message):
+    with pytest.raises(GroupingError, match=message):
+        Grouping("item", ["A", "B"], membership)
+
+
+@pytest.mark.parametrize("membership, message", [
+    # an entity's repeat comes before its other faults, as a check of one
+    # entity at a time finds it; an earlier entity's fault comes first
+    ([[0], [5, "x", 1, 1]], "entity 1 listed twice in a group"),
+    ([[0], [3, 3]], "entity 1 listed twice in a group"),
+    ([[0], ["x", 5]], "entity 1 lists group 'x', not an integer"),
+    ([[0], [5, "x"]], "entity 1 references unknown group 5"),
+    ([[-1], [1, 1]], "entity 0 references unknown group -1"),
+    ([[0, 1], [1, 2**70]], f"entity 1 references unknown group {2**70}"),
+    ([["x", "x"]], "entity 0 lists group 'x', not an integer"),
+])
+def test_grouping_reports_the_first_fault_in_entity_order(membership, message):
+    with pytest.raises(GroupingError, match=message):
+        Grouping("item", ["A", "B"], membership)
+
+
+def test_grouping_holds_one_read_only_copy():
+    # the list groups_of returns is the caller's; the arrays cannot be
+    # written, so nothing a caller does changes what the grouping reports
+    graph = _two_edge_graph()
+    ut = Grouping("user", ["T"], [[np.int64(0)]])
+    ic = Grouping("item", ["A", "B"], [[np.int32(0)], [0]])
+    assert all(type(g) is int for g in ut.groups_of(0) + ic.groups_of(1))
+    ic.groups_of(1).append(1)
+    ic.group_lists(2)[1].append(1)
+    for arr in (ic.flat, ic.offsets):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    assert not hasattr(ic, "membership")
+    assert ic.disjoint and ic.groups_of(1) == [0]
+    th = ThresholdTable.uniform(graph, ut, ic, rho=2, lam=2)
+    params = DivParams(1.0, 1.0)
+    sol = greedy_solve(graph, ut, ic, th, params)
+    scratch = tudiv(sol, ic, th) + tidiv(sol, ut, th) + sol.relevance()
+    assert eval_objective(sol, th, params) == scratch == 2 + 2 + 1.3
+
+
+def test_group_lists_match_groups_of(rng):
+    for _ in range(50):
+        num_groups = rng.randint(1, 5)
+        membership = [rng.sample(range(num_groups), rng.randint(0, num_groups))
+                      for _ in range(rng.randint(0, 6))]
+        grouping = Grouping("user", [str(g) for g in range(num_groups)], membership)
+        count = rng.randint(0, len(membership) + 3)
+        assert grouping.group_lists(count) == [grouping.groups_of(e) for e in range(count)]
+        assert grouping.group_lists(len(membership)) == [sorted(m) for m in membership]
+
+
 def test_params_reject_negative():
     with pytest.raises(GraphError):
         DivParams(beta=-1.0)
@@ -299,6 +371,35 @@ def test_add_edge_errors(three_item_graph):
     sol.add_edge(1)
     with pytest.raises(CapacityError):
         sol.add_edge(2)
+
+
+def _two_edge_graph():
+    return RecGraph(["u"], [2], ["v1", "v2"], [(0, 0, 0.5), (0, 1, 0.8)])
+
+
+def test_add_edges_rejects_a_negative_index():
+    # -1 once read as the last edge, so edge 1 was selected twice
+    sol = new_solution(_two_edge_graph())
+    with pytest.raises(GraphError, match="edge index -1 is out of range for 2 edges"):
+        sol.add_edges([-1, 1])
+    assert sol.selected == [[]] and sol.relevance() == 0.0
+
+
+def test_add_edges_rejects_an_index_past_the_edges_and_keeps_the_edges_before():
+    sol = new_solution(_two_edge_graph())
+    with pytest.raises(GraphError, match="edge index 5 is out of range for 2 edges"):
+        sol.add_edge(5)
+    with pytest.raises(GraphError, match=f"edge index {2**70} is out of range for 2 edges"):
+        sol.add_edges([1, 2**70])
+    assert sol.selected == [[1]]
+
+
+@pytest.mark.parametrize("index", [0.0, True, "0", None])
+def test_add_edges_rejects_a_non_integer_index(index):
+    sol = new_solution(_two_edge_graph())
+    with pytest.raises(GraphError, match=f"edge index {index!r} is not an integer"):
+        sol.add_edges([np.int64(1), index])
+    assert sol.selected == [[1]]
 
 
 def test_add_edges_batch_sorts_lists_and_stops_at_the_bad_edge():
@@ -539,8 +640,8 @@ def _instance_digest(graph, user_types, item_cats):
     h = hashlib.sha256()
     for e in graph.edges:
         h.update(f"{e.user}\t{e.item}\t{e.relevance.hex()}\n".encode())
-    h.update(repr(user_types.membership).encode())
-    h.update(repr(item_cats.membership).encode())
+    for grouping in (user_types, item_cats):
+        h.update(repr([grouping.groups_of(i) for i in range(grouping.num_entities)]).encode())
     return h.hexdigest()
 
 

@@ -234,7 +234,7 @@ def test_category_classes_hold_cosine_distance(rng):
     for i in range(100):
         _, ic = edge_case_instance(rng, overlapping=i % 2 == 0)
         table = CategoryClasses(ic)
-        items = range(len(ic.membership) + 2)
+        items = range(ic.num_entities + 2)
         classes = table.classes(items)
         for x in items:
             for y in items:
@@ -301,10 +301,10 @@ def test_diversity_metrics_pinned():
     for i in range(100):
         graph, ut, ic, th, params = random_instance(rng, overlapping=(i % 2 == 1))
         if i % 3 == 0:
-            ut = Grouping("user", ut.group_ids,
-                          [m if rng.random() < 0.7 else [] for m in ut.membership])
-            ic = Grouping("item", ic.group_ids,
-                          [m if rng.random() < 0.7 else [] for m in ic.membership])
+            ut = Grouping("user", ut.group_ids, [ut.groups_of(i) if rng.random() < 0.7 else []
+                                                 for i in range(ut.num_entities)])
+            ic = Grouping("item", ic.group_ids, [ic.groups_of(i) if rng.random() < 0.7 else []
+                                                 for i in range(ic.num_entities)])
         sol = new_solution(graph, ut, ic)
         for e in rng.sample(range(graph.num_edges), graph.num_edges):
             u = graph.edges[e].user

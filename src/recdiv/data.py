@@ -422,7 +422,7 @@ def load_grouping(
     owner, group = _concat(parts, 0), _concat(parts, 1)
     width = max(len(group_code), 1)
     owner, group = np.divmod(np.unique(owner * width + group), width)
-    return Grouping._from_pairs(side, list(group_code), len(entity_ids), owner, group), skipped
+    return Grouping(side, list(group_code), pairs=(len(entity_ids), owner, group)), skipped
 
 
 def save_grouping(grouping: Grouping, entity_ids: list[str], path: str | Path) -> None:

@@ -45,11 +45,12 @@ from .errors import CapacityError, DuplicateEdgeError, GraphError, GroupingError
 USER_SIDE = "user"
 ITEM_SIDE = "item"
 
+# what counts as an integer: Python's and numpy's, but not bool
+_INTEGERS = (int, np.integer)
+
 
 def _integer_type(kind: type) -> bool:
-    """Whether values of type ``kind`` are integers: Python's and numpy's
-    are, bool is not."""
-    return issubclass(kind, (int, np.integer)) and kind is not bool
+    return issubclass(kind, _INTEGERS) and kind is not bool
 
 
 def _not_integers(values: list) -> np.ndarray:
@@ -268,6 +269,41 @@ class RecGraph:
         )
 
 
+def _membership_pairs(membership, num_groups: int) -> tuple:
+    """``membership``'s (number of entities, owner, group) arrays, sorted.
+    The error raised is the one a check of one entity at a time finds
+    first: a group listed twice, then, group by group, one that is not an
+    integer or not below ``num_groups``."""
+    try:
+        sizes = np.fromiter(map(len, membership), np.int64, len(membership))
+    except TypeError:
+        ent = next(i for i, m in enumerate(membership) if not isinstance(m, Sized))
+        raise GroupingError(f"entity {ent} has groups {membership[ent]!r}, not a list"
+                            ) from None
+    flat = list(chain.from_iterable(membership))
+    owner = np.repeat(np.arange(len(membership)), sizes)
+    integer = ~_not_integers(flat)
+    # a non-integer, or an integer past int64, reads as -1
+    group = np.fromiter((g if ok and -2**63 <= g < 2**63 else -1
+                         for g, ok in zip(flat, integer.tolist())), np.int64, len(flat))
+    ordered = group[np.lexsort((group, owner))]
+    repeated = owner[1:][(ordered[1:] == ordered[:-1]) & (owner[1:] == owner[:-1])
+                         & (ordered[1:] >= 0)].tolist()
+    # an entity with a group below 0 compares its groups as Python values do
+    repeated += [e for e in set(owner[group < 0].tolist())
+                 if any(list(membership[e]).count(g) > 1 for g in membership[e])]
+    faults = FirstFault(len(flat))
+    # a repeat marks every row of its entity, so it is the entity's first fault
+    faults.check(np.isin(owner, repeated), lambda r: GroupingError(
+        f"entity {owner[r]} listed twice in a group"))
+    faults.check(~integer, lambda r: GroupingError(
+        f"entity {owner[r]} lists group {flat[r]!r}, not an integer index"))
+    faults.check((group < 0) | (group >= num_groups), lambda r: GroupingError(
+        f"entity {owner[r]} references unknown group {flat[r]}"))
+    faults.raise_first()
+    return len(membership), owner, ordered
+
+
 class Grouping:
     """Membership structure: user-side types or item-side categories.
 
@@ -278,46 +314,13 @@ class Grouping:
     as entity n.  The grouping is disjoint when no entity has more than one.
     """
 
-    def __init__(self, side: str, group_ids: list[str], membership: list[list[int]]):
-        try:
-            sizes = np.fromiter(map(len, membership), np.int64, len(membership))
-        except TypeError:
-            ent = next(i for i, m in enumerate(membership) if not isinstance(m, Sized))
-            raise GroupingError(f"entity {ent} has groups {membership[ent]!r}, not a list"
-                                ) from None
-        flat = list(chain.from_iterable(membership))
-        owner = np.repeat(np.arange(len(membership)), sizes)
-        integer = ~_not_integers(flat)
-        # a non-integer, or an integer past int64, reads as -1
-        group = np.fromiter((g if ok and -2**63 <= g < 2**63 else -1
-                             for g, ok in zip(flat, integer.tolist())), np.int64, len(flat))
-        order = np.lexsort((group, owner))
-        repeat = ((group[order[1:]] == group[order[:-1]]) & (owner[1:] == owner[:-1])
-                  & integer[order[1:]] & integer[order[:-1]])
-        faults = FirstFault(len(flat))
-        # a repeat marks every row of its entity, so it is the entity's first fault
-        faults.check(np.isin(owner, owner[1:][repeat]), lambda r: GroupingError(
-            f"entity {owner[r]} listed twice in a group"))
-        faults.check(~integer, lambda r: GroupingError(
-            f"entity {owner[r]} lists group {flat[r]!r}, not an integer index"))
-        faults.check((group < 0) | (group >= len(group_ids)), lambda r: GroupingError(
-            f"entity {owner[r]} references unknown group {flat[r]}"))
-        faults.raise_first()
-        self._hold(side, group_ids, len(membership), owner, group[order])
-
-    @classmethod
-    def _from_pairs(cls, side: str, group_ids: list[str], num_entities: int,
-                    owner: np.ndarray, group: np.ndarray) -> "Grouping":
-        """Entity ``owner[k]`` in group ``group[k]``, for pairs already
-        sorted, distinct and in range."""
-        grouping = cls.__new__(cls)
-        grouping._hold(side, group_ids, num_entities, owner, group)
-        return grouping
-
-    def _hold(self, side: str, group_ids: list[str], num_entities: int,
-              owner: np.ndarray, group: np.ndarray) -> None:
+    def __init__(self, side: str, group_ids: list[str], membership: list[list[int]] = (),
+                 *, pairs: tuple | None = None):
+        """``pairs`` passes (number of entities, owner, group) arrays instead,
+        sorted by owner, then group, distinct and in range: the bulk path."""
         if side not in (USER_SIDE, ITEM_SIDE):
             raise GroupingError(f"side must be 'user' or 'item', got {side!r}")
+        num_entities, owner, group = pairs or _membership_pairs(membership, len(group_ids))
         self.side = side
         self.group_ids = list(group_ids)
         self.num_entities = num_entities  # how many are listed
@@ -336,9 +339,9 @@ class Grouping:
 
     def group_lists(self, count: int) -> list[list[int]]:
         """``groups_of(i)`` for each i below ``count``, in one pass."""
-        flat, offsets = self.flat.tolist(), self.offsets.tolist()
-        lists = [flat[a:b] for a, b in zip(offsets, offsets[1:min(count, self.num_entities) + 1])]
-        return lists + [[] for _ in range(count - len(lists))]
+        flat = self.flat.tolist()
+        bounds = self.offsets[np.minimum(np.arange(count + 1), self.num_entities + 1)].tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def expand(self, entities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every (position, group) pair with ``group`` in
@@ -410,17 +413,13 @@ class ThresholdTable:
         self.user_category = dict(user_category or {})
         self.item_type = dict(item_type or {})
         for table, name in ((self.user_category, "user"), (self.item_type, "item")):
-            # all entries at once, a type at a time; the loop finds the fault
-            keys, values = table.keys(), table.values()
-            if (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2} and all(map(
-                    _integer_type, {*map(type, chain.from_iterable(keys)), *map(type, values)}))
-                    and min(values, default=0) >= 0):
-                continue
+            # _integer_type's rule, inline: a call per entry would double the time
             for key, val in table.items():
                 if not (isinstance(key, tuple) and len(key) == 2
-                        and _integer_type(type(key[0])) and _integer_type(type(key[1]))):
+                        and isinstance(key[0], _INTEGERS) and type(key[0]) is not bool
+                        and isinstance(key[1], _INTEGERS) and type(key[1]) is not bool):
                     raise GraphError(f"{name} threshold key {key!r} is not a pair of integers")
-                if not _integer_type(type(val)):
+                if not isinstance(val, _INTEGERS) or type(val) is bool:
                     raise GraphError(f"{name} threshold {key} is not an integer: {val!r}")
                 if val < 0:
                     raise GraphError(f"{name} threshold {key} is negative: {val}")

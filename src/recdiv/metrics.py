@@ -40,10 +40,9 @@ def _selected_items(sol: Solution) -> Lists:
 def _user_cat_degrees(sol: Solution, item_cats: Grouping) -> dict[tuple[int, int], int]:
     """Selected degree of every (user, category) pair the selection hits."""
     counts: dict[tuple[int, int], int] = {}
-    cats_of = item_cats.group_lists(sol.graph.num_items)
     for u, items in enumerate(_selected_items(sol)):
         for item in items:
-            for a in cats_of[item]:
+            for a in item_cats.groups_of(item):
                 counts[(u, a)] = counts.get((u, a), 0) + 1
     return counts
 
@@ -52,9 +51,8 @@ def _item_type_degrees(sol: Solution, user_types: Grouping) -> dict[tuple[int, i
     """Selected degree of every (item, type) pair the selection hits."""
     counts: dict[tuple[int, int], int] = {}
     for u, items in enumerate(_selected_items(sol)):
-        types = user_types.groups_of(u)
         for item in items:
-            for b in types:
+            for b in user_types.groups_of(u):
                 counts[(item, b)] = counts.get((item, b), 0) + 1
     return counts
 
@@ -92,13 +90,11 @@ def div_edgewise(
     user_cat = _user_cat_degrees(sol, item_cats)
     item_type = _item_type_degrees(sol, user_types)
     total = 0.0
-    cats_of = item_cats.group_lists(sol.graph.num_items)
     for u, items in enumerate(_selected_items(sol)):
-        types = user_types.groups_of(u)
         for item in items:
-            for a in cats_of[item]:
+            for a in item_cats.groups_of(item):
                 total += params.beta / user_cat[(u, a)]
-            for b in types:
+            for b in user_types.groups_of(u):
                 total += params.mu / item_type[(item, b)]
     return total
 
@@ -228,13 +224,12 @@ def err_ia(lists: Lists, intent: IntentProfile, item_cats: Grouping) -> float:
     if not lists:
         return 0.0
     total = 0.0
-    cats_of = item_cats.group_lists(1 + max(map(max, filter(None, lists)), default=-1))
     for u, items in enumerate(lists):
         probs = intent.category_probs[u]
         rels = intent.norm_rel[u]
         hits: dict[int, list[tuple[int, float]]] = {}
         for rank, item in enumerate(items, start=1):
-            for a in cats_of[item]:
+            for a in item_cats.groups_of(item):
                 if a in probs:
                     hits.setdefault(a, []).append((rank, rels.get(item, 0.0)))
         user_score = 0.0

@@ -262,7 +262,13 @@ def test_grouping_rejects_malformed_membership(membership, message):
     ([[0], [5, "x"]], "entity 1 references unknown group 5"),
     ([[-1], [1, 1]], "entity 0 references unknown group -1"),
     ([[0, 1], [1, 2**70]], f"entity 1 references unknown group {2**70}"),
-    ([["x", "x"]], "entity 0 lists group 'x', not an integer"),
+    # groups past int64 and non-integers are compared as Python values
+    ([[-1, 2**70]], "entity 0 references unknown group -1"),
+    ([[2**70, 2**71]], f"entity 0 references unknown group {2**70}"),
+    ([[2**70, 2**70]], "entity 0 listed twice in a group"),
+    ([["x", "x"]], "entity 0 listed twice in a group"),
+    ([[1, 1.0]], "entity 0 listed twice in a group"),
+    ([[0], ["x", 1.5, "y"]], "entity 1 lists group 'x', not an integer"),
 ])
 def test_grouping_reports_the_first_fault_in_entity_order(membership, message):
     with pytest.raises(GroupingError, match=message):

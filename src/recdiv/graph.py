@@ -317,7 +317,7 @@ class Grouping:
     def __init__(self, side: str, group_ids: list[str], membership: list[list[int]] = (),
                  *, pairs: tuple | None = None):
         """``pairs`` passes (number of entities, owner, group) arrays instead,
-        sorted by owner, then group, distinct and in range: the bulk path."""
+        unchecked: sorted by owner, then group, distinct and in range."""
         if side not in (USER_SIDE, ITEM_SIDE):
             raise GroupingError(f"side must be 'user' or 'item', got {side!r}")
         num_entities, owner, group = pairs or _membership_pairs(membership, len(group_ids))
@@ -353,11 +353,8 @@ class Grouping:
         # an entity past the list reads as entity n, which has no groups
         entity = np.minimum(entities, self.num_entities,
                             out=np.empty(len(entities), dtype=np.int32), casting="unsafe")
-        start = self.offsets[entity]
-        entity += 1
-        count = self.offsets[entity]
+        start, count = self.offsets[entity], np.diff(self.offsets)[entity]
         del entity
-        count -= start
         total = int(count.sum(dtype=np.int64))
         index = _index_dtype(max(len(entities), total, len(self.flat)))
         # pair k of position p reads flat[start[p] + k - (first pair of p)]

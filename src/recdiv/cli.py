@@ -77,7 +77,7 @@ def _load_inputs(args, thresholds: str):
         item_tab = dio.derive_item_thresholds(
             train, user_types, graph.user_ids, graph.item_ids, graph.display_constraints,
         )
-        table = ThresholdTable(user_tab.user_category, item_tab.item_type)
+        table = ThresholdTable(tables=(user_tab.rho_table, item_tab.lam_table))
     return graph, user_types, item_cats, table, skipped_rows
 
 
@@ -227,7 +227,7 @@ def _evaluate_solution(graph, user_types, item_cats, thresholds, args,
 def cmd_evaluate(args) -> int:
     graph, user_types, item_cats, thresholds, _ = _load_inputs(args, "optional")
     sol = new_solution(graph, user_types, item_cats)
-    sol.add_edges(dio.load_solution_lists(args.solution, graph).tolist())
+    sol.add_edges(dio.load_solution_lists(args.solution, graph))
     report = _evaluate_solution(graph, user_types, item_cats, thresholds, args, sol,
                                 DivParams(args.beta, args.mu))
     prefix = args.output

@@ -49,14 +49,14 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse, repeat
+from itertools import compress, filterfalse, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError, GraphError
-from .graph import (FirstFault, Grouping, RecGraph, Solution, ThresholdTable, first_rows,
-                    has_repeats)
+from .graph import (MAX_THRESHOLD, FirstFault, Grouping, RecGraph, Solution, ThresholdTable,
+                    first_rows, has_repeats)
 
 BLOCK_CHARS = 1 << 20  # characters of text read per block
 _WRITE_ROWS = 1 << 15  # rows formatted per write
@@ -529,7 +529,8 @@ def derive_user_thresholds(
     if not item_cats.disjoint:
         targets = [round(c * avg_cats) for c in display_constraints]
     rows = known & (user >= 0)
-    return ThresholdTable(user_category=_apportioned(item_cats, user[rows], item[rows], targets))
+    return ThresholdTable(tables=(_apportioned(item_cats, user[rows], item[rows], targets),
+                                  np.zeros((0, 0), dtype=np.int32)))
 
 
 def derive_item_thresholds(
@@ -547,23 +548,19 @@ def derive_item_thresholds(
     user = _indices(_positions(user_ids), train.users)
     item = _indices(_positions(item_ids), train.items)
     budget = round(budget_fraction * sum(display_constraints) / len(item_ids)) if item_ids else 0
-    if budget <= 0:  # every share would be 0
-        return ThresholdTable()
     rows = (user >= 0) & (item >= 0)
-    return ThresholdTable(item_type=_apportioned(user_types, item[rows], user[rows],
-                                                 [budget] * len(item_ids)))
+    return ThresholdTable(tables=(np.zeros((0, 0), dtype=np.int32), _apportioned(
+        user_types, item[rows], user[rows], [budget] * len(item_ids))))
 
 
 def _apportioned(grouping: Grouping, owners: np.ndarray, members: np.ndarray,
-                 targets: list[int]) -> dict[tuple[int, int], int]:
-    """The positive shares of each owner's target, apportioned by
-    largest remainder over the counts of its members' groups: owners in
-    order of their first row, groups in order of first appearance."""
-    table: dict[tuple[int, int], int] = {}
+                 targets: list[int]) -> np.ndarray:
+    """The owner-by-group table of each owner's target, apportioned by
+    largest remainder over the counts of its members' groups."""
+    table = np.zeros((len(targets), grouping.num_groups), dtype=np.int32)
     for owner, counts in grouping.tally(owners, members).items():
-        for g, share in largest_remainder(counts, targets[owner]).items():
-            if share > 0:
-                table[(owner, g)] = share
+        shares = largest_remainder(counts, targets[owner])
+        table[owner, list(shares)] = np.minimum(list(shares.values()), MAX_THRESHOLD)
     return table
 
 
@@ -579,9 +576,9 @@ def save_thresholds(
     item_group_ids: list[str],
 ) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for (u, a), v in sorted(table.user_category.items()):
+        for (u, a), v in table.user_category.items():
             fh.write(f"user\t{user_ids[u]}\t{item_group_ids[a]}\t{v}\n")
-        for (j, b), v in sorted(table.item_type.items()):
+        for (j, b), v in table.item_type.items():
             fh.write(f"item\t{item_ids[j]}\t{user_group_ids[b]}\t{v}\n")
 
 
@@ -594,7 +591,8 @@ def load_thresholds(
 ) -> ThresholdTable:
     """Threshold table from a thresholds file.  A repeated (side, entity,
     group) is an error.  Rows naming an unknown entity or group are
-    skipped; the table's ``skipped_rows`` attribute counts them."""
+    skipped; the table's ``skipped_rows`` attribute counts them.  A value
+    past 2**31 - 1 is held as 2**31 - 1."""
     entity_code: dict[str, int] = {}
     group_code: dict[str, int] = {}
 
@@ -608,7 +606,8 @@ def load_thresholds(
                     lambda row: f"threshold {values[row]} is negative")
         n = block.stop
         return (is_user[:n], _codes(entity_code, entities[:n]), _codes(group_code, groups[:n]),
-                values[:n], block.lines[:n])
+                np.fromiter(map(min, values[:n], repeat(MAX_THRESHOLD)), np.int32, n),
+                block.lines[:n])
 
     parts, faults = _read(path, convert, 4)
     is_user = _concat(parts, 0, bool)
@@ -623,7 +622,7 @@ def load_thresholds(
     faults.check(_earlier((is_user * len(entity_code) + entity) * len(group_code) + group) > 0,
                  listed_twice)
     faults.raise_first()
-    values = list(chain.from_iterable(p[3] for p in parts))
+    values = _concat(parts, 3, np.int32)
     tables = []
     skipped = 0
     for rows, entity_ids, group_ids in ((is_user, user_ids, item_group_ids),
@@ -633,10 +632,10 @@ def load_thresholds(
         grp = _indices(_positions(group_ids), group_code)[group[rows]]
         known = (ent >= 0) & (grp >= 0)
         skipped += len(known) - int(known.sum())
-        keys = zip(ent[known].tolist(), grp[known].tolist())
-        side_values = list(compress(values, rows.tolist()))
-        tables.append(dict(zip(keys, compress(side_values, known.tolist()))))
-    table = ThresholdTable(*tables)
+        side = np.zeros((len(entity_ids), len(group_ids)), dtype=np.int32)
+        side[ent[known], grp[known]] = values[rows][known]
+        tables.append(side)
+    table = ThresholdTable(tables=tables)
     table.skipped_rows = skipped
     return table
 

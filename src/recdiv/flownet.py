@@ -75,8 +75,8 @@ def build_tdiv_network(
     types = _cell_of_each(user_types, graph.edge_item, graph.edge_user, graph.num_items, "user")
     cats = _cell_of_each(item_cats, graph.edge_user, graph.edge_item, graph.num_users, "item")
     sink = graph.num_users
-    rho = memoryview(threshold_cells(thresholds.user_category, sink, item_cats.num_groups))
-    lam = memoryview(threshold_cells(thresholds.item_type, graph.num_items, user_types.num_groups))
+    rho = memoryview(threshold_cells(thresholds.rho_table, sink, item_cats.num_groups))
+    lam = memoryview(threshold_cells(thresholds.lam_table, graph.num_items, user_types.num_groups))
 
     net = FlowNetwork(sink + 1)
     beta_cost = -_scaled(params.beta, cost_scale)

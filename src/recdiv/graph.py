@@ -24,7 +24,11 @@ TUDiv and TIDiv sum min(threshold, degree) over (user, category) and
 (item, type) pairs.  All but the metric oracles number such a pair by its
 cell ``owner * num_groups + group`` of a dense owner-by-group table, small
 while the groups are categories or types: ``Grouping.cells`` gives each
-incidence's cell, and ``threshold_cells`` each cell's threshold.
+incidence's cell, and ``threshold_cells`` each cell's threshold.  A
+ThresholdTable is held once, as one such read-only int32 table per side
+that every layer reads, entry ``[owner, group]`` at the pair's cell; its
+dicts are views built per call, and its docstring gives the rules for
+zero, huge and negative entries.
 
 A Solution is its selection H, each user's selected edge indices; the
 group degrees TUDiv and TIDiv threshold are counted from H where read.
@@ -44,6 +48,7 @@ from .errors import CapacityError, DuplicateEdgeError, GraphError, GroupingError
 
 USER_SIDE = "user"
 ITEM_SIDE = "item"
+MAX_THRESHOLD = 2**31 - 1  # the most an int32 threshold table holds, past any degree
 
 # what counts as an integer: Python's and numpy's, but not bool
 _INTEGERS = (int, np.integer)
@@ -397,35 +402,44 @@ class Grouping:
 
 
 class ThresholdTable:
-    """Sparse nonnegative integer thresholds per (user, category) and
-    (item, type) pair; missing entries are 0.  The dicts ``user_category``
-    and ``item_type`` are the one representation; ``threshold_cells``
-    gathers one into cells."""
+    """Nonnegative integer thresholds per (user, category) and (item, type)
+    pair.  Kept are two read-only int32 owner-by-group tables, ``rho_table``
+    (users by categories) and ``lam_table`` (items by types), the one
+    representation every layer reads: entry ``[owner, group]`` is the pair's
+    threshold, 0 for a missing entry or one past the table's edge, and its
+    row-major index is the pair's cell.  The dicts ``user_category`` and
+    ``item_type`` are views, built per call, of the positive entries in key
+    order: a zero entry is the same as no entry.
+
+    The constructor takes those dicts as its input format and checks them
+    entry by entry.  A value past 2**31 - 1, past any degree, is held as
+    2**31 - 1; a key with a negative owner or group names a pair no edge
+    has, and is dropped; the table spans the largest key left.  Bulk
+    builders pass the two int32 tables through ``tables`` instead, unchecked."""
 
     def __init__(
         self,
         user_category: dict[tuple[int, int], int] | None = None,
         item_type: dict[tuple[int, int], int] | None = None,
+        *, tables: tuple | None = None,
     ):
-        self.user_category = dict(user_category or {})
-        self.item_type = dict(item_type or {})
-        for table, name in ((self.user_category, "user"), (self.item_type, "item")):
-            # _integer_type's rule, inline: a call per entry would double the time
-            for key, val in table.items():
-                if not (isinstance(key, tuple) and len(key) == 2
-                        and isinstance(key[0], _INTEGERS) and type(key[0]) is not bool
-                        and isinstance(key[1], _INTEGERS) and type(key[1]) is not bool):
-                    raise GraphError(f"{name} threshold key {key!r} is not a pair of integers")
-                if not isinstance(val, _INTEGERS) or type(val) is bool:
-                    raise GraphError(f"{name} threshold {key} is not an integer: {val!r}")
-                if val < 0:
-                    raise GraphError(f"{name} threshold {key} is negative: {val}")
+        if tables is None:
+            tables = (_table_of(user_category or {}, "user"), _table_of(item_type or {}, "item"))
+        self.rho_table, self.lam_table = map(_frozen, tables)
+
+    @property
+    def user_category(self) -> dict[tuple[int, int], int]:
+        return _entries(self.rho_table)
+
+    @property
+    def item_type(self) -> dict[tuple[int, int], int]:
+        return _entries(self.lam_table)
 
     def rho(self, user: int, category: int) -> int:
-        return self.user_category.get((user, category), 0)
+        return _entry(self.rho_table, user, category)
 
     def lam(self, item: int, type_: int) -> int:
-        return self.item_type.get((item, type_), 0)
+        return _entry(self.lam_table, item, type_)
 
     @classmethod
     def uniform(
@@ -437,41 +451,61 @@ class ThresholdTable:
         lam: int = 1,
     ) -> "ThresholdTable":
         """Constant thresholds on every (entity, group) pair incident to a
-        candidate edge, in cell order.  Non-incident pairs can never accrue
-        degree, so restricting to incident pairs leaves every objective
-        unchanged."""
-        return cls(_incident_pairs(item_cats, graph.edge_user, graph.edge_item,
-                                   graph.num_users, rho),
-                   _incident_pairs(user_types, graph.edge_item, graph.edge_user,
-                                   graph.num_items, lam))
+        candidate edge.  Non-incident pairs can never accrue degree, so
+        restricting to incident pairs leaves every objective unchanged."""
+        return cls(tables=(_incident_table(item_cats, graph.edge_user, graph.edge_item,
+                                           graph.num_users, rho, "user"),
+                           _incident_table(user_types, graph.edge_item, graph.edge_user,
+                                           graph.num_items, lam, "item")))
 
 
-def _incident_pairs(grouping: Grouping, owners: np.ndarray, members: np.ndarray,
-                    num_owners: int, value: int) -> dict[tuple[int, int], int]:
-    """{(owner, group): value} for every cell some row's incidence marks, in
-    cell order."""
-    occupied = np.zeros(num_owners * grouping.num_groups, dtype=bool)
-    occupied[grouping.cells(owners, members, num_owners)[1]] = True
-    owner, group = np.divmod(np.flatnonzero(occupied), grouping.num_groups)
-    return dict.fromkeys(zip(owner.tolist(), group.tolist()), value)
+def _table_of(entries: dict[tuple[int, int], int], name: str) -> np.ndarray:
+    """The ``name`` side's dict as a table, checked entry by entry in order."""
+    rows = []
+    for key, value in entries.items():
+        if not (isinstance(key, tuple) and len(key) == 2
+                and _integer_type(type(key[0])) and _integer_type(type(key[1]))):
+            raise GraphError(f"{name} threshold key {key!r} is not a pair of integers")
+        if not _integer_type(type(value)):
+            raise GraphError(f"{name} threshold {key} is not an integer: {value!r}")
+        if value < 0:
+            raise GraphError(f"{name} threshold {key} is negative: {value}")
+        rows.append((min(value, MAX_THRESHOLD), *key))
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    value, owner, group = rows[(rows[:, 1:] >= 0).all(axis=1)].T
+    table = np.zeros((owner.max(initial=-1) + 1, group.max(initial=-1) + 1), dtype=np.int32)
+    table[owner, group] = value
+    return table
 
 
-def threshold_cells(table: dict[tuple[int, int], int], num_owners: int,
-                    width: int) -> np.ndarray:
+def _incident_table(grouping: Grouping, owners: np.ndarray, members: np.ndarray,
+                    num_owners: int, value: int, name: str) -> np.ndarray:
+    """``value`` in every cell some row's incidence marks, 0 elsewhere; a
+    bad value raises the error the smallest marked pair's entry would."""
+    table = np.zeros((num_owners, grouping.num_groups), dtype=np.int32)
+    cells = grouping.cells(owners, members, num_owners)[1]
+    if len(cells):
+        first = divmod(int(cells.min()), grouping.num_groups)
+        table.ravel()[cells] = _table_of({first: value}, name)[first]  # ravel: a view, not a copy
+    return table
+
+
+def _entries(table: np.ndarray) -> dict[tuple[int, int], int]:
+    owner, group = np.nonzero(table)
+    return dict(zip(zip(owner.tolist(), group.tolist()), table[owner, group].tolist()))
+
+
+def _entry(table: np.ndarray, owner: int, group: int) -> int:
+    rows, width = table.shape
+    return table.item(owner, group) if 0 <= owner < rows and 0 <= group < width else 0
+
+
+def threshold_cells(table: np.ndarray, num_owners: int, width: int) -> np.ndarray:
     """Each cell's threshold over ``num_owners`` owners and ``width``
-    groups, as int32: 0 where ``table`` has no entry.  An entry whose owner
-    or group falls outside the table names a pair no row has, and is
-    dropped; a value past 2**31 - 1, past any degree, is clamped to it."""
-    cells, values = [], []
-    most = 2**31 - 1
-    for (owner, group), value in table.items():
-        if 0 <= owner < num_owners and 0 <= group < width:
-            cells.append(owner * width + group)
-            values.append(value if value < most else most)
-    threshold = np.zeros(num_owners * width, dtype=np.int32)
-    threshold[np.fromiter(cells, np.int64, len(cells))] = np.fromiter(values, np.int32,
-                                                                     len(values))
-    return threshold
+    groups, as a fresh int32 array: the block of ``table`` those span, 0
+    past its edge.  Entries outside the block name pairs no row has."""
+    block = table[:num_owners, :width]
+    return np.pad(block, ((0, num_owners - len(block)), (0, width - block.shape[1]))).ravel()
 
 
 @dataclass(frozen=True)
@@ -520,8 +554,9 @@ class Solution:
         index = np.array(edge_indices[:faults.stop])
         faults.check((index < 0) | (index >= graph.num_edges), lambda k: GraphError(
             f"edge index {edge_indices[k]} is out of range for {graph.num_edges} edges"))
-        users = graph.edge_user[index[:faults.stop].astype(np.int64)].tolist()
-        for edge_index, u in zip(edge_indices, users):
+        index = index[:faults.stop].astype(np.int64)
+        users = graph.edge_user[index].tolist()
+        for edge_index, u in zip(index.tolist(), users):
             if edge_index in self._selected_set:
                 raise DuplicateEdgeError(f"edge {edge_index} already selected")
             lst = self.selected[u]
@@ -585,13 +620,13 @@ def eval_objective(sol: Solution, thresholds: ThresholdTable, params: DivParams)
     chosen = np.fromiter(sol._selected_set, dtype=np.int64, count=sol.num_selected())
     g = sol.graph
     users, items = g.edge_user[chosen], g.edge_item[chosen]
-    tu = _capped_degree_sum(users, items, g.num_users, sol.item_cats, thresholds.user_category)
-    ti = _capped_degree_sum(items, users, g.num_items, sol.user_types, thresholds.item_type)
+    tu = _capped_degree_sum(users, items, g.num_users, sol.item_cats, thresholds.rho_table)
+    ti = _capped_degree_sum(items, users, g.num_items, sol.user_types, thresholds.lam_table)
     return params.beta * tu + params.mu * ti + sol.relevance()
 
 
 def _capped_degree_sum(owners: np.ndarray, members: np.ndarray, num_owners: int,
-                       grouping: Grouping, table: dict[tuple[int, int], int]) -> int:
+                       grouping: Grouping, table: np.ndarray) -> int:
     """Sum over (owner, group) cells of min(threshold, degree), where a
     cell's degree counts the k with ``owners[k] == owner`` and ``group`` in
     ``grouping.groups_of(members[k])``."""

@@ -201,7 +201,7 @@ def _pair_indexes(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
     side then one block of whole users at a time, each block at most
     ``_CHUNK`` edges unless one user has more."""
     it = _PairIndex(user_types, graph.edge_user, graph.edge_item, graph.num_items,
-                    thresholds.item_type, [(0, graph.num_edges, 0, graph.num_items)])
+                    thresholds.lam_table, [(0, graph.num_edges, 0, graph.num_items)])
     offsets = graph.user_offsets.tolist()
     blocks = []
     first = 0
@@ -210,7 +210,7 @@ def _pair_indexes(graph: RecGraph, user_types: Grouping, item_cats: Grouping,
         blocks.append((offsets[first], offsets[end], first, end))
         first = end
     uc = _PairIndex(item_cats, graph.edge_item, graph.edge_user, graph.num_users,
-                    thresholds.user_category, blocks)
+                    thresholds.rho_table, blocks)
     return uc, it
 
 
@@ -239,7 +239,7 @@ class _PairIndex:
     Each temporary is dropped as soon as it is used."""
 
     def __init__(self, grouping: Grouping, members: np.ndarray, owners: np.ndarray,
-                 num_owners: int, table: dict[tuple[int, int], int], blocks):
+                 num_owners: int, table: np.ndarray, blocks):
         width = self.width = grouping.num_groups
         threshold = threshold_cells(table, num_owners, width)
         self.threshold = memoryview(threshold)

@@ -1,12 +1,15 @@
 import concurrent.futures
 import csv
+import hashlib
 import json
 import random
 
 import pytest
 
 from recdiv.cli import main
+from recdiv.data import save_grouping
 from recdiv.metrics import REPORT_FIELDS
+from recdiv.synth import movielens_shaped
 
 CANDIDATES = """\
 u1\tv1\t0.9
@@ -149,6 +152,35 @@ def test_derive_thresholds(workdir):
         if side == "user":
             per_user[eid] = per_user.get(eid, 0) + int(v)
     assert all(total == 2 for total in per_user.values())
+
+
+def test_derived_threshold_file_bytes_are_pinned(tmp_path):
+    """The bytes derive-thresholds writes for a fixed instance and fold,
+    recorded when each side was a dict of its positive shares: 16 user rows
+    (overlapping categories) and 10 item rows (a budget of 2 per item)."""
+    graph, ut, ic = movielens_shaped(num_users=8, num_items=5, candidates_per_user=5,
+                                     num_cats=3, num_types=2, seed=3)
+    users, items = graph.edge_user.tolist(), graph.edge_item.tolist()
+    with open(tmp_path / "candidates.tsv", "w", encoding="utf-8") as fh:
+        for u, j, rel in zip(users, items, graph.edge_rel.tolist()):
+            fh.write(f"{graph.user_ids[u]}\t{graph.item_ids[j]}\t{rel!r}\n")
+    with open(tmp_path / "train.tsv", "w", encoding="utf-8") as fh:
+        for e in range(0, graph.num_edges, 2):
+            fh.write(f"{graph.user_ids[users[e]]}\t{graph.item_ids[items[e]]}\t{e % 5 + 1}\n")
+    save_grouping(ic, graph.item_ids, tmp_path / "cats.tsv")
+    save_grouping(ut, graph.user_ids, tmp_path / "types.tsv")
+    out = tmp_path / "thresholds.tsv"
+    assert main(["derive-thresholds", "--candidates", str(tmp_path / "candidates.tsv"),
+                 "--categories", str(tmp_path / "cats.tsv"),
+                 "--types", str(tmp_path / "types.tsv"), "--train", str(tmp_path / "train.tsv"),
+                 "--constraint", "5", "--output", str(out)]) == 0
+    written = out.read_bytes()
+    assert written.startswith(b"user\tu0\tC2\t3\nuser\tu0\tC0\t4\n")
+    assert written.endswith(b"item\tv4\tT1\t1\nitem\tv4\tT0\t1\n")
+    sides = [row.split(b"\t")[0] for row in written.splitlines()]
+    assert sides == [b"user"] * 16 + [b"item"] * 10 and len(written) == 338
+    assert hashlib.sha256(written).hexdigest() == (
+        "898dfc2a18847f1a93991426dbcdeedb39cca13736573bf6fc4c890efbe08a28")
 
 
 def test_derive_thresholds_ignores_a_config_thresholds_file(workdir):

@@ -259,12 +259,22 @@ def test_derive_item_thresholds_budget_trace():
 # threshold and solution round trips
 
 def test_threshold_round_trip(tmp_path):
-    th = ThresholdTable({(0, 1): 2}, {(1, 0): 3})
+    # a zero entry is the same as no entry, and is not written
+    th = ThresholdTable({(0, 1): 2, (1, 1): 0}, {(1, 0): 3})
     p = tmp_path / "th.tsv"
     save_thresholds(th, p, ["u1", "u2"], ["v1", "v2"], ["X", "Y"], ["A", "B"])
+    assert p.read_text() == "user\tu1\tB\t2\nitem\tv2\tX\t3\n"
     back = load_thresholds(p, ["u1", "u2"], ["v1", "v2"], ["X", "Y"], ["A", "B"])
     assert back.user_category == th.user_category
     assert back.item_type == th.item_type
+
+
+def test_load_thresholds_holds_values_past_int32(tmp_path):
+    p = _write(tmp_path, "th.tsv", "user\tu1\tA\t1000000000000\nuser\tu2\tA\t0\n"
+                                   "item\tv1\tX\t100000000000000000000000\n")
+    th = load_thresholds(p, ["u1", "u2"], ["v1"], ["X"], ["A"])
+    assert th.user_category == {(0, 0): 2**31 - 1} == th.item_type
+    assert th.rho(1, 0) == 0 and th.skipped_rows == 0
 
 
 def test_load_thresholds_rejects_bad_side(tmp_path):

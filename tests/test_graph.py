@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import tracemalloc
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from recdiv.errors import CapacityError, DuplicateEdgeError, GraphError, GroupingError
+from recdiv.flownet import solve_tdiv
 from recdiv.graph import (
     DivParams,
     FirstFault,
@@ -170,6 +172,7 @@ def test_cells_widen_to_int64_past_int32_without_a_table(num_owners, dtype):
 def test_threshold_cells_drop_out_of_range_keys_and_clamp():
     table = {(0, 0): 2, (1, 2): 10**12, (1, 0): 0, (2, 0): 5, (0, 3): 4, (-1, 1): 3,
              (1, -1): 7}
+    table = ThresholdTable(table).rho_table
     threshold = threshold_cells(table, 2, 3)
     assert threshold.tolist() == [2, 0, 0, 0, 0, 2**31 - 1]
     assert threshold.dtype == np.int32
@@ -197,6 +200,81 @@ def test_thresholds_default_zero_and_reject_negative():
     assert t.lam(5, 5) == 0
     with pytest.raises(GraphError):
         ThresholdTable({(0, 0): -1})
+
+
+def test_threshold_views_are_fresh_dicts_that_reach_no_solver(rng):
+    # the tables are the one representation: editing a view changes nothing
+    for i in range(40):
+        graph, ut, ic, th, params = random_instance(rng, overlapping=(i % 2 == 0))
+        before = greedy_solve(graph, ut, ic, th, params).selected
+        kept = th.user_category
+        view = th.user_category
+        assert view is not kept
+        view.clear()
+        th.item_type[(0, 0)] = 0
+        sol = greedy_solve(graph, ut, ic, th, params)
+        assert sol.selected == before and th.user_category == kept
+        scratch = (params.beta * tudiv(sol, ic, th) + params.mu * tidiv(sol, ut, th)
+                   + sol.relevance())
+        assert eval_objective(sol, th, params) == pytest.approx(scratch, abs=1e-12)
+
+
+def test_threshold_tables_are_read_only_int32(three_item_graph):
+    graph, ut, ic, _ = three_item_graph
+    for th in (ThresholdTable({(0, 0): 2}, {(1, 0): 1}),
+               ThresholdTable.uniform(graph, ut, ic, rho=2, lam=1)):
+        for table in (th.rho_table, th.lam_table):
+            assert table.dtype == np.int32
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 5
+
+
+def test_threshold_lookups_outside_the_table_are_zero():
+    # a negative index must not wrap to the table's far edge
+    th = ThresholdTable({(0, 0): 2, (1, 2): 3}, {(0, 1): 4})
+    assert th.rho_table.shape == (2, 3) and th.lam_table.shape == (1, 2)
+    assert th.rho(-1, 2) == th.rho(1, -1) == th.rho(-1, 0) == th.rho(0, -1) == 0
+    assert th.rho(2, 0) == th.rho(0, 3) == th.lam(1, 1) == th.lam(0, 2) == th.lam(-1, 1) == 0
+    assert (th.rho(1, 2), th.lam(0, 1)) == (3, 4)
+    assert type(th.rho(1, 2)) is int
+
+
+def test_threshold_dicts_drop_negative_keys_and_hold_huge_values():
+    th = ThresholdTable({(-1, 0): 5, (0, -2): 1, (1, 1): 10**12, (0, 0): 0}, {(2**40, -1): 1})
+    assert th.rho_table.shape == (2, 2) and th.lam_table.shape == (0, 0)
+    assert th.user_category == {(1, 1): 2**31 - 1}
+    assert th.item_type == {}
+
+
+def _all_pairs(num_owners: int, width: int, value: int) -> dict[tuple[int, int], int]:
+    return dict.fromkeys([(o, g) for o in range(num_owners) for g in range(width)], value)
+
+
+def test_huge_threshold_is_no_cap(rng):
+    # 10**12 is held as 2**31 - 1; a cap past every flow acts the same
+    for _ in range(60):
+        graph, ut, ic, _, params = random_instance(rng)
+        tables = []
+        for value in (10**12, sum(graph.display_constraints) + graph.num_edges):
+            tables.append(ThresholdTable(
+                _all_pairs(graph.num_users, ic.num_groups, value),
+                _all_pairs(graph.num_items, ut.num_groups, value)))
+        huge, cap = tables
+        for solve in (greedy_solve, solve_tdiv):
+            a, b = solve(graph, ut, ic, huge, params), solve(graph, ut, ic, cap, params)
+            assert a.selected == b.selected
+            assert eval_objective(a, huge, params) == eval_objective(b, cap, params)
+
+
+def test_zero_threshold_entry_is_a_missing_entry(rng):
+    for _ in range(60):
+        graph, ut, ic, th, params = random_instance(rng)
+        sparse = ThresholdTable(th.user_category, th.item_type)
+        assert 0 not in th.user_category.values() and 0 not in th.item_type.values()
+        for solve in (greedy_solve, solve_tdiv):
+            a, b = solve(graph, ut, ic, th, params), solve(graph, ut, ic, sparse, params)
+            assert a.selected == b.selected
+            assert eval_objective(a, th, params) == eval_objective(b, sparse, params)
 
 
 @pytest.mark.parametrize("value", [1.5, 2.0, math.nan, "2"])
@@ -406,6 +484,14 @@ def test_add_edges_rejects_a_non_integer_index(index):
     with pytest.raises(GraphError, match=f"edge index {index!r} is not an integer"):
         sol.add_edges([np.int64(1), index])
     assert sol.selected == [[1]]
+
+
+def test_add_edges_stores_python_ints():
+    sol = new_solution(_two_edge_graph())
+    sol.add_edges(np.array([1, 0]))
+    assert sol.selected == [[0, 1]]
+    assert all(type(e) is int for e in sol.selected[0] + sol.edge_indices())
+    assert json.dumps(sol.selected) == "[[0, 1]]"
 
 
 def test_add_edges_batch_sorts_lists_and_stops_at_the_bad_edge():

@@ -9,17 +9,20 @@ each side kept every edge's pair ids and the loop a copy of the relevances
 (108 when the pending lists came from an argsort that returned int64
 indices).  The metric oracles' budget sits above what they take (9.5) and
 below the 36 they took when they listed the whole item column.
-Uniform thresholds take 31.9 bytes per edge, their two dicts included, with
-each side's pairs read off one bool table of occupied cells.  They took 42.8
-when each side also numbered every incidence with a compacted pair id, and
-63.7 when each side's distinct pairs were found through ``np.unique`` on
-int64 keys.  A built graph's budget sits above what it keeps (16.2 bytes
-per edge: the three edge columns, the offsets and the id lists) and below
-the 24.2 it kept with a per-user edge permutation.  Generating the instance
-peaks at 57.5 bytes per edge, with the relevances rounded in numpy, the
-generator's temporaries freed before the graph is built and its duplicate
-check one sort; it took 107.9 when each relevance went through Python's
-``round``, the temporaries stayed alive and ``np.unique`` found repeats.
+Uniform thresholds peak at 27.4 bytes per edge and keep 0.72: one int32
+owner-by-group table per side, filled from each incidence's cell.  Their
+kept budget sits above that and below the 18.3 they kept (peaking at 31.9)
+as two dicts of (owner, group) keys read off a bool table of occupied
+cells.  They peaked at 42.8 when each side also numbered every incidence
+with a compacted pair id, and at 63.7 when each side's distinct pairs were
+found through ``np.unique`` on int64 keys.  A built graph's budget sits
+above what it keeps (16.2 bytes per edge: the three edge columns, the
+offsets and the id lists) and below the 24.2 it kept with a per-user edge
+permutation.  Generating the instance peaks at 57.5 bytes per edge, with
+the relevances rounded in numpy, the generator's temporaries freed before
+the graph is built and its duplicate check one sort; it took 107.9 when
+each relevance went through Python's ``round``, the temporaries stayed
+alive and ``np.unique`` found repeats.
 """
 
 import tracemalloc
@@ -81,6 +84,18 @@ def test_uniform_thresholds_peak_per_edge(instance):
     peak = _traced_peak(
         lambda: ThresholdTable.uniform(graph, user_types, item_cats, rho=2, lam=2))
     assert peak / graph.num_edges <= 40
+
+
+def test_uniform_thresholds_keep_two_small_tables(instance):
+    graph, user_types, item_cats, _ = instance
+    tracemalloc.start()
+    try:
+        thresholds = ThresholdTable.uniform(graph, user_types, item_cats, rho=2, lam=2)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert thresholds.rho(0, 0) in (0, 2)
+    assert kept / graph.num_edges <= 2
 
 
 def test_metric_oracles_read_only_the_selection(instance):

@@ -115,9 +115,10 @@ def cmd_split(args) -> int:
     ratings = dio.load_ratings(args.ratings)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for fold, (train, test) in enumerate(dio.split_folds(ratings, spec)):
-        dio.save_ratings(train, outdir / f"train_{fold}.tsv")
-        dio.save_ratings(test, outdir / f"test_{fold}.tsv")
+    # each fold's subsets are written and let go before the next are made
+    for fold, test in enumerate(dio.fold_tests(ratings, spec)):
+        dio.save_ratings(ratings.subset(~test), outdir / f"train_{fold}.tsv")
+        dio.save_ratings(ratings.subset(test), outdir / f"test_{fold}.tsv")
     print(f"wrote {2 * spec.folds} fold files to {outdir}")
     return 0
 

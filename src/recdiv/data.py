@@ -20,7 +20,12 @@ each line's separators with ``str.count``, splits the block once and hands
 the loader the block's rows as columns of field strings, taken from the
 split by stride slicing: it makes no list or tuple per row, and keeps a
 row's line number only for error messages.  Loaders parse numbers with
-``map``, code ids with ``dict.fromkeys`` and check rows as arrays.
+``map``, code ids with ``dict.fromkeys`` and check rows as arrays.  A
+block's strings take over ten times its text, so a load's transient
+memory is one block's strings plus the columns it keeps, int32 codes and
+line numbers among them.  Blocks of 2**18 characters, about 10k rows of a
+candidate file, hold a 125k-row load's traced peak to 68 bytes per row
+(159 with blocks of 2**20), at no cost in time.
 
 Ratings and candidates are triple files, ``user, item, number`` rows
 that may carry extra columns and a header line.  Both read through
@@ -49,16 +54,16 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from itertools import compress, filterfalse, repeat
+from itertools import chain, compress, filterfalse, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError, GraphError
 from .graph import (MAX_THRESHOLD, FirstFault, Grouping, RecGraph, Solution, ThresholdTable,
-                    first_rows, has_repeats)
+                    first_rows, has_repeats, index_dtype)
 
-BLOCK_CHARS = 1 << 20  # characters of text read per block
+BLOCK_CHARS = 1 << 18  # characters of text read per block
 _WRITE_ROWS = 1 << 15  # rows formatted per write
 
 _TAB = ("\t",)
@@ -182,7 +187,8 @@ def _split_block(path, text: str, end: bool, first_line: int, width: int, seps,
     else:
         columns = [list(map(flat.__getitem__, (starts[rows] + j).tolist()))
                    for j in range(width)]
-    return _Block(path, columns, rows + first_line, faults.error), n, rest
+    return (_Block(path, columns, (rows + first_line).astype(index_dtype(first_line + n)),
+                   faults.error), n, rest)
 
 
 def _read(path, convert, width: int, seps=_TAB, triples: bool = False
@@ -247,10 +253,10 @@ def _not_a(kind, text: str) -> bool:
 
 def _codes(code: dict[str, int], names: list[str]) -> np.ndarray:
     """The code of each name in ``code``, after numbering the names not in
-    it yet in order of first appearance."""
+    it yet in order of first appearance: int32 while the codes fit."""
     fresh = list(filterfalse(code.__contains__, dict.fromkeys(names)))
     code.update(zip(fresh, range(len(code), len(code) + len(fresh))))
-    return np.fromiter(map(code.__getitem__, names), np.int64, len(names))
+    return np.fromiter(map(code.__getitem__, names), index_dtype(len(code)), len(names))
 
 
 def _indices(index: dict[str, int], names) -> np.ndarray:
@@ -305,7 +311,7 @@ def _read_triples(path, seps, what: str, valid, fault: str, kind):
     parts, faults = _read(path, convert, 3, seps, True)
     user, item = _concat(parts, 0), _concat(parts, 1)
     user_names, item_names = list(user_code), list(item_code)
-    keys = user * len(item_names) + item
+    keys = user.astype(np.int64) * len(item_names) + item
     if has_repeats(keys):
         faults.check(_earlier(keys) > 0, lambda row: DataFormatError(
             f"{path}:{_concat(parts, 3)[row]}: duplicate pair "
@@ -343,11 +349,24 @@ def save_ratings(dataset: RatingsDataset, path: str | Path) -> None:
 def split_folds(
     ratings: RatingsDataset, spec: SplitSpec
 ) -> list[tuple[RatingsDataset, RatingsDataset]]:
-    """Per-user random partition into ``folds`` buckets; fold f's test set is
-    bucket f restricted to users with more than ``min_ratings`` ratings.
-    Users in id order each shuffle the positions of their ratings in item
-    id order with one ``random.Random(seed)``; the rating at shuffled
-    position p goes to bucket p mod folds."""
+    """Each fold's (train, test) pair, the rows ``fold_tests`` gives the
+    fold's test set and the rest."""
+    return [(ratings.subset(~test), ratings.subset(test)) for test in fold_tests(ratings, spec)]
+
+
+def fold_tests(ratings: RatingsDataset, spec: SplitSpec):
+    """Each fold's test rows, as a mask over ``ratings``, one fold at a
+    time.  Fold f's test set is bucket f restricted to users with more than
+    ``min_ratings`` ratings.  Users in id order each shuffle the positions
+    of their ratings in item id order with one ``random.Random(seed)``; the
+    rating at shuffled position p goes to bucket p mod folds."""
+    bucket, eligible = _buckets(ratings, spec)
+    for fold in range(spec.folds):
+        yield (bucket == fold) & eligible
+
+
+def _buckets(ratings: RatingsDataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each rating's bucket, and whether its user has a test set."""
     rng = random.Random(spec.seed)
     user_code: dict[str, int] = {}
     item_code: dict[str, int] = {}
@@ -367,12 +386,7 @@ def split_folds(
         (np.arange(len(ratings)) - start) % spec.folds)
     bucket = np.empty(len(ratings), dtype=np.int64)
     bucket[order] = bucket_at
-    eligible = (sizes > spec.min_ratings)[user]
-    out = []
-    for fold in range(spec.folds):
-        test = (bucket == fold) & eligible
-        out.append((ratings.subset(~test), ratings.subset(test)))
-    return out
+    return bucket, (sizes > spec.min_ratings)[user]
 
 
 def relevant_items(test: RatingsDataset, user_ids: list[str], item_ids: list[str],
@@ -467,7 +481,7 @@ def load_candidates(
         kept = np.arange(len(user)) - group_start < top_n
         user, item, rel = user[kept], item[kept], rel[kept]
     # The kept edges of each user in item id order (no two share a key).
-    order = np.argsort(user * len(item_names) + item_rank[item])
+    order = np.argsort(user.astype(np.int64) * len(item_names) + item_rank[item])
     user, item, rel = user[order], item[order], rel[order]
 
     new_user = np.cumsum(kept_user) - 1
@@ -641,16 +655,17 @@ def load_thresholds(
 
 
 def save_solution(sol: Solution, path: str | Path, method: str) -> None:
+    """One line per selected edge, users in order, each user's edges in
+    ``sol.selected`` order; only the selected edges' entries of the
+    columns are read."""
     graph = sol.graph
-    item = graph.edge_item.tolist()
-    rel = graph.edge_rel.tolist()
+    edges = np.fromiter(chain.from_iterable(sol.selected), np.int64)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u in range(graph.num_users):
-            for eidx in sol.selected[u]:
-                fh.write(
-                    f"{graph.user_ids[u]}\t{graph.item_ids[item[eidx]]}\t"
-                    f"{rel[eidx]:.10g}\t{method}\n"
-                )
+        fh.writelines(
+            f"{graph.user_ids[u]}\t{graph.item_ids[item]}\t{rel:.10g}\t{method}\n"
+            for u, item, rel in zip(graph.edge_user[edges].tolist(),
+                                    graph.edge_item[edges].tolist(),
+                                    graph.edge_rel[edges].tolist()))
 
 
 def _edge_finder(graph: RecGraph):

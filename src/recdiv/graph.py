@@ -113,7 +113,7 @@ class _Adjacency(Sequence):
         return tuple(range(self._offsets[i], self._offsets[i + 1]))
 
 
-def _index_dtype(largest: int) -> type:
+def index_dtype(largest: int) -> type:
     """int32 if it holds every value up to ``largest``, else int64."""
     return np.int32 if largest < 2**31 else np.int64
 
@@ -122,7 +122,7 @@ def csr_offsets(ids: np.ndarray, size: int) -> np.ndarray:
     """Offsets of rows grouped by id in increasing id order: the rows of
     id i are ``offsets[i]:offsets[i + 1]``; int32 unless there are too many
     rows for it."""
-    offsets = np.zeros(size + 1, dtype=_index_dtype(len(ids)))
+    offsets = np.zeros(size + 1, dtype=index_dtype(len(ids)))
     np.cumsum(np.bincount(ids, minlength=size), out=offsets[1:])
     return offsets
 
@@ -361,7 +361,7 @@ class Grouping:
         start, count = self.offsets[entity], np.diff(self.offsets)[entity]
         del entity
         total = int(count.sum(dtype=np.int64))
-        index = _index_dtype(max(len(entities), total, len(self.flat)))
+        index = index_dtype(max(len(entities), total, len(self.flat)))
         # pair k of position p reads flat[start[p] + k - (first pair of p)]
         skip = np.cumsum(count, dtype=index)
         skip -= count
@@ -381,7 +381,7 @@ class Grouping:
         below ``num_owners``: int32 while the table has under 2**31 cells."""
         position, group = self.expand(members)
         cell = np.asarray(owners)[position].astype(
-            _index_dtype(num_owners * self.num_groups), copy=False)
+            index_dtype(num_owners * self.num_groups), copy=False)
         cell *= self.num_groups
         cell += group
         return position, cell
@@ -392,7 +392,7 @@ class Grouping:
         member has no group included), groups in order of first
         appearance."""
         owners = np.asarray(owners)
-        _, cell = self.cells(owners, members, int(owners.max()) + 1 if len(owners) else 0)
+        cell = self.cells(owners, members, int(owners.max()) + 1 if len(owners) else 0)[1]
         _, first, count = np.unique(cell, return_index=True, return_counts=True)
         order = np.argsort(first)
         counts: dict[int, dict[int, int]] = {o: {} for o in owners[first_rows(owners)].tolist()}
@@ -414,7 +414,9 @@ class ThresholdTable:
     The constructor takes those dicts as its input format and checks them
     entry by entry.  A value past 2**31 - 1, past any degree, is held as
     2**31 - 1; a key with a negative owner or group names a pair no edge
-    has, and is dropped; the table spans the largest key left.  Bulk
+    has, and is dropped; the table spans the largest key left, and a key
+    past 2**31 - 1, the int32 index range, raises before any table is
+    allocated.  Bulk
     builders pass the two int32 tables through ``tables`` instead, unchecked."""
 
     def __init__(
@@ -466,6 +468,9 @@ def _table_of(entries: dict[tuple[int, int], int], name: str) -> np.ndarray:
         if not (isinstance(key, tuple) and len(key) == 2
                 and _integer_type(type(key[0])) and _integer_type(type(key[1]))):
             raise GraphError(f"{name} threshold key {key!r} is not a pair of integers")
+        if min(key) >= 0 and max(key) > MAX_THRESHOLD:
+            raise GraphError(f"{name} threshold key {key} is past {MAX_THRESHOLD}, "
+                             "the int32 index range")
         if not _integer_type(type(value)):
             raise GraphError(f"{name} threshold {key} is not an integer: {value!r}")
         if value < 0:
@@ -587,15 +592,14 @@ class Solution:
         """Per-user item lists ranked by relevance descending (ties by edge
         index), truncated to k.  Used to apply rank cutoffs to the otherwise
         unordered selection."""
-        rel = self.graph.edge_rel.tolist()
-        item = self.graph.edge_item.tolist()
-        out = []
-        for u in range(self.graph.num_users):
-            es = sorted(self.selected[u], key=lambda e: (-rel[e], e))
-            if k is not None:
-                es = es[:k]
-            out.append([item[e] for e in es])
-        return out
+        sizes = list(map(len, self.selected))
+        chosen = np.fromiter(chain.from_iterable(self.selected), np.int64, sum(sizes))
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        # only the selected edges' entries of the columns are read
+        order = np.lexsort((chosen, -self.graph.edge_rel[chosen], owner))
+        items = self.graph.edge_item[chosen[order]].tolist()
+        bounds = np.cumsum([0, *sizes]).tolist()
+        return [items[a:b][:k] for a, b in zip(bounds, bounds[1:])]
 
 
 def new_solution(

@@ -17,7 +17,9 @@ Conventions documented here because the literature varies:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -168,29 +170,62 @@ def ild(lists: Lists, item_cats: Grouping) -> float:
     return total / len(lists)
 
 
-@dataclass
+class _UserRelevances(Sequence):
+    """``intent.norm_rel``: entry u is user u's {item: normalized
+    relevance} dict, built from the columns on each access.  It compares
+    equal to the list of those dicts."""
+
+    def __init__(self, items: np.ndarray, rels: np.ndarray, offsets: np.ndarray):
+        self._items, self._rels, self._offsets = items, rels, offsets
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, index: int) -> dict[int, float]:
+        u = range(len(self))[index]
+        a, b = self._offsets[u], self._offsets[u + 1]
+        return dict(zip(self._items[a:b].tolist(), self._rels[a:b].tolist()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    __hash__ = None
+
+
 class IntentProfile:
     """Per-user category probabilities and normalized [0,1] relevances.
 
     ``category_probs[u]`` maps category index -> p(category);
-    ``norm_rel[u]`` maps item index -> normalized relevance.
+    ``norm_rel[u]`` maps item index -> normalized relevance.  The
+    relevances are held as columns, one entry per (user, item) pair, and
+    ``norm_rel`` is a view that builds a user's dict when ``err_ia`` or
+    ``xquad`` reads that user, so the profile keeps 8 bytes per candidate
+    edge, not a dict entry.
+
+    The constructor takes ``norm_rel`` as a list of dicts and checks it;
+    ``from_graph`` passes the columns (items, relevances, CSR offsets over
+    users) through ``columns`` instead, unchecked.
     """
 
-    category_probs: list[dict[int, float]]
-    norm_rel: list[dict[int, float]]
-
-    def __post_init__(self):
-        for u, probs in enumerate(self.category_probs):
+    def __init__(self, category_probs: list[dict[int, float]],
+                 norm_rel: list[dict[int, float]] = (), *, columns: tuple | None = None):
+        for u, probs in enumerate(category_probs):
             if probs:
                 s = sum(probs.values())
                 if abs(s - 1.0) > 1e-9:
                     raise GraphError(f"user {u} intent probabilities sum to {s}")
-        for u, rels in enumerate(self.norm_rel):
-            for item, r in rels.items():
-                if not (0.0 <= r <= 1.0):
-                    raise GraphError(
-                        f"user {u} normalized relevance for item {item} is {r}"
-                    )
+        if columns is None:
+            for u, rels in enumerate(norm_rel):
+                for item, r in rels.items():
+                    if not (0.0 <= r <= 1.0):
+                        raise GraphError(
+                            f"user {u} normalized relevance for item {item} is {r}"
+                        )
+            columns = (np.fromiter(chain.from_iterable(norm_rel), np.int64),
+                       np.fromiter(chain.from_iterable(map(dict.values, norm_rel)), np.float64),
+                       np.cumsum([0, *map(len, norm_rel)]))
+        self.category_probs = category_probs
+        self.norm_rel = _UserRelevances(*columns)
 
     @classmethod
     def from_graph(cls, graph, item_cats: Grouping) -> "IntentProfile":
@@ -198,6 +233,10 @@ class IntentProfile:
         user's candidate items; relevances min-max normalized over the
         whole candidate set.  Both dicts of a user are in order of first
         occurrence over the user's edges by index."""
+        probs: list[dict[int, float]] = [{} for _ in range(graph.num_users)]
+        for u, counts in item_cats.tally(graph.edge_user, graph.edge_item).items():
+            total = sum(counts.values())
+            probs[u] = {a: count / total for a, count in counts.items()}
         rel = graph.edge_rel
         lo, hi = 0.0, 1.0
         if len(rel):
@@ -206,14 +245,7 @@ class IntentProfile:
             lo, hi = rel[np.argmin(rel)], rel[np.argmax(rel)]
         span = hi - lo
         norm = (rel - lo) / span if span > 0 else np.ones(len(rel))
-        keys, values, bounds = (graph.edge_item.tolist(), norm.tolist(),
-                                graph.user_offsets.tolist())
-        norm_rel = [dict(zip(keys[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
-        probs: list[dict[int, float]] = [{} for _ in range(graph.num_users)]
-        for u, counts in item_cats.tally(graph.edge_user, graph.edge_item).items():
-            total = sum(counts.values())
-            probs[u] = {a: count / total for a, count in counts.items()}
-        return cls(probs, norm_rel)
+        return cls(probs, columns=(graph.edge_item, norm, graph.user_offsets))
 
 
 def err_ia(lists: Lists, intent: IntentProfile, item_cats: Grouping) -> float:

@@ -3,9 +3,11 @@ import csv
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 
+from recdiv import data as dio
 from recdiv.cli import main
 from recdiv.data import save_grouping
 from recdiv.metrics import REPORT_FIELDS
@@ -109,6 +111,25 @@ def test_split_writes_fold_files(tmp_path):
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert main(argv) == 0
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_split_holds_one_fold_at_a_time(tmp_path, monkeypatch):
+    """split lets go of a fold's subsets before it makes the next fold's,
+    so it never holds two folds' subsets."""
+    ratings = "".join(f"u{u}\tv{j}\t{1 + j % 5}\n" for u in range(3) for j in range(12))
+    (tmp_path / "ratings.tsv").write_text(ratings)
+    save, saved = dio.save_ratings, []
+
+    def save_ratings(dataset, path):
+        fold = path.stem.split("_")[1]
+        assert [f for f, ref in saved if ref() is not None and f != fold] == []
+        saved.append((fold, weakref.ref(dataset)))
+        save(dataset, path)
+
+    monkeypatch.setattr(dio, "save_ratings", save_ratings)
+    assert main(["split", "--ratings", str(tmp_path / "ratings.tsv"), "--output-dir",
+                 str(tmp_path / "folds"), "--folds", "4", "--min-ratings", "1"]) == 0
+    assert len(saved) == 8
 
 
 def test_split_single_fold_is_usage_error(tmp_path):

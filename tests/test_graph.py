@@ -246,6 +246,19 @@ def test_threshold_dicts_drop_negative_keys_and_hold_huge_values():
     assert th.item_type == {}
 
 
+@pytest.mark.parametrize("key", [(2**40, 0), (2**70, 0), (0, 2**31)])
+def test_threshold_key_past_int32_is_graph_error(key):
+    # raised before a table of 2**40 rows is allocated
+    for entries in (({key: 1}, None), (None, {key: 1})):
+        with pytest.raises(GraphError, match=rf"key \({key[0]}, {key[1]}\) is past"):
+            ThresholdTable(*entries)
+
+
+def test_threshold_key_within_int32_builds():
+    th = ThresholdTable({(10**6, 3): 1})
+    assert th.rho_table.shape == (10**6 + 1, 4) and th.user_category == {(10**6, 3): 1}
+
+
 def _all_pairs(num_owners: int, width: int, value: int) -> dict[tuple[int, int], int]:
     return dict.fromkeys([(o, g) for o in range(num_owners) for g in range(width)], value)
 
@@ -774,3 +787,20 @@ def test_uniform_thresholds_match_edge_by_edge_oracle(rng):
         # the same pairs, in increasing (entity, group) order
         assert list(table.user_category.items()) == sorted(uc.items())
         assert list(table.item_type.items()) == sorted(it.items())
+
+
+def test_ranked_lists_match_a_sort_of_each_users_edges(rng):
+    # relevance descending, ties by edge index, cut at k
+    for _ in range(100):
+        graph, ut, ic, _, _ = random_instance(rng)
+        # few distinct relevances, so that ties are common
+        graph = RecGraph(graph.user_ids, graph.display_constraints, graph.item_ids,
+                         columns=(graph.edge_user, graph.edge_item, graph.edge_rel.round(1)))
+        sol = new_solution(graph, ut, ic)
+        for u, edges in enumerate(graph.user_edges):
+            sol.add_edges(rng.sample(edges, min(len(edges), graph.display_constraints[u])))
+        rel, item = graph.edge_rel.tolist(), graph.edge_item.tolist()
+        for k in (None, 1, 2):
+            assert sol.ranked_lists(k) == [
+                [item[e] for e in sorted(edges, key=lambda e: (-rel[e], e))][:k]
+                for edges in sol.selected]

@@ -168,6 +168,16 @@ def test_intent_profile_validation():
         IntentProfile([{0: 1.0}], [{0: 1.5}])  # relevance out of range
 
 
+def test_intent_profile_reads_back_its_dicts():
+    rels = [{3: 0.5, 1: 1.0}, {}, {2: 0.0}]
+    intent = IntentProfile([{0: 1.0}, {}, {0: 1.0}], rels)
+    assert intent.norm_rel == rels and list(intent.norm_rel) == rels
+    assert list(intent.norm_rel[0]) == [3, 1]  # in the dict's order
+    assert intent.norm_rel[-1] == {2: 0.0} and intent.norm_rel != rels[:2]
+    with pytest.raises(IndexError):
+        intent.norm_rel[3]
+
+
 def test_intent_profile_from_graph():
     graph = RecGraph(["u"], [2], ["v1", "v2"], [(0, 0, 0.2), (0, 1, 0.6)])
     ic = Grouping("item", ["A", "B"], [[0], [0, 1]])

@@ -397,7 +397,8 @@ def relevant_items(test: RatingsDataset, user_ids: list[str], item_ids: list[str
     user = _indices(_positions(user_ids), test.users)
     item = _indices(_positions(item_ids), test.items)
     known = user[user >= 0]
-    relevant: dict[int, set[int]] = {u: set() for u in known[first_rows(known)].tolist()}
+    first_users = known[first_rows(known, len(user_ids))].tolist()
+    relevant: dict[int, set[int]] = {u: set() for u in first_users}
     hit = (user >= 0) & (item >= 0) & (test.ratings >= cutoff)
     order = np.argsort(user[hit], kind="stable")
     user, item = user[hit][order], item[hit][order]
@@ -485,7 +486,7 @@ def load_candidates(
     user, item, rel = user[order], item[order], rel[order]
 
     new_user = np.cumsum(kept_user) - 1
-    first_use = first_rows(item)
+    first_use = first_rows(item, len(item_names))
     new_item = np.empty(len(item_names), dtype=np.int64)
     new_item[item[first_use]] = np.arange(len(first_use))
     graph = RecGraph(

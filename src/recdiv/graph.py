@@ -127,11 +127,16 @@ def csr_offsets(ids: np.ndarray, size: int) -> np.ndarray:
     return offsets
 
 
-def first_rows(keys: np.ndarray) -> np.ndarray:
+def first_rows(keys: np.ndarray, bound: int) -> np.ndarray:
     """The row of each distinct key's first appearance, in increasing
-    order: ``keys[first_rows(keys)]`` lists the distinct keys in order of
-    first appearance."""
-    _, first = np.unique(keys, return_index=True)
+    order: ``keys[first_rows(keys, bound)]`` lists the distinct keys in
+    order of first appearance.  The keys are codes in ``range(bound)``:
+    each code's first row is its least, found in a table of ``bound``
+    entries with no sort of the keys."""
+    rows = len(keys)
+    first = np.full(bound, rows, dtype=index_dtype(rows))
+    np.minimum.at(first, keys, np.arange(rows, dtype=first.dtype))
+    first = first[first < rows]
     first.sort()
     return first
 
@@ -392,10 +397,12 @@ class Grouping:
         member has no group included), groups in order of first
         appearance."""
         owners = np.asarray(owners)
-        cell = self.cells(owners, members, int(owners.max()) + 1 if len(owners) else 0)[1]
+        num_owners = int(owners.max()) + 1 if len(owners) else 0
+        cell = self.cells(owners, members, num_owners)[1]
         _, first, count = np.unique(cell, return_index=True, return_counts=True)
         order = np.argsort(first)
-        counts: dict[int, dict[int, int]] = {o: {} for o in owners[first_rows(owners)].tolist()}
+        first_owners = owners[first_rows(owners, num_owners)].tolist()
+        counts: dict[int, dict[int, int]] = {o: {} for o in first_owners}
         for k, c in zip(cell[first[order]].tolist(), count[order].tolist()):
             counts[k // self.num_groups][k % self.num_groups] = c
         return counts
@@ -416,8 +423,11 @@ class ThresholdTable:
     2**31 - 1; a key with a negative owner or group names a pair no edge
     has, and is dropped; the table spans the largest key left, and a key
     past 2**31 - 1, the int32 index range, raises before any table is
-    allocated.  Bulk
-    builders pass the two int32 tables through ``tables`` instead, unchecked."""
+    allocated.  Bulk builders pass the two owner-by-group tables through
+    ``tables`` instead; each must be 2-d, of an integer dtype (not bool)
+    and nonnegative, is held as an int32 copy with values past 2**31 - 1
+    clamped, and a fault raises naming the side and the first bad cell in
+    row-major order.  The dicts take that path too."""
 
     def __init__(
         self,
@@ -427,7 +437,9 @@ class ThresholdTable:
     ):
         if tables is None:
             tables = (_table_of(user_category or {}, "user"), _table_of(item_type or {}, "item"))
-        self.rho_table, self.lam_table = map(_frozen, tables)
+        rho_table, lam_table = tables
+        self.rho_table = _frozen(_checked_table(rho_table, "user"))
+        self.lam_table = _frozen(_checked_table(lam_table, "item"))
 
     @property
     def user_category(self) -> dict[tuple[int, int], int]:
@@ -481,6 +493,22 @@ def _table_of(entries: dict[tuple[int, int], int], name: str) -> np.ndarray:
     table = np.zeros((owner.max(initial=-1) + 1, group.max(initial=-1) + 1), dtype=np.int32)
     table[owner, group] = value
     return table
+
+
+def _checked_table(table, name: str) -> np.ndarray:
+    """The ``name`` side's table as a fresh int32 array, checked whole."""
+    table = np.asarray(table)
+    if table.ndim != 2:
+        raise GraphError(f"{name} threshold table must be 2-d, got {table.ndim}-d")
+    if not np.issubdtype(table.dtype, np.integer):
+        raise GraphError(f"{name} thresholds must be integers, got {table.dtype}")
+    negative = table < 0
+    if negative.any():
+        key = tuple(map(int, np.unravel_index(negative.argmax(), table.shape)))
+        raise GraphError(f"{name} threshold {key} is negative: {table[key]}")
+    checked = table.astype(np.int32)
+    checked[table > MAX_THRESHOLD] = MAX_THRESHOLD
+    return checked
 
 
 def _incident_table(grouping: Grouping, owners: np.ndarray, members: np.ndarray,

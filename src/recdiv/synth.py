@@ -5,6 +5,10 @@ candidate graph whose top-relevance lists are deliberately un-diverse, so
 that diversification has visible room to act.  Relevances are rounded to
 six decimals with the bits of Python's ``round(x, 6)``, but in numpy:
 ``round6`` sends Python only the few values numpy could round otherwise.
+Each user's candidates are drawn by ``_weighted_sample``, which runs the
+loop of numpy's ``Generator.choice(p=..., replace=False)`` step for step,
+so the items and the random stream are those of ``choice``, without its
+per-call checks and with the first round's CDF computed once for all users.
 """
 
 from __future__ import annotations
@@ -37,6 +41,48 @@ def round6(values: np.ndarray) -> None:
     values[near] = exact
 
 
+def _cumulative(p: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice`` draws from: ``cumsum(p) / sum``."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _weighted_sample(rng: np.random.Generator, p: np.ndarray, cdf: np.ndarray,
+                    size: int) -> np.ndarray:
+    """``rng.choice(len(p), size, replace=False, p=p)``: the same items in
+    the same order, leaving ``rng`` in the same state, for ``cdf`` equal to
+    ``_cumulative(p)``.  ``p`` must have at least ``size`` positive entries;
+    it is not modified.
+
+    Each round draws one double per item still missing, looks each up in
+    the CDF of the mass not yet drawn (``searchsorted``, side right) and
+    keeps the first occurrence of each item, in draw order, as ``choice``'s
+    ``np.unique(return_index=True)`` and index sort do.  The first
+    occurrence is found with ``np.minimum.at``, whose result does not depend
+    on the order of repeated writes.  The items found get zero mass for the
+    next round's CDF."""
+    found = np.empty(size, dtype=np.int64)
+    first = np.full(len(p), size, dtype=np.int64)
+    draws = np.arange(size)
+    n, mass = 0, p
+    while n < size:
+        x = rng.random(size - n)
+        if n:
+            if mass is p:
+                mass = p.copy()
+            mass[new] = 0
+            cdf = _cumulative(mass)
+        new = cdf.searchsorted(x, side="right")
+        draw = draws[:len(new)]
+        np.minimum.at(first, new, draw)
+        new = new[first[new] == draw]
+        first[new] = size
+        found[n:n + len(new)] = new
+        n += len(new)
+    return found
+
+
 def movielens_shaped(
     num_users: int = 2000,
     num_items: int = 1500,
@@ -50,12 +96,19 @@ def movielens_shaped(
     """Popularity-skewed candidate graph: a Zipf-like item popularity drives
     both candidate selection and relevance, and each user's taste leans
     toward two categories, so pure relevance ranking concentrates on few
-    popular items and categories."""
+    popular items and categories.
+
+    Each user's candidates are ``rng.choice(num_items, per_user,
+    replace=False, p=popularity)``, drawn by ``_weighted_sample``: the same
+    doubles from the stream, looked up in the same CDFs and deduplicated
+    to the same first occurrences, so the instance has the bits it had when
+    ``choice`` drew it."""
     rng = np.random.default_rng(seed)
     # flat-ish decay keeps popularity differences meaningful across the whole
     # candidate range, so pure relevance ranking concentrates on the head
     popularity = 1.0 / np.arange(1, num_items + 1) ** 0.5
     popularity /= popularity.sum()
+    first_cdf = _cumulative(popularity)
 
     item_cat_membership: list[list[int]] = []
     primary_cat = rng.integers(0, num_cats, size=num_items)
@@ -69,13 +122,14 @@ def movielens_shaped(
     user_type_membership = [[int(t)] for t in rng.integers(0, num_types, size=num_users)]
 
     taste = rng.integers(0, num_cats, size=(num_users, 2))
-    # One choice and one noise draw per user, in user order, fix the RNG
-    # stream; relevance is then computed over all edges at once.
+    # One weighted draw without replacement and one noise draw per user, in
+    # user order, fix the RNG stream; relevance is then computed over all
+    # edges at once.
     per_user = min(candidates_per_user, num_items)
     items = np.empty((num_users, per_user), dtype=np.int32)
     eps = np.empty((num_users, per_user))
     for u in range(num_users):
-        items[u] = rng.choice(num_items, size=per_user, replace=False, p=popularity)
+        items[u] = _weighted_sample(rng, popularity, first_cdf, per_user)
         eps[u] = rng.random(per_user)
     items, eps = items.ravel(), eps.ravel()
     users = np.repeat(np.arange(num_users, dtype=np.int32), per_user)

@@ -17,6 +17,7 @@ from recdiv.graph import (
     Solution,
     ThresholdTable,
     eval_objective,
+    first_rows,
     new_solution,
     threshold_cells,
 )
@@ -257,6 +258,78 @@ def test_threshold_key_past_int32_is_graph_error(key):
 def test_threshold_key_within_int32_builds():
     th = ThresholdTable({(10**6, 3): 1})
     assert th.rho_table.shape == (10**6 + 1, 4) and th.user_category == {(10**6, 3): 1}
+
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_first_rows_match_a_stable_unique(dtype):
+    draw = np.random.default_rng(5)
+    cases = [np.zeros(0, dtype=dtype), np.array([4], dtype=dtype)]
+    for size, bound in ((10, 3), (200, 50), (5000, 40_000), (125_000, 2000)):
+        cases.append(draw.integers(0, bound, size=size).astype(dtype))
+    for keys in cases:
+        bound = int(keys.max()) + 1 if len(keys) else 0
+        _, expected = np.unique(keys, return_index=True)
+        expected.sort()
+        for extra in (0, 7):  # codes the keys never use change nothing
+            np.testing.assert_array_equal(first_rows(keys, bound + extra), expected)
+
+
+_EMPTY = np.zeros((0, 0), dtype=np.int32)
+
+
+@pytest.mark.parametrize("table", [np.zeros(3, dtype=np.int32), np.zeros((1, 2, 2), dtype=int),
+                                   np.int32(2)])
+def test_threshold_tables_must_be_2d(table):
+    with pytest.raises(GraphError, match=r"user threshold table must be 2-d, got \d-d"):
+        ThresholdTable(tables=(table, _EMPTY))
+    with pytest.raises(GraphError, match=r"item threshold table must be 2-d"):
+        ThresholdTable(tables=(_EMPTY, table))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, bool, object, complex])
+def test_threshold_tables_must_be_integers(dtype):
+    # a float table's values would be truncated, a bool's read as 0 and 1
+    table = np.ones((2, 2), dtype=dtype)
+    with pytest.raises(GraphError, match=f"user thresholds must be integers, got {table.dtype}"):
+        ThresholdTable(tables=(table, _EMPTY))
+    with pytest.raises(GraphError, match=f"item thresholds must be integers, got {table.dtype}"):
+        ThresholdTable(tables=(_EMPTY, np.zeros((0, 0), dtype=dtype)))
+
+
+def test_threshold_table_negative_names_the_first_cell_in_row_major_order():
+    table = np.array([[0, 2, 1], [4, -1, -7], [-2, 0, 0]], dtype=np.int64)
+    with pytest.raises(GraphError, match=r"user threshold \(1, 1\) is negative: -1"):
+        ThresholdTable(tables=(table, _EMPTY))
+    with pytest.raises(GraphError, match=r"item threshold \(1, 1\) is negative: -1"):
+        ThresholdTable(tables=(_EMPTY, table.astype(np.int8)))
+
+
+def test_negative_threshold_table_reaches_no_solver():
+    # with rho = -3 greedy picked the one edge and the objective read -2.5
+    with pytest.raises(GraphError, match=r"user threshold \(0, 0\) is negative: -3"):
+        ThresholdTable(tables=(np.array([[-3, 2]]), np.zeros((0, 0))))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint64])
+def test_threshold_table_values_past_int32_are_clamped(dtype):
+    table = np.array([[2**31 - 1, 2**31], [3, np.iinfo(dtype).max]], dtype=dtype)
+    th = ThresholdTable(tables=(table, table))
+    for kept in (th.rho_table, th.lam_table):
+        np.testing.assert_array_equal(kept, [[2**31 - 1, 2**31 - 1], [3, 2**31 - 1]])
+    assert th.user_category == ThresholdTable({(0, 0): 2**31 - 1, (0, 1): 2**31,
+                                               (1, 0): 3, (1, 1): 10**30}).user_category
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.int64])
+def test_threshold_tables_are_held_as_int32_copies(dtype):
+    table = np.array([[0, 2], [5, 0]], dtype=dtype)
+    th = ThresholdTable(tables=(table, [[1, 0, 3]]))
+    assert th.rho_table.dtype == th.lam_table.dtype == np.int32
+    assert th.user_category == {(0, 1): 2, (1, 0): 5} and th.item_type == {(0, 0): 1, (0, 2): 3}
+    # the caller's array stays writable, and writing it changes nothing kept
+    table[0, 1] = 9
+    assert th.rho(0, 1) == 2 and not np.shares_memory(th.rho_table, table)
 
 
 def _all_pairs(num_owners: int, width: int, value: int) -> dict[tuple[int, int], int]:
@@ -756,6 +829,10 @@ def _instance_digest(graph, user_types, item_cats):
     (dict(num_users=25, num_items=90, candidates_per_user=30, overlapping_cats=False,
           seed=2), 750,
      "50f0d62c60c514e7ce2b781fcd9602732cc88671321a58f3a7dd38d798fe22fd"),
+    # every item is a candidate, so the last rounds draw from the few items
+    # left; digest of the instance as ``Generator.choice`` drew it
+    (dict(num_users=12, num_items=60, candidates_per_user=80, seed=3), 720,
+     "9fb5d6a86b7e772b0b2beebfcecef1688276602f32704e67e741df58be0519fb"),
 ])
 def test_movielens_shaped_is_pinned(kwargs, edges, digest):
     """Edges (relevance bits included) and memberships, as generated by the

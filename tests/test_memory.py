@@ -19,11 +19,12 @@ with a compacted pair id, and at 63.7 when each side's distinct pairs were
 found through ``np.unique`` on int64 keys.  A built graph's budget sits
 above what it keeps (16.2 bytes per edge: the three edge columns, the
 offsets and the id lists) and below the 24.2 it kept with a per-user edge
-permutation.  Generating the instance peaks at 57.5 bytes per edge, with
+permutation.  Generating the instance peaks at 49.9 bytes per edge, with
 the relevances rounded in numpy, the generator's temporaries freed before
-the graph is built and its duplicate check one sort; it took 107.9 when
-each relevance went through Python's ``round``, the temporaries stayed
-alive and ``np.unique`` found repeats.
+the graph is built and its duplicate check one sort; it peaked at 49.8
+when ``Generator.choice`` drew the candidates (57.5 when this budget was
+set); it took 107.9 when each relevance went through Python's ``round``,
+the temporaries stayed alive and ``np.unique`` found repeats.
 
 The command line's budgets sit between what each step takes and what it
 took when it held one Python object per candidate row.  Loading the

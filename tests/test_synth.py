@@ -1,8 +1,11 @@
-"""``synth.round6`` gives the bits of Python's ``round(x, 6)``."""
+"""``synth.round6`` gives the bits of Python's ``round(x, 6)``, and
+``synth._weighted_sample`` draws the items of ``Generator.choice`` without
+replacement from the same random stream."""
 
 import numpy as np
+import pytest
 
-from recdiv.synth import round6
+from recdiv.synth import _cumulative, _weighted_sample, round6
 
 
 def _bits(values) -> np.ndarray:
@@ -71,3 +74,36 @@ def test_round6_random_values_over_many_magnitudes():
     values = rng.random(n) * 10.0 ** rng.integers(-10, 12, size=n)
     values[::2] *= -1
     _assert_rounds_like_python(values)
+
+
+def _assert_draws_like_choice(p: np.ndarray, size: int, seed: int) -> None:
+    """Three draws in a row from one generator, then its next double, as
+    ``rng.choice`` gives them from a generator of the same seed."""
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    cdf = _cumulative(p)
+    for _ in range(3):
+        expected = numpys.choice(len(p), size, replace=False, p=p)
+        drawn = _weighted_sample(ours, p, cdf, size)
+        np.testing.assert_array_equal(drawn, expected)
+    assert ours.random() == numpys.random()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 50, 300])
+@pytest.mark.parametrize("s", [0, 0.5, 1, 2])
+def test_weighted_sample_matches_choice(m, s):
+    """Populations uniform to steeply skewed, sizes from none to all."""
+    p = 1.0 / np.arange(1, m + 1) ** s
+    p /= p.sum()
+    untouched = p.copy()
+    for size in sorted({0, 1, m // 2, m}):
+        for seed in range(20):
+            _assert_draws_like_choice(p, size, seed)
+    np.testing.assert_array_equal(p, untouched)
+
+
+def test_weighted_sample_matches_choice_at_movielens_scale():
+    """The generator's own population and candidate count."""
+    p = 1.0 / np.arange(1, 1501) ** 0.5
+    p /= p.sum()
+    for seed in (7, 11, 12):
+        _assert_draws_like_choice(p, 250, seed)

@@ -61,9 +61,10 @@ import numpy as np
 
 from .errors import DataFormatError, GraphError
 from .graph import (MAX_THRESHOLD, FirstFault, Grouping, RecGraph, Solution, ThresholdTable,
-                    first_rows, has_repeats, index_dtype)
+                    first_rows, has_repeats, index_dtype, user_blocks)
 
 BLOCK_CHARS = 1 << 18  # characters of text read per block
+BLOCK_EDGES = 1 << 16  # edges of whole users sorted per block
 _WRITE_ROWS = 1 << 15  # rows formatted per write
 
 _TAB = ("\t",)
@@ -671,18 +672,35 @@ def save_solution(sol: Solution, path: str | Path, method: str) -> None:
 
 def _edge_finder(graph: RecGraph):
     """A function of (user ids, item ids) giving the index of each
-    (user, item) edge of ``graph``, or -1 where there is none."""
+    (user, item) edge of ``graph``, or -1 where there is none.  A graph's
+    edges are grouped by user, so a pair is found by bisection in its
+    user's slice of ``by_item``, the edges with each user's slice sorted by
+    item, listed a block of whole users at a time; ``by_item`` and the items
+    in its order, each with an end entry, are all that is kept."""
     user_index, item_index = _positions(graph.user_ids), _positions(graph.item_ids)
-    keys = graph.edge_user.astype(np.int64) * graph.num_items + graph.edge_item
-    order = np.argsort(keys)
-    # a -1 key past the end, matched by no query, ends every search
-    keys, order = np.append(keys[order], -1), np.append(order, -1)
+    offsets, n = graph.user_offsets, graph.num_edges
+    by_item = np.full(n + 1, -1, dtype=index_dtype(n))
+    for start, end, first, _ in user_blocks(offsets, BLOCK_EDGES):
+        key = graph.edge_user[start:end] - first
+        key = key.astype(np.int64) * graph.num_items + graph.edge_item[start:end]
+        by_item[start:end] = key.argsort()
+        by_item[start:end] += start
+    item_of = np.full(n + 1, -1, dtype=graph.edge_item.dtype)
+    item_of[:n] = graph.edge_item[by_item[:n]]
 
     def find(users: list[str], items: list[str]) -> np.ndarray:
         user, item = _indices(user_index, users), _indices(item_index, items)
-        query = np.where((user >= 0) & (item >= 0), user * graph.num_items + item, -2)
-        at = np.searchsorted(keys[:-1], query)
-        return np.where(keys[at] == query, order[at], -1)
+        known = (user >= 0) & (item >= 0)
+        lo, end = np.zeros((2, len(user)), dtype=np.int64)
+        lo[known], end[known] = offsets[user[known]], offsets[user[known] + 1]
+        hi = end
+        # lo becomes the first place in the slice whose item is not below
+        while (open_ := lo < hi).any():
+            mid = (lo + hi) >> 1
+            below = item_of[mid] < item
+            lo = np.where(open_ & below, mid + 1, lo)
+            hi = np.where(open_ & ~below, mid, hi)
+        return np.where((lo < end) & (item_of[lo] == item), by_item[lo], -1)
 
     return find
 

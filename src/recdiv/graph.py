@@ -37,7 +37,7 @@ group degrees TUDiv and TIDiv threshold are counted from H where read.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from collections.abc import Sequence, Sized
 from itertools import chain
 from dataclasses import dataclass, field
@@ -125,6 +125,20 @@ def csr_offsets(ids: np.ndarray, size: int) -> np.ndarray:
     offsets = np.zeros(size + 1, dtype=index_dtype(len(ids)))
     np.cumsum(np.bincount(ids, minlength=size), out=offsets[1:])
     return offsets
+
+
+def user_blocks(offsets: np.ndarray, size: int) -> list[tuple[int, int, int, int]]:
+    """Blocks of whole users over CSR ``offsets``, as (first edge, end edge,
+    first user, end user): each at most ``size`` edges unless one user has
+    more, together covering every user in order."""
+    offsets = offsets.tolist()
+    blocks = []
+    first = 0
+    while first < len(offsets) - 1:
+        end = max(bisect_right(offsets, offsets[first] + size) - 1, first + 1)
+        blocks.append((offsets[first], offsets[end], first, end))
+        first = end
+    return blocks
 
 
 def first_rows(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -314,6 +328,38 @@ def _membership_pairs(membership, num_groups: int) -> tuple:
     return len(membership), owner, ordered
 
 
+def _checked_pairs(num_entities: int, owner, group, num_groups: int) -> tuple:
+    """The (owner, group) arrays, checked row by row in numpy: an owner out
+    of range or below the row before, a group repeated or below the row
+    before within its owner, then a group out of range; the error names
+    the first bad row, with the membership lists' messages where they
+    apply."""
+    owner, group = np.asarray(owner), np.asarray(group)
+    if (owner.ndim, group.ndim) != (1, 1) or len(owner) != len(group) or not all(
+            a.dtype.kind in "iu" for a in (owner, group)):
+        raise GroupingError("pairs must be two 1-d integer arrays of one length")
+    same = np.zeros(len(owner), dtype=bool)
+    same[1:] = owner[1:] == owner[:-1]
+    step = np.zeros(len(owner), dtype=bool)
+    faults = FirstFault(len(owner))
+    faults.check((owner < 0) | (owner >= num_entities), lambda r: GroupingError(
+        f"pairs row {r}: entity {owner[r]} is not below the {num_entities} entities"))
+    step[1:] = owner[1:] < owner[:-1]
+    faults.check(step, lambda r: GroupingError(
+        f"pairs row {r}: entity {owner[r]} after entity {owner[r - 1]}, not sorted by entity"))
+    step[1:] = group[1:] == group[:-1]
+    faults.check(same & step, lambda r: GroupingError(
+        f"pairs row {r}: entity {owner[r]} listed twice in a group"))
+    step[1:] = group[1:] < group[:-1]
+    faults.check(same & step, lambda r: GroupingError(
+        f"pairs row {r}: entity {owner[r]} lists group {group[r]} after group {group[r - 1]}, "
+        "not sorted by group"))
+    faults.check((group < 0) | (group >= num_groups), lambda r: GroupingError(
+        f"pairs row {r}: entity {owner[r]} references unknown group {group[r]}"))
+    faults.raise_first()
+    return owner, group
+
+
 class Grouping:
     """Membership structure: user-side types or item-side categories.
 
@@ -326,11 +372,13 @@ class Grouping:
 
     def __init__(self, side: str, group_ids: list[str], membership: list[list[int]] = (),
                  *, pairs: tuple | None = None):
-        """``pairs`` passes (number of entities, owner, group) arrays instead,
-        unchecked: sorted by owner, then group, distinct and in range."""
+        """``pairs`` passes (number of entities, owner, group) arrays instead:
+        owners in range and sorted, each owner's groups increasing and in
+        range, checked in numpy and naming the first bad row."""
         if side not in (USER_SIDE, ITEM_SIDE):
             raise GroupingError(f"side must be 'user' or 'item', got {side!r}")
         num_entities, owner, group = pairs or _membership_pairs(membership, len(group_ids))
+        owner, group = _checked_pairs(num_entities, owner, group, len(group_ids))
         self.side = side
         self.group_ids = list(group_ids)
         self.num_entities = num_entities  # how many are listed
@@ -352,6 +400,33 @@ class Grouping:
         flat = self.flat.tolist()
         bounds = self.offsets[np.minimum(np.arange(count + 1), self.num_entities + 1)].tolist()
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def parts(self, count: int) -> np.ndarray:
+        """The part of each entity below ``count``: two entities share a part
+        when a chain of entities, each sharing a group with the next, joins
+        them.  A part is labelled by the least group in it, and an entity
+        with no group is in none (-1).  Each entity links its groups to its
+        first; each round lowers every linked group's label to the least
+        across the link, then points each label at its own label, until no
+        label moves."""
+        bounds = self.offsets[np.minimum(np.arange(count + 1), self.num_entities + 1)]
+        size = np.diff(bounds)
+        flat = self.flat[:bounds[-1]]
+        grouped = size > 0
+        first = np.repeat(flat[bounds[:-1][grouped]], size[grouped])
+        label = np.arange(self.num_groups)
+        while True:
+            low = np.minimum(label[first], label[flat])
+            moved = label.copy()
+            np.minimum.at(moved, first, low)
+            np.minimum.at(moved, flat, low)
+            moved = moved[moved]
+            if np.array_equal(moved, label):
+                break
+            label = moved
+        part = np.full(count, -1, dtype=np.int64)
+        part[grouped] = label[flat[bounds[:-1][grouped]]]
+        return part
 
     def expand(self, entities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every (position, group) pair with ``group`` in

@@ -1,8 +1,23 @@
+import os
 import random
 
 import pytest
 
 from recdiv.graph import DivParams, Grouping, RecGraph, ThresholdTable
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process behind, running or not
+    reaped (a forked greedy worker, a process pool's, a command's)."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    if pid:
+        pytest.fail(f"child process {pid} was left unreaped (status {status})")
+    pytest.fail("a child process is still running")
 
 
 @pytest.fixture

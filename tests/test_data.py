@@ -439,3 +439,26 @@ def test_no_block_is_held_while_the_next_is_read(tmp_path, monkeypatch):
             path = _write(tmp_path, "input.txt", text)
             load(path)
             assert len(blocks) > 2, name
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 16])
+def test_edge_finder_matches_a_dict(rng, monkeypatch, block):
+    # each user's items in random order, blocks of whole users ending
+    # mid-graph, users and items with no edge, names that are not ids and
+    # pairs whose item is in the next user's slice
+    monkeypatch.setattr(data, "BLOCK_EDGES", block)
+    for _ in range(60):
+        nu, ni = rng.randint(0, 6), rng.randint(1, 8)
+        edges = []
+        for u in range(nu):
+            items = rng.sample(range(ni), rng.randint(0, ni))
+            edges += [(u, v, 0.5) for v in items]
+        graph = RecGraph([f"u{u}" for u in range(nu)], [1] * nu,
+                         [f"v{v}" for v in range(ni)], edges)
+        want = {(f"u{u}", f"v{v}"): e for e, (u, v, _) in enumerate(edges)}
+        users = [f"u{u}" for u in range(nu + 1)] + ["nobody"]
+        items = [f"v{v}" for v in range(ni + 1)] + ["nothing"]
+        queries = [(u, v) for u in users for v in items]
+        rng.shuffle(queries)
+        found = data._edge_finder(graph)([u for u, _ in queries], [v for _, v in queries])
+        assert found.tolist() == [want.get(q, -1) for q in queries]

@@ -471,6 +471,90 @@ def test_group_lists_match_groups_of(rng):
         assert grouping.group_lists(len(membership)) == [sorted(m) for m in membership]
 
 
+def _parts_by_union_find(membership, count):
+    """Each entity's part by a loop: union-find over the groups, each part
+    named by its least group, -1 for an entity with no group."""
+    parent = {}
+
+    def root(g):
+        while parent.setdefault(g, g) != g:
+            g = parent[g]
+        return g
+
+    for groups in membership[:count]:
+        for g in groups[1:]:
+            a, b = sorted((root(groups[0]), root(g)))
+            parent[b] = a
+    lists = list(membership[:count]) + [[]] * max(0, count - len(membership))
+    return [root(groups[0]) if groups else -1 for groups in lists]
+
+
+def test_parts_match_union_find(rng):
+    # chains of shared groups, entities with no group, entities past the
+    # list and counts short of it
+    for _ in range(300):
+        num_groups = rng.randint(1, 12)
+        membership = [sorted(rng.sample(range(num_groups), rng.choice((0, 1, 1, 1, 2, 3))
+                                        if num_groups >= 3 else rng.randint(0, num_groups)))
+                      for _ in range(rng.randint(0, 15))]
+        grouping = Grouping("user", [str(g) for g in range(num_groups)], membership)
+        count = rng.randint(0, len(membership) + 3)
+        # the parts of the entities counted join through those entities only
+        assert grouping.parts(count).tolist() == _parts_by_union_find(membership, count)
+
+
+def test_parts_of_a_chain_take_its_least_group():
+    grouping = Grouping("user", list("ABCDEFG"), [[5, 6], [4, 5], [3, 4], [], [1, 2], [6], [0]])
+    assert grouping.parts(9).tolist() == [3, 3, 3, -1, 1, 3, 0, -1, -1]
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ((3, [0, 2, 1], [0, 0, 1]),
+     r"^pairs row 2: entity 1 after entity 2, not sorted by entity$"),
+    ((3, [0, 1, 1, 2], [1, 0, 0, 0]),
+     r"^pairs row 2: entity 1 listed twice in a group$"),
+    ((3, [0, 1, 1], [1, 1, 0]),
+     r"^pairs row 2: entity 1 lists group 0 after group 1, not sorted by group$"),
+    ((3, [0, 1, 2], [1, 2, 0]),
+     r"^pairs row 1: entity 1 references unknown group 2$"),
+    ((3, [0, 0, 1], [0, -1, 0]),
+     r"^pairs row 1: entity 0 lists group -1 after group 0, not sorted by group$"),
+    ((3, [1, 1, 1], [-1, 0, 1]),
+     r"^pairs row 0: entity 1 references unknown group -1$"),
+    ((2, [0, 2], [0, 0]),
+     r"^pairs row 1: entity 2 is not below the 2 entities$"),
+    ((2, [-1, 0], [0, 0]),
+     r"^pairs row 0: entity -1 is not below the 2 entities$"),
+    # the ROADMAP's example: entity 0 given group 5 of 2
+    ((3, [2, 0, 0], [1, 5, 5]),
+     r"^pairs row 1: entity 0 after entity 2, not sorted by entity$"),
+    # the first bad row wins over a worse fault later
+    ((3, [0, 0, 1, 0], [0, 0, 9, 0]),
+     r"^pairs row 1: entity 0 listed twice in a group$"),
+    ((3, [0, 1], [0.0, 1.0]), r"^pairs must be two 1-d integer arrays of one length$"),
+    ((3, [0, 1], [0]), r"^pairs must be two 1-d integer arrays of one length$"),
+    ((3, [[0, 1]], [[0, 1]]), r"^pairs must be two 1-d integer arrays of one length$"),
+])
+def test_grouping_pairs_reject_the_first_bad_row(pairs, message):
+    num, owner, group = pairs
+    with pytest.raises(GroupingError, match=message):
+        Grouping("item", ["A", "B"], pairs=(num, np.array(owner), np.array(group)))
+
+
+def test_grouping_pairs_build_what_the_lists_build(rng):
+    for _ in range(50):
+        num_groups = rng.randint(1, 5)
+        membership = [sorted(rng.sample(range(num_groups), rng.randint(0, num_groups)))
+                      for _ in range(rng.randint(0, 6))]
+        owner = np.array([e for e, m in enumerate(membership) for _ in m], dtype=np.int64)
+        group = np.array([g for m in membership for g in m], dtype=np.int64)
+        names = [str(g) for g in range(num_groups)]
+        lists = Grouping("user", names, membership)
+        arrays = Grouping("user", names, pairs=(len(membership), owner, group))
+        for a, b in ((lists.offsets, arrays.offsets), (lists.flat, arrays.flat)):
+            assert a.tolist() == b.tolist() and a.dtype == b.dtype
+
+
 def test_params_reject_negative():
     with pytest.raises(GraphError):
         DivParams(beta=-1.0)

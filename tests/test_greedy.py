@@ -1,4 +1,13 @@
 import hashlib
+import multiprocessing
+import os
+import random
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,3 +499,237 @@ def test_greedy_matches_naive_with_entities_past_the_membership_list(rng):
         assert fast.selected == slow.selected
         decreases += stats["decrease_keys"]
     assert decreases > 0
+
+
+def _parted_instance(rng, kind):
+    """Users in user-type parts of four kinds: ``merging`` (users in one or
+    two types, so parts join), ``typeless`` (some users in no type),
+    ``single`` (every user in type 0, one part) and ``many`` (one type per
+    user out of five to seven, more parts than processes).  Item
+    thresholds of 1 to 3 make (item, type) saturations lower keys."""
+    nu, ni = rng.randint(6, 14), rng.randint(4, 9)
+    ncat, ntype = rng.randint(1, 3), rng.randint(5, 7)
+    edges = [(u, v, rng.choice((0.0, 0.25, 0.5, round(rng.random(), 6))))
+             for u in range(nu) for v in range(ni) if u == 0 or rng.random() < 0.7]
+    graph = RecGraph([f"u{i}" for i in range(nu)], [rng.randint(1, 3) for _ in range(nu)],
+                     [f"v{j}" for j in range(ni)], edges)
+    if kind == "merging":
+        types = [sorted(rng.sample(range(ntype), rng.randint(1, 2))) for _ in range(nu)]
+    elif kind == "typeless":
+        types = [[rng.randrange(ntype)] if rng.random() < 0.5 else [] for _ in range(nu)]
+    elif kind == "single":
+        types = [sorted({0, rng.randrange(ntype)}) for _ in range(nu)]
+    else:
+        types = [[rng.randrange(ntype)] for _ in range(nu)]
+    ut = Grouping("user", [f"T{b}" for b in range(ntype)], types)
+    ic = Grouping("item", [f"C{a}" for a in range(ncat)],
+                  [sorted(rng.sample(range(ncat), rng.randint(1, ncat))) for _ in range(ni)])
+    th = ThresholdTable(
+        {(u, a): rng.randint(0, 2) for u in range(nu) for a in range(ncat)},
+        {(v, b): rng.randint(1, 3) for v in range(ni) for b in range(ntype)},
+    )
+    params = DivParams(rng.choice((0.25, 1.0, 4.0)), rng.choice((0.25, 1.0, 4.0)))
+    return graph, ut, ic, th, params
+
+
+def _solve(graph, ut, ic, th, params):
+    picked, stats = _selection_order(graph, ut, ic, th, params)
+    return picked, stats, greedy_solve(graph, ut, ic, th, params).selected
+
+
+@pytest.mark.parametrize("kind", ["merging", "typeless", "single", "many"])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_matches_serial_and_naive(rng, monkeypatch, kind, cpus):
+    # the split is forced at every size on a machine of ``cpus`` CPUs; its
+    # picks, pick order and counters must be the serial loop's, and its
+    # selection the naive greedy's
+    monkeypatch.setattr(greedy, "_cpus", lambda: list(range(cpus)))
+    bins = []
+    for _ in range(25):
+        graph, ut, ic, th, params = _parted_instance(rng, kind)
+        monkeypatch.setattr(greedy, "_SPLIT_EDGES", 1 << 62)
+        serial = _solve(graph, ut, ic, th, params)
+        monkeypatch.setattr(greedy, "_SPLIT_EDGES", 0)
+        bins.append(len(greedy._bins(graph, ut)))
+        assert _solve(graph, ut, ic, th, params) == serial
+        assert serial[2] == naive_greedy(graph, ut, ic, th, params).selected
+    assert max(bins) == (1 if kind == "single" else cpus)
+
+
+def test_split_pin_at_a_million_edges_runs_in_parts(monkeypatch):
+    # the pin above runs through the split on a machine of 2 or more CPUs;
+    # here it runs on 2 whatever the machine
+    monkeypatch.setattr(greedy, "_cpus", lambda: [0, 1])
+    graph, ut, ic = movielens_shaped(num_users=4000, seed=7)
+    assert graph.num_edges >= greedy._SPLIT_EDGES
+    assert len(greedy._bins(graph, ut)) == 2
+    _assert_pinned(4000, 7, 117683, 1890922, 595267.325149, (
+        "7b818ff76c2028d50f9a623f3487d30fd8c7541d880416d3a25691b8dea87ac8",))
+
+
+def test_parts_are_packed_heaviest_first_into_the_lightest_bin(monkeypatch):
+    # parts of 4, 3, 2, 2 and 1 edges (users 0-1, 2, 3, and 4 and 5, each
+    # with no type and so a part of its own) on two CPUs: 4 -> bin 0,
+    # 3 -> bin 1, then the two 2s by least user, user 3's -> bin 1 and
+    # user 4's -> bin 0, and 1 -> bin 1, the first of two bins of 6
+    monkeypatch.setattr(greedy, "_cpus", lambda: [0, 1])
+    monkeypatch.setattr(greedy, "_SPLIT_EDGES", 0)
+    sizes = [2, 2, 3, 2, 2, 1]
+    edges = [(u, v, 0.5) for u, size in enumerate(sizes) for v in range(size)]
+    graph = RecGraph([f"u{u}" for u in range(6)], [1] * 6, ["a", "b", "c"], edges)
+    ut = Grouping("user", ["T0", "T1", "T2"], [[0], [0], [1], [2], [], []])
+    assert greedy._bins(graph, ut) == [[0, 1, 4], [2, 3, 5]]
+
+
+@pytest.mark.parametrize("cause", ["size", "one cpu", "one part", "thread", "worker"])
+def test_split_only_when_every_condition_holds(monkeypatch, cause):
+    graph, ut, ic, th, params = _parted_instance(random.Random(5), "many")
+    monkeypatch.setattr(greedy, "_cpus", lambda: [0, 1])
+    monkeypatch.setattr(greedy, "_SPLIT_EDGES", 0)
+    assert len(greedy._bins(graph, ut)) == 2
+    if cause == "size":
+        monkeypatch.setattr(greedy, "_SPLIT_EDGES", graph.num_edges + 1)
+    elif cause == "one cpu":
+        monkeypatch.setattr(greedy, "_cpus", lambda: [0])
+    elif cause == "one part":
+        ut = Grouping("user", ["T"], [[0]] * graph.num_users)
+    elif cause == "worker":
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+    if cause == "thread":
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        other.start()
+        try:
+            assert greedy._bins(graph, ut) == [list(range(graph.num_users))]
+        finally:
+            done.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+    else:
+        assert greedy._bins(graph, ut) == [list(range(graph.num_users))]
+
+
+class WorkerFault(Exception):
+    pass
+
+
+class UnpicklableFault(Exception):
+    def __init__(self, message, code):
+        super().__init__(f"{message} ({code})")
+
+
+def _split_instance(monkeypatch):
+    monkeypatch.setattr(greedy, "_cpus", lambda: [0, 1])
+    monkeypatch.setattr(greedy, "_SPLIT_EDGES", 0)
+    return _parted_instance(random.Random(7), "many")
+
+
+def _in_worker(monkeypatch, action, where="worker"):
+    """Runs ``action()`` before the selection loop of the worker's part, or
+    of this process's own part."""
+    parent = os.getpid()
+    select = greedy._Loop.select
+
+    def wrapped(self, users):
+        if (os.getpid() != parent) == (where == "worker"):
+            action()
+        return select(self, users)
+
+    monkeypatch.setattr(greedy._Loop, "select", wrapped)
+
+
+@pytest.mark.parametrize("fault, kind, message", [
+    (lambda: WorkerFault("part failed"), WorkerFault, "^part failed$"),
+    (lambda: KeyError("k"), KeyError, "'k'"),
+    (lambda: UnpicklableFault("part failed", 3), RuntimeError,
+     r"^UnpicklableFault: part failed \(3\)$"),
+])
+def test_worker_exception_is_raised_in_the_caller(monkeypatch, fault, kind, message):
+    instance = _split_instance(monkeypatch)
+
+    def fail():
+        raise fault()
+
+    _in_worker(monkeypatch, fail)
+    with pytest.raises(kind, match=message):
+        greedy_solve(*instance)
+
+
+def test_worker_ended_without_a_part_raises(monkeypatch):
+    instance = _split_instance(monkeypatch)
+    _in_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(ChildProcessError, match="ended with exit code -9 before sending"):
+        greedy_solve(*instance)
+
+
+@pytest.mark.parametrize("fault", [KeyboardInterrupt, WorkerFault])
+def test_own_part_failure_kills_and_reaps_the_worker(monkeypatch, fault):
+    # the worker would sleep for a minute; the caller's part raises at once
+    instance = _split_instance(monkeypatch)
+    _in_worker(monkeypatch, lambda: time.sleep(60))
+
+    def fail():
+        raise fault("own part")
+
+    select = greedy._Loop.select
+    parent = os.getpid()
+    monkeypatch.setattr(greedy._Loop, "select", lambda self, users: (
+        fail() if os.getpid() == parent else select(self, users)))
+    start = time.monotonic()
+    with pytest.raises(fault):
+        greedy_solve(*instance)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("delay", ["worker", "caller"])
+def test_split_output_does_not_depend_on_which_part_ends_first(monkeypatch, delay):
+    instance = _split_instance(monkeypatch)
+    want = _solve(*instance)
+    _in_worker(monkeypatch, lambda: time.sleep(0.2), where=delay)
+    assert _solve(*instance) == want
+
+
+_EXIT_SCRIPT = """
+import atexit, os, sys
+from recdiv import greedy
+from recdiv.graph import DivParams, Grouping, RecGraph, ThresholdTable
+
+greedy._cpus = lambda: [0, 1]
+greedy._SPLIT_EDGES = 0
+if sys.argv[1] == "raise":
+    select, parent = greedy._Loop.select, os.getpid()
+    def select_or_fail(self, users):
+        if os.getpid() != parent:
+            raise ValueError("worker part failed")
+        return select(self, users)
+    greedy._Loop.select = select_or_fail
+graph = RecGraph(["u0", "u1"], [1, 1], ["a", "b"], [(0, 0, 0.5), (0, 1, 0.25), (1, 1, 0.75)])
+ut = Grouping("user", ["T0", "T1"], [[0], [1]])
+ic = Grouping("item", ["C"], [[0], [0]])
+atexit.register(print, "atexit ran")
+print("buffered at the fork", end="; ")
+try:
+    print(greedy.greedy_solve(graph, ut, ic, ThresholdTable(), DivParams(1, 1)).selected)
+except ValueError as exc:
+    print("raised:", exc)
+finally:
+    print("finally ran")
+"""
+
+
+@pytest.mark.parametrize("worker, line", [
+    ("ok", "[[0], [2]]"), ("raise", "raised: worker part failed")])
+def test_worker_ends_in_os_exit(tmp_path, worker, line):
+    # stdout is a pipe, so the text printed before the solve sits in its
+    # buffer when the worker is forked: a worker that flushed stdio, ran
+    # atexit handlers or returned into the script would print twice
+    script = tmp_path / "solve.py"
+    script.write_text(_EXIT_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(greedy.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, str(script), worker], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"buffered at the fork; {line}\nfinally ran\natexit ran\n"

@@ -36,7 +36,12 @@ peaks at 31.3 bytes per edge and keeps 12.3, its relevances one float64
 column with a user's dict built when read; it took 143.1 and kept 86.4
 with a dict entry per edge.  Ranking the selection peaks at 55.4 bytes per
 selected edge, gathering the selected edges' columns alone; it took 770
-(61.6 per candidate edge) when it listed both whole columns.
+(61.6 per candidate edge) when it listed both whole columns.  The lookup
+that reads a solution file's pairs back into edges peaks at 16.5 bytes per
+candidate edge and keeps 9.1, an int32 order of each user's slice by item
+and the items in that order, sorted a block of users at a time; it peaked
+at 33.1 and kept 17.1 when it sorted int64 keys over every candidate edge
+and appended an end entry to copies of the keys and their order.
 """
 
 import tracemalloc
@@ -170,3 +175,16 @@ def test_ranked_lists_read_only_the_selection(instance):
     sol = greedy_solve(graph, user_types, item_cats, thresholds, DivParams(4.0, 0.2))
     peak = _traced_peak(lambda: sol.ranked_lists(10))
     assert peak / sol.num_selected() <= 120
+
+
+def test_solution_lookup_peak_per_edge(instance):
+    graph = instance[0]
+    tracemalloc.start()
+    try:
+        find = data._edge_finder(graph)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert find([graph.user_ids[0]], [graph.item_ids[graph.edge_item[0]]]).tolist() == [0]
+    assert peak / graph.num_edges <= 24
+    assert kept / graph.num_edges <= 13

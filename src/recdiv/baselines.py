@@ -123,6 +123,9 @@ def xquad(
     candidates that share a category with it are rescored."""
     if not (0.0 <= lam <= 1.0):
         raise GraphError(f"lambda must be in [0,1], got {lam}")
+    users = len(intent.norm_rel)
+    if users < graph.num_users:
+        raise GraphError(f"intent profile has {users} users for the graph's {graph.num_users}")
     item = graph.edge_item.tolist()
     rel = graph.edge_rel.tolist()
     lam_rel = [lam * r for r in rel]

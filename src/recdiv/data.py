@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import DataFormatError, GraphError
 from .graph import (MAX_THRESHOLD, FirstFault, Grouping, RecGraph, Solution, ThresholdTable,
-                    first_rows, has_repeats, index_dtype, user_blocks)
+                    earlier, first_rows, has_repeats, index_dtype, user_blocks)
 
 BLOCK_CHARS = 1 << 18  # characters of text read per block
 BLOCK_EDGES = 1 << 16  # edges of whole users sorted per block
@@ -270,15 +270,6 @@ def _positions(ids: list[str]) -> dict[str, int]:
     return dict(zip(ids, range(len(ids))))
 
 
-def _earlier(keys: np.ndarray) -> np.ndarray:
-    """How many earlier entries of ``keys`` equal each one."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    earlier = np.empty(len(keys), dtype=np.int64)
-    earlier[order] = np.arange(len(keys)) - np.searchsorted(ordered, ordered)
-    return earlier
-
-
 def _concat(parts, column: int, dtype=np.int64) -> np.ndarray:
     return np.concatenate([p[column] for p in parts] or [np.zeros(0, dtype=dtype)])
 
@@ -314,7 +305,7 @@ def _read_triples(path, seps, what: str, valid, fault: str, kind):
     user_names, item_names = list(user_code), list(item_code)
     keys = user.astype(np.int64) * len(item_names) + item
     if has_repeats(keys):
-        faults.check(_earlier(keys) > 0, lambda row: DataFormatError(
+        faults.check(earlier(keys) > 0, lambda row: DataFormatError(
             f"{path}:{_concat(parts, 3)[row]}: duplicate pair "
             f"({user_names[user[row]]},{item_names[item[row]]})"))
     faults.raise_first()
@@ -538,7 +529,9 @@ def derive_user_thresholds(
     user = _indices(_positions(user_ids), train.users)
     known = item >= 0
     item_total = int(known.sum())
-    cat_total = len(item_cats.expand(item[known])[0])
+    # an item past the membership list reads as entity n, with no groups
+    known_item = np.minimum(item[known], item_cats.num_entities)
+    cat_total = int(np.diff(item_cats.offsets)[known_item].sum())
     avg_cats = cat_total / item_total if item_total else 0.0
 
     targets = display_constraints
@@ -635,7 +628,7 @@ def load_thresholds(
                                f"{list(entity_code)[entity[row]]} group "
                                f"{list(group_code)[group[row]]} listed twice")
 
-    faults.check(_earlier((is_user * len(entity_code) + entity) * len(group_code) + group) > 0,
+    faults.check(earlier((is_user * len(entity_code) + entity) * len(group_code) + group) > 0,
                  listed_twice)
     faults.raise_first()
     values = _concat(parts, 3, np.int32)
@@ -721,10 +714,10 @@ def load_solution_lists(path: str | Path, graph: RecGraph) -> np.ndarray:
         block.check(edge < 0, lambda row: f"user {users[row]} item {items[row]} is not a "
                                           "candidate edge")
         edge = edge[:block.stop]
-        block.check(taken[edge] | (_earlier(edge) > 0),
+        block.check(taken[edge] | (earlier(edge) > 0),
                     lambda row: f"user {users[row]} item {items[row]} listed twice")
         user = graph.edge_user[edge[:block.stop]]
-        block.check(listed[user] + _earlier(user) >= limit[user],
+        block.check(listed[user] + earlier(user) >= limit[user],
                     lambda row: f"user {users[row]} item {items[row]} is past the user's "
                                 f"display constraint ({limit[user[row]]})")
         _numbers(block, texts, "relevance")
@@ -748,7 +741,7 @@ def load_constraints(path: str | Path) -> dict[str, int]:
 
     def convert(block):
         users, texts = block.columns
-        block.check((_earlier(_codes({}, users)) > 0)
+        block.check((earlier(_codes({}, users)) > 0)
                     | np.fromiter(map(out.__contains__, users), bool, len(users)),
                     lambda row: f"user {users[row]} listed twice")
         values = _numbers(block, texts, "constraint", int)

@@ -163,6 +163,15 @@ def has_repeats(keys: np.ndarray) -> bool:
     return bool((ordered[1:] == ordered[:-1]).any())
 
 
+def earlier(keys: np.ndarray) -> np.ndarray:
+    """How many earlier entries of ``keys`` equal each one; above 0 at a repeat."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    count = np.empty(len(keys), dtype=np.int64)
+    count[order] = np.arange(len(keys)) - np.searchsorted(ordered, ordered)
+    return count
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -263,10 +272,7 @@ class RecGraph:
         # The fault-free path only sorts the keys; the repeated rows, and the
         # first of them in index order, are found once there is one.
         if has_repeats(keys):
-            _, first_seen = np.unique(keys, return_index=True)
-            repeated = np.ones(len(keys), dtype=bool)
-            repeated[first_seen] = False
-            faults.check(repeated, lambda e: DuplicateEdgeError(
+            faults.check(earlier(keys) > 0, lambda e: DuplicateEdgeError(
                 f"duplicate candidate edge ({int(users[e])},{int(items[e])})"))
         faults.check(~np.isfinite(rels) | (rels < 0), lambda e: GraphError(
             f"relevance must be finite and >= 0, got {float(rels[e])}"))
@@ -478,8 +484,9 @@ class Grouping:
         order = np.argsort(first)
         first_owners = owners[first_rows(owners, num_owners)].tolist()
         counts: dict[int, dict[int, int]] = {o: {} for o in first_owners}
+        width = self.num_groups
         for k, c in zip(cell[first[order]].tolist(), count[order].tolist()):
-            counts[k // self.num_groups][k % self.num_groups] = c
+            counts[k // width][k % width] = c
         return counts
 
 

@@ -24,7 +24,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import GraphError, GroupingError
-from .graph import DivParams, Grouping, Solution, ThresholdTable
+from .graph import (DivParams, FirstFault, Grouping, Solution, ThresholdTable, _frozen,
+                    _not_integers)
 
 Lists = list[list[int]]
 
@@ -192,38 +193,120 @@ class _UserRelevances(Sequence):
     __hash__ = None
 
 
+def _user_of(offsets: np.ndarray, row: int) -> int:
+    """The user whose rows, ``offsets[u]:offsets[u + 1]``, hold ``row``."""
+    return int(np.searchsorted(offsets, row, side="right")) - 1
+
+
+def _held(column: np.ndarray, dtype) -> np.ndarray:
+    """``column`` itself if it is read-only and of ``dtype``, else a
+    read-only copy in ``dtype``."""
+    if column.flags.writeable or column.dtype != dtype:
+        column = _frozen(column.astype(dtype))
+    return column
+
+
+# what a profile's (key, value) rows hold, as its messages name them
+_RELEVANCES = ("normalized relevance", "item")
+_PROBABILITIES = ("intent probability", "category")
+
+
+def _dict_columns(dicts: list[dict], names: tuple[str, str]) -> tuple:
+    """Per-user dicts as read-only (keys, values, offsets) columns, and the
+    fault of the first key that is not an integer; that row and the ones
+    after it hold key 0."""
+    keys = list(chain.from_iterable(dicts))
+    offsets = _frozen(np.cumsum([0, *map(len, dicts)]))
+    faults = FirstFault(len(keys))
+    faults.check(_not_integers(keys), lambda r: GraphError(
+        f"user {_user_of(offsets, r)} {names[0]} key {keys[r]!r} is not an integer {names[1]}"))
+    keys[faults.stop:] = [0] * (len(keys) - faults.stop)
+    try:
+        keys = _frozen(np.fromiter(keys, np.int64, len(keys)))
+    except OverflowError:  # a key past int64: an object column, which the check rejects
+        keys = np.array(keys, dtype=object)
+    values = _frozen(np.array(list(chain.from_iterable(map(dict.values, dicts)))))
+    return (keys, values, offsets), faults
+
+
+def _checked_columns(num_users: int, keys, values, offsets, faults: FirstFault | None,
+                     names: tuple[str, str]) -> tuple:
+    """The (keys, values, offsets) columns, held read-only, and the fault
+    of the first bad row, not yet raised: keys of an integer dtype and at
+    least 0, values finite and in [0, 1] as float64, and ``num_users`` + 1
+    integer offsets that start at 0, never decrease and end at the column
+    length.  A bad shape, dtype or offset raises at once; ``faults`` carries
+    a fault already found."""
+    keys, values, offsets = map(np.asarray, (keys, values, offsets))
+    if (keys.ndim, values.ndim) != (1, 1) or len(keys) != len(values):
+        raise GraphError(f"{names[0]} columns must be 1-d and of equal length")
+    if keys.dtype.kind not in "iu" or values.dtype.kind not in "iuf":
+        raise GraphError(f"{names[0]} columns must hold integer keys and real values, "
+                         f"got {keys.dtype} and {values.dtype}")
+    if offsets.ndim != 1 or offsets.dtype.kind not in "iu" or len(offsets) != num_users + 1:
+        raise GraphError(f"{names[0]} offsets must be {num_users + 1} integers, one more than "
+                         f"the users, got {offsets.dtype} of shape {offsets.shape}")
+    bad = np.zeros(len(offsets), dtype=bool)
+    np.less(offsets[1:], offsets[:-1], out=bad[1:])
+    bad[0] |= offsets[0] != 0
+    bad[-1] |= offsets[-1] != len(keys)
+    if bad.any():
+        k = int(bad.argmax())
+        raise GraphError(f"{names[0]} offset {k} is {offsets[k]}: the offsets must start at 0, "
+                         f"never decrease and end at the {len(keys)} rows")
+    keys, values = _held(keys, keys.dtype), _held(values, np.float64)
+    offsets = _held(offsets, offsets.dtype)
+    faults = faults or FirstFault(len(keys))
+    faults.check(keys < 0, lambda r: GraphError(
+        f"user {_user_of(offsets, r)} {names[0]} row {r} has {names[1]} {keys[r]}, below 0"))
+    faults.check(~((values >= 0) & (values <= 1)), lambda r: GraphError(
+        f"user {_user_of(offsets, r)} {names[0]} for {names[1]} {keys[r]} is {values[r]}"))
+    return (keys, values, offsets), faults
+
+
+def _check_probs(category_probs: list[dict[int, float]]) -> None:
+    """Raises the first fault of the probabilities' rows, as
+    ``_checked_columns`` finds it, or of a user's nonempty probabilities
+    not summing to 1, checked at the user's last row."""
+    columns, faults = _dict_columns(category_probs, _PROBABILITIES)
+    (_, _, offsets), faults = _checked_columns(len(category_probs), *columns, faults,
+                                               _PROBABILITIES)
+    sums = list(map(sum, map(dict.values, category_probs)))
+    off = np.flatnonzero((np.abs(np.array(sums, dtype=np.float64) - 1.0) > 1e-9)
+                         & (offsets[1:] > offsets[:-1]))
+    bad = np.zeros(offsets[-1], dtype=bool)
+    bad[offsets[off + 1] - 1] = True
+    faults.check(bad, lambda r: GraphError(
+        f"user {_user_of(offsets, r)} intent probabilities sum to {sums[_user_of(offsets, r)]}"))
+    faults.raise_first()
+
+
 class IntentProfile:
     """Per-user category probabilities and normalized [0,1] relevances.
 
     ``category_probs[u]`` maps category index -> p(category);
     ``norm_rel[u]`` maps item index -> normalized relevance.  The
-    relevances are held as columns, one entry per (user, item) pair, and
-    ``norm_rel`` is a view that builds a user's dict when ``err_ia`` or
-    ``xquad`` reads that user, so the profile keeps 8 bytes per candidate
-    edge, not a dict entry.
+    relevances are held as read-only columns, one entry per (user, item)
+    pair, and ``norm_rel`` is a view that builds a user's dict when
+    ``err_ia`` or ``xquad`` reads that user, so the profile keeps 8 bytes
+    per candidate edge, not a dict entry.
 
-    The constructor takes ``norm_rel`` as a list of dicts and checks it;
-    ``from_graph`` passes the columns (items, relevances, CSR offsets over
-    users) through ``columns`` instead, unchecked.
+    ``columns`` passes those columns (items, relevances, CSR offsets over
+    users), held as they are when read-only and of their dtype (float64
+    for relevances), else copied; ``norm_rel`` dicts are only converted
+    into them.  One numpy check raises ``GraphError`` naming the first bad
+    row: an item not an integer (a bool included) or below 0, a relevance
+    not in [0, 1], offsets not rising from 0 to the column length; and the
+    same for ``category_probs``, whose nonempty dicts must sum to 1.
     """
 
     def __init__(self, category_probs: list[dict[int, float]],
                  norm_rel: list[dict[int, float]] = (), *, columns: tuple | None = None):
-        for u, probs in enumerate(category_probs):
-            if probs:
-                s = sum(probs.values())
-                if abs(s - 1.0) > 1e-9:
-                    raise GraphError(f"user {u} intent probabilities sum to {s}")
-        if columns is None:
-            for u, rels in enumerate(norm_rel):
-                for item, r in rels.items():
-                    if not (0.0 <= r <= 1.0):
-                        raise GraphError(
-                            f"user {u} normalized relevance for item {item} is {r}"
-                        )
-            columns = (np.fromiter(chain.from_iterable(norm_rel), np.int64),
-                       np.fromiter(chain.from_iterable(map(dict.values, norm_rel)), np.float64),
-                       np.cumsum([0, *map(len, norm_rel)]))
+        _check_probs(category_probs)
+        columns, faults = (columns, None) if columns is not None else _dict_columns(
+            norm_rel, _RELEVANCES)
+        columns, faults = _checked_columns(len(category_probs), *columns, faults, _RELEVANCES)
+        faults.raise_first()
         self.category_probs = category_probs
         self.norm_rel = _UserRelevances(*columns)
 
@@ -245,7 +328,7 @@ class IntentProfile:
             lo, hi = rel[np.argmin(rel)], rel[np.argmax(rel)]
         span = hi - lo
         norm = (rel - lo) / span if span > 0 else np.ones(len(rel))
-        return cls(probs, columns=(graph.edge_item, norm, graph.user_offsets))
+        return cls(probs, columns=(graph.edge_item, _frozen(norm), graph.user_offsets))
 
 
 def err_ia(lists: Lists, intent: IntentProfile, item_cats: Grouping) -> float:
@@ -253,6 +336,8 @@ def err_ia(lists: Lists, intent: IntentProfile, item_cats: Grouping) -> float:
     per-category relevance of an item is its normalized relevance masked by
     category membership.  A user's terms are summed in the order of its
     category probabilities, then in rank order."""
+    if len(intent.norm_rel) < len(lists):
+        raise GraphError(f"intent profile has {len(intent.norm_rel)} users for {len(lists)} lists")
     if not lists:
         return 0.0
     total = 0.0

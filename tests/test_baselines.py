@@ -66,6 +66,14 @@ def test_xquad_alternates_categories():
     assert picked_cats == [0, 1]
 
 
+def test_xquad_rejects_a_profile_with_fewer_users_than_the_graph():
+    graph = RecGraph(["u1", "u2"], [1, 1], ["v1"], [(0, 0, 0.5), (1, 0, 0.5)])
+    ic = Grouping("item", ["A"], [[0]])
+    intent = IntentProfile([{0: 1.0}], [{0: 1.0}])
+    with pytest.raises(GraphError, match="^intent profile has 1 users for the graph's 2$"):
+        xquad(graph, ic, intent, 0.5)
+
+
 def test_xquad_saturated_category_degenerates_to_relevance():
     # single category; first pick has normalized rel 1, so every later
     # diversity term carries a (1-1)=0 factor

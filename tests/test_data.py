@@ -235,6 +235,14 @@ def test_derive_user_thresholds_overlapping_scales_target():
     assert th.rho(0, 0) + th.rho(0, 1) == 4
 
 
+def test_derive_user_thresholds_count_no_groups_past_the_membership_list():
+    # v3 is past the list: 4 categories over 3 training items, so target = round(3 * 4/3)
+    train = _dataset([("u1", "v1", 4), ("u1", "v2", 4), ("u1", "v3", 4)])
+    ic = Grouping("item", ["A", "B"], [[0, 1], [0, 1]])
+    th = derive_user_thresholds(train, ic, ["v1", "v2", "v3"], ["u1"], [3])
+    assert th.rho(0, 0) + th.rho(0, 1) == 4
+
+
 def test_derive_user_thresholds_no_training_items():
     train = _dataset([])
     ic = Grouping("item", ["A"], [[0]])

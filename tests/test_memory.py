@@ -34,7 +34,10 @@ characters with int32 codes and line numbers; they took 170.8 and 274.0
 with blocks of 2**20 characters and int64 columns.  The intent profile
 peaks at 31.3 bytes per edge and keeps 12.3, its relevances one float64
 column with a user's dict built when read; it took 143.1 and kept 86.4
-with a dict entry per edge.  Ranking the selection peaks at 55.4 bytes per
+with a dict entry per edge.  Its numpy check left both figures as they
+were: it holds the graph's read-only item column and offsets and freezes
+its own relevance column, where a copy of the item column would keep
+about 16.3.  Ranking the selection peaks at 55.4 bytes per
 selected edge, gathering the selected edges' columns alone; it took 770
 (61.6 per candidate edge) when it listed both whole columns.  The lookup
 that reads a solution file's pairs back into edges peaks at 16.5 bytes per

@@ -1,10 +1,12 @@
 import hashlib
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
-from recdiv.baselines import mmr, top_k
+from recdiv.baselines import mmr, top_k, xquad
 from recdiv.errors import GraphError, GroupingError
 from recdiv.graph import DivParams, Grouping, RecGraph, ThresholdTable, new_solution
 from recdiv.metrics import (
@@ -176,6 +178,133 @@ def test_intent_profile_reads_back_its_dicts():
     assert intent.norm_rel[-1] == {2: 0.0} and intent.norm_rel != rels[:2]
     with pytest.raises(IndexError):
         intent.norm_rel[3]
+
+
+# three users' columns: user 0 has items 1 and 2, user 1 item 3, user 2 none
+_PROBS = [{0: 1.0}, {0: 1.0}, {}]
+_COLUMNS = ([1, 2, 3], [0.5, 0.25, 1.0], [0, 2, 3, 3])
+_REL = "normalized relevance"
+_DTYPES = "{} columns must hold integer keys and real values, got {} and {}"
+_OFFSETS = f"{_REL} offsets must be 4 integers, one more than the users, got {{}} of shape {{}}"
+_OFFSET = f"{_REL} offset {{}} is {{}}: the offsets must start at 0, never decrease and end " \
+          "at the 3 rows"
+
+
+def _with(column: int, value):
+    return tuple(np.array(value if k == column else c) for k, c in enumerate(_COLUMNS))
+
+
+@pytest.mark.parametrize("columns, message", [
+    (_with(1, [0.5, 1.5, 2.0]), f"user 0 {_REL} for item 2 is 1.5"),
+    (_with(1, [0.5, -0.25, -1.0]), f"user 0 {_REL} for item 2 is -0.25"),
+    (_with(1, [0.5, 0.25, np.nan]), f"user 1 {_REL} for item 3 is nan"),
+    (_with(1, [0.5, 0.25, np.inf]), f"user 1 {_REL} for item 3 is inf"),
+    (_with(0, [1, -7, -3]), f"user 0 {_REL} row 1 has item -7, below 0"),
+    (_with(0, [1.0, 2.0, 3.0]), _DTYPES.format(_REL, "float64", "float64")),
+    (_with(0, [True, False, True]), _DTYPES.format(_REL, "bool", "float64")),
+    (_with(1, [True, False, True]), _DTYPES.format(_REL, "int64", "bool")),
+    (_with(0, [1, 2]), f"{_REL} columns must be 1-d and of equal length"),
+    (_with(1, [[0.5, 0.25, 1.0]]), f"{_REL} columns must be 1-d and of equal length"),
+    (_with(2, [0, 2, 3]), _OFFSETS.format("int64", "(3,)")),
+    (_with(2, [[0, 2, 3, 3]]), _OFFSETS.format("int64", "(1, 4)")),
+    (_with(2, [0.0, 2.0, 3.0, 3.0]), _OFFSETS.format("float64", "(4,)")),
+    (_with(2, [1, 2, 3, 3]), _OFFSET.format(0, 1)),
+    (_with(2, [0, 2, 1, 3]), _OFFSET.format(2, 1)),
+    (_with(2, [0, 1, 2, 2]), _OFFSET.format(3, 2)),
+    (_with(2, [0, 2, 3, 4]), _OFFSET.format(3, 4)),
+])
+def test_intent_profile_columns_reject_the_first_bad_row(columns, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        IntentProfile(_PROBS, columns=columns)
+
+
+_PROB = "intent probability"
+
+
+@pytest.mark.parametrize("probs, message", [
+    ([{0: 1.0}, {0: -0.5, 1: 1.5}, {}], f"user 1 {_PROB} for category 0 is -0.5"),
+    ([{0: 1.5, 1: -0.5}, {0: 1.0}, {}], f"user 0 {_PROB} for category 0 is 1.5"),
+    ([{0: 1.0}, {0: math.nan}, {}], f"user 1 {_PROB} for category 0 is nan"),
+    ([{0: 0.5, "a": 0.5}, {0: 1.0}, {}], f"user 0 {_PROB} key 'a' is not an integer category"),
+    ([{0: 1.0}, {True: 1.0}, {}], f"user 1 {_PROB} key True is not an integer category"),
+    ([{0: 1.0}, {0: 0.5, -1: 0.5}, {}], f"user 1 {_PROB} row 2 has category -1, below 0"),
+    ([{0: 1.0}, {0: "1"}, {}], _DTYPES.format(_PROB, "int64", "<U32")),
+    # a bad entry wins over a later user's sum, and a sum over a later entry
+    ([{0: 0.5}, {0: 2.0}, {}], "user 0 intent probabilities sum to 0.5"),
+    ([{0: 1.0}, {0: 0.5}, {0: 2.0}], "user 1 intent probabilities sum to 0.5"),
+    ([{0: 1.0}, {0: 0.5, 1: 2.0}, {}], f"user 1 {_PROB} for category 1 is 2.0"),
+])
+def test_intent_profile_probabilities_reject_the_first_bad_entry(probs, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        IntentProfile(probs, columns=_COLUMNS)
+
+
+@pytest.mark.parametrize("rels, message", [
+    ([{1: 0.5}, {"x": 0.5}, {}], f"user 1 {_REL} key 'x' is not an integer item"),
+    ([{1: 0.5, False: 0.5}, {}, {}], f"user 0 {_REL} key False is not an integer item"),
+    ([{1: 0.5, 2.0: 0.5}, {}, {}], f"user 0 {_REL} key 2.0 is not an integer item"),
+    # the first bad row wins, and within a row the key
+    ([{1: 1.5}, {"x": 0.5}, {}], f"user 0 {_REL} for item 1 is 1.5"),
+    ([{1: 0.5}, {"x": 1.5}, {3: -1.0}], f"user 1 {_REL} key 'x' is not an integer item"),
+    ([{1: 0.5}, {-4: 0.5}, {}], f"user 1 {_REL} row 1 has item -4, below 0"),
+    ([{1: 0.5}, {3: 0.5}], _OFFSETS.format("int64", "(3,)")),
+    # a key past int64 names no item
+    ([{1: 0.5}, {2**70: 0.5}, {}], _DTYPES.format(_REL, "object", "float64")),
+])
+def test_intent_profile_dicts_reject_the_first_bad_row(rels, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        IntentProfile(_PROBS, rels)
+
+
+def test_intent_profile_dicts_take_numpy_integer_keys():
+    intent = IntentProfile([{np.uint64(0): 1.0}, {}, {}],
+                           [{np.uint64(3): 0.5, np.int32(1): 1, 2: np.float32(0.25)}, {}, {}])
+    assert intent.norm_rel == [{3: 0.5, 1: 1.0, 2: 0.25}, {}, {}]
+
+
+def test_intent_profile_dict_and_column_forms_agree(rng):
+    instances = [edge_case_instance(rng, overlapping=i % 2 == 0) for i in range(60)]
+    graph, _, ic = movielens_shaped(num_users=15, num_items=120, candidates_per_user=40,
+                                    constraint=8, seed=2)
+    for graph, ic in instances + [(graph, ic)]:
+        columns = IntentProfile.from_graph(graph, ic)
+        dicts = IntentProfile(columns.category_probs, list(columns.norm_rel))
+        assert dicts.norm_rel == columns.norm_rel
+        assert _profile_bits(dicts) == _profile_bits(columns)
+        lists = mmr(graph, ic, 0.3).items
+        assert err_ia(lists, dicts, ic).hex() == err_ia(lists, columns, ic).hex()
+        for lam in (0.0, 0.5):
+            ranked = [xquad(graph, ic, intent, lam) for intent in (dicts, columns)]
+            assert ranked[0].items == ranked[1].items
+            assert [[s.hex() for s in row] for row in ranked[0].scores] == [
+                [s.hex() for s in row] for row in ranked[1].scores]
+
+
+def test_intent_profile_holds_read_only_columns_and_copies_writable_ones():
+    graph, _, ic = movielens_shaped(num_users=20, seed=3)
+    prof = IntentProfile.from_graph(graph, ic)
+    held = prof.norm_rel
+    assert held._items is graph.edge_item and held._offsets is graph.user_offsets
+    assert not held._rels.flags.writeable
+    again = IntentProfile(prof.category_probs, columns=(held._items, held._rels, held._offsets))
+    assert again.norm_rel._rels is held._rels
+    writable = [held._items.copy(), held._rels.copy(), held._offsets.copy()]
+    copied = IntentProfile(prof.category_probs, columns=writable)
+    for column in writable:
+        column[:] = 0
+    assert copied.norm_rel == held
+    assert not any(c.flags.writeable for c in (copied.norm_rel._items, copied.norm_rel._rels,
+                                               copied.norm_rel._offsets))
+    # a relevance column of another dtype is held as float64
+    as_float32 = IntentProfile([{}], columns=([0], np.array([0.5], dtype=np.float32), [0, 1]))
+    assert as_float32.norm_rel._rels.dtype == np.float64
+
+
+def test_err_ia_rejects_a_profile_with_fewer_users_than_lists():
+    ic = Grouping("item", ["A"], [[0], [0]])
+    intent = IntentProfile([{0: 1.0}], [{0: 1.0, 1: 0.5}])
+    with pytest.raises(GraphError, match="^intent profile has 1 users for 2 lists$"):
+        err_ia([[0, 1], [1]], intent, ic)
 
 
 def test_intent_profile_from_graph():
